@@ -4,16 +4,20 @@ Four bound families, all returning a SamplingBoundResult whose tau_max is a
 strict upper bound on the admissible supremum of sampling gaps:
 
 * generic: tau(q) = -ln q / ((a1 q)^{-1} a2 at1 + at2) for a coupled pair of
-  Lyapunov functions, with the interior maximizer found from
-  (a2 at1 / (a1 at2)) (1 + ln q) + q = 0;
+  Lyapunov functions, with the interior maximizer the root of
+  c (1 + ln q) + q = 0, c = a2 at1 / (a1 at2);
 * single-V emulation: the closed-form KKT optimum of the three-parameter
-  reciprocal objective in (q, b1, b2), plus its rate parameterization
-  r = alpha * sqrt(q);
+  reciprocal objective in (q, b1, b2) at a q* found by root finding, plus its
+  rate parameterization r = alpha * sqrt(q);
 * two-function emulation: tau(q) = -alpha^2 q ln q / (alpha_b g1 + g2 alpha^2 q)
-  with q* the root of alpha^2 g2 q + alpha_b g1 (ln q + 1) = 0;
+  with q* the root of the same equation at c = alpha_b g1 / (alpha^2 g2);
 * discrete-time approximation: the same single-V bound after mapping the
   discrete design data (c_bar, h, alpha_u) to the decay rate
   2 alpha = c_bar / h + alpha_u h.
+
+c (1 + ln q) + q = 0 has the closed-form root q = c W0(1/(c e)), W0 the
+principal branch of the Lambert W function (Corless et al., Adv. Comput.
+Math. 5, 1996).
 """
 
 from __future__ import annotations
@@ -116,6 +120,20 @@ class ConditionReport:
     degenerate: bool
 
 
+def _stationary_q(k: float, s: float) -> float:
+    """Root of s q + k (1 + ln q) = 0 for k, s > 0: q = c W0(1/(c e)) with c = k / s."""
+    from scipy.special import lambertw  # imported here so `import sdstab.cli` loads no scipy
+
+    try:
+        c = k / s
+        q = c * float(lambertw(1.0 / (c * math.e)).real)
+    except ZeroDivisionError:  # s or k / s underflowed to zero
+        q = math.nan
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"stationary point not representable in floating point (k={k:g}, s={s:g})")
+    return q
+
+
 def check_condition_iii(g: GainConstants) -> ConditionReport:
     """Impulse-comparison feasibility: value = beta1*alpha2/alpha1 + beta2 + beta3 < 1.
 
@@ -161,13 +179,10 @@ def solve_qhat_star(g: GainConstants, q_hat: Optional[float] = None) -> Sampling
             provenance="generic-iss-free",
             auxiliary={"condition_iii": cond.value, "degenerate": cond.degenerate},
         )
-    c = g.alpha2 * g.alphat1 / (g.alpha1 * g.alphat2)
-    lo = math.exp(-(g.alpha1 * g.alphat2 + g.alpha2 * g.alphat1) / (g.alpha2 * g.alphat1))
-
-    def slope(q: float) -> float:
-        return c * (1.0 + math.log(q)) + q
-
-    q_star = find_root(slope, bracket_root(slope, lo, 1.0), tol=_ROOT_TOL)
+    k, s = g.alpha2 * g.alphat1, g.alpha1 * g.alphat2
+    q_star = _stationary_q(k, s)
+    c = k / s
+    lo = math.exp(-(s + k) / k)
     q0 = max(cond.value, lo)
     q_eff = max(q_star, q0)
     return SamplingBoundResult(
@@ -178,7 +193,7 @@ def solve_qhat_star(g: GainConstants, q_hat: Optional[float] = None) -> Sampling
             "q_hat_star": q_star,
             "q_hat_0": q0,
             "bracket": (lo, 1.0),
-            "stationarity_residual": slope(q_star),
+            "stationarity_residual": c * (1.0 + math.log(q_star)) + q_star,
             "condition_iii": cond.value,
             "degenerate": cond.degenerate,
         },
@@ -258,15 +273,6 @@ def emulation_bound_single_rate_form(c: EmulationConstants) -> SamplingBoundResu
     measures how much of the designed decay rate survives sampling.
     """
     a = c.alpha_bar
-    af_s = math.sqrt(c.alpha_f)
-    ab_af = 2.0 * math.sqrt(c.alpha_b * c.alpha_f)
-    log_edge = math.log(a / math.sqrt(math.e))
-
-    def slope_r(r: float) -> float:
-        return 2.0 * r * r + (a + af_s) * r + 2.0 * ((a + af_s) * r + ab_af) * (math.log(r) - log_edge)
-
-    r_star = find_root(slope_r, bracket_root(slope_r, _Q_FLOOR, a / math.sqrt(math.e)), tol=_ROOT_TOL)
-    q_star = (r_star / a) ** 2
     base = emulation_bound_single(c)
     return SamplingBoundResult(
         q_star=base.q_star,
@@ -274,10 +280,8 @@ def emulation_bound_single_rate_form(c: EmulationConstants) -> SamplingBoundResu
         provenance="emulation-single-rate",
         auxiliary={
             **base.auxiliary,
-            "r_star": r_star,
+            "r_star": a * math.sqrt(base.q_star),
             "r_bracket": (0.0, a / math.sqrt(math.e)),
-            "r_residual": slope_r(a * math.sqrt(base.q_star)),
-            "q_from_r": q_star,
         },
     )
 
@@ -298,17 +302,13 @@ def emulation_bound_two(c: TwoFunctionConstants) -> SamplingBoundResult:
     """Two-function bound: q* solves alpha^2 g2 q + alpha_b g1 (ln q + 1) = 0 in (0, 1/e)."""
     a2g2 = c.alpha_bar * c.alpha_bar * c.gamma2
     abg1 = c.alpha_b * c.gamma1
-
-    def slope(q: float) -> float:
-        return a2g2 * q + abg1 * (math.log(q) + 1.0)
-
-    q_star = find_root(slope, bracket_root(slope, _Q_FLOOR, math.exp(-1.0)), tol=_ROOT_TOL)
+    q_star = _stationary_q(abg1, a2g2)
     return SamplingBoundResult(
         q_star=q_star,
         tau_max=two_v_curve(q_star, c),
         provenance="emulation-two",
         auxiliary={
-            "stationarity_residual": slope(q_star),
+            "stationarity_residual": a2g2 * q_star + abg1 * (math.log(q_star) + 1.0),
             "bracket": (0.0, math.exp(-1.0)),
         },
     )

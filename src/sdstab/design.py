@@ -29,6 +29,7 @@ from .lmi import (
     AffineMatrixMap,
     LmiCertificate,
     VariableLayout,
+    assemble_lyapunov_ito,
     build_affine_map,
     minimize_gevp,
     solve_feasibility,
@@ -40,21 +41,6 @@ from .numerics import pencil_max_eig
 
 _TINY = 1e-12
 _INFLATE = 1e-7  # relative safety margin applied to exact pencil optima
-
-
-def _fast_pencil_max(a: np.ndarray, b: np.ndarray) -> float:
-    """lambda_max of the pencil (a, b), b > 0; LAPACK-backed for the search loops.
-
-    Search results are re-verified through the Jacobi-based numerics pencil
-    when certificates are assembled, so this fast path is never load-bearing
-    for a reported margin.
-    """
-    w, v = np.linalg.eigh(b)
-    if w[0] <= 0.0:
-        raise DomainError("pencil denominator must be positive definite")
-    winv = (v / np.sqrt(w)) @ v.T
-    m = winv @ a @ winv
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
 def extract_alpha_b(P, P_tilde, B_bar) -> float:
@@ -74,10 +60,8 @@ def extract_alpha_f(P, F, alpha_bar: float) -> float:
 
     Zero means exact cancellation (F = -alpha I); choose alpha_f > 0 strictly.
     """
-    f = np.asarray(F, dtype=float) + alpha_bar * np.eye(np.asarray(F).shape[0])
-    if np.abs(f).max(initial=0.0) == 0.0:
-        return 0.0
-    return pencil_max_eig(f.T @ P @ f, P)
+    f = np.asarray(F, dtype=float)
+    return extract_alpha_u(P, f + alpha_bar * np.eye(f.shape[0]))
 
 
 def extract_alpha_u(P, F) -> float:
@@ -110,8 +94,7 @@ def _gamma1_min(
         lhs = lhs + np.asarray(g).T @ pt @ np.asarray(g)
     if lhs_extra is not None:
         lhs = lhs + lhs_extra
-    lhs = 0.5 * (lhs + lhs.T)
-    return _fast_pencil_max(lhs, np.asarray(P))
+    return pencil_max_eig(lhs, P)
 
 
 def _best_gamma_pair(
@@ -131,7 +114,7 @@ def _best_gamma_pair(
     """
     lo, hi = scan
     bp = np.asarray(B_bar).T @ P_tilde + np.asarray(P_tilde) @ np.asarray(B_bar)
-    g2_floor = shift22 + _fast_pencil_max(-0.5 * (bp + bp.T), np.asarray(P_tilde))
+    g2_floor = shift22 + pencil_max_eig(-bp, P_tilde)
     start = max(lo, g2_floor * (1 + 1e-9) + _TINY, _TINY)
     if start >= hi:
         raise InfeasibleError("gamma2 scan box excludes every feasible point")
@@ -193,10 +176,7 @@ def fit_gamma(
         raise ValidationError("fit_gamma needs a resolved feedback matrix")
     f = model.A + b_bar
     if alpha_bar is None:
-        m = f.T @ P + np.asarray(P) @ f
-        for g in model.diffusion:
-            m = m + g.T @ P @ g
-        cap = -0.5 * pencil_max_eig(0.5 * (m + m.T), P)
+        cap = -0.5 * pencil_max_eig(assemble_lyapunov_ito(f, model.diffusion, P, 0.0), P)
         if cap <= 0:
             raise InfeasibleError("P certifies no positive decay rate for this loop")
         alpha_bar = 0.999 * cap
@@ -379,13 +359,10 @@ def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: floa
     w = np.linalg.eigvalsh(p)
     if w[0] <= 1e-12 * w[-1]:
         return None
-    rate = f.T @ p + p @ f + 2.0 * alpha_bar * p
-    for g in model.diffusion:
-        rate = rate + np.asarray(g).T @ p @ np.asarray(g)
-    if float(np.linalg.eigvalsh(0.5 * (rate + rate.T))[-1]) > -1e-9:
+    rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar)
+    if float(np.linalg.eigvalsh(rate)[-1]) > -1e-9:
         return None
-    bpb = b_bar.T @ p @ b_bar
-    alpha_b = max(_fast_pencil_max(0.5 * (bpb + bpb.T), p) * (1 + _INFLATE), _TINY)
+    alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
     try:
         _, _, tau = _best_gamma_pair(
             f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b,

@@ -1,14 +1,18 @@
 """Dense small-matrix linear algebra and scalar root finding.
 
 Everything here targets the small symmetric matrices (order <= ~10) that
-appear in quadratic stability certificates: a cyclic Jacobi eigensolver, a
-positive-definiteness predicate, the symmetric-pencil maximum eigenvalue
-lambda_max(B^{-1/2} A B^{-1/2}), and a bracketed root finder with secant
-acceleration.  All functions are pure and thread-safe.
+appear in quadratic stability certificates: a cyclic Jacobi eigensolver and
+positive-definiteness predicate, used only for verification margins so that
+certificates are checked by an eigensolver the design search does not use;
+the LAPACK symmetric-pencil maximum eigenvalue lambda_max(B^{-1/2} A B^{-1/2})
+behind every envelope constant and design search step; and the bracketed
+root finder with secant acceleration of the single-V bound.  All functions
+are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -21,6 +25,7 @@ ArrayLike = Union[np.ndarray, "SymMatrix", list, tuple]
 _JACOBI_MAX_SWEEPS = 100
 _DEFAULT_ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 256
+_EPS = float(np.finfo(float).eps)
 
 
 class SymMatrix:
@@ -185,15 +190,21 @@ def is_pos_def(s: ArrayLike, tol: float = 0.0) -> bool:
 def pencil_max_eig(a: ArrayLike, b: ArrayLike) -> float:
     """Largest generalized eigenvalue of the symmetric pencil (A, B) with B > 0.
 
-    Returns lambda_max(B^{-1/2} A B^{-1/2}), the least lam with A <= lam*B.
+    Returns lambda_max(B^{-1/2} A B^{-1/2}), the least lam with A <= lam*B,
+    for the symmetric parts of A and B.  Raises DomainError when B is not
+    positive definite (NaN entries included) or the result is not finite.
     """
-    am = _as_sym_array(a)
-    eb = sym_eig(b)
-    if eb.eigenvalues[0] <= 0.0:
+    am = np.asarray(getattr(a, "mat", a), dtype=float)
+    bm = np.asarray(getattr(b, "mat", b), dtype=float)
+    w, v = np.linalg.eigh(0.5 * (bm + bm.T))
+    if not w[0] > 0.0:
         raise DomainError("pencil denominator must be positive definite")
-    w_inv_sqrt = (eb.eigenvectors / np.sqrt(eb.eigenvalues)) @ eb.eigenvectors.T
-    m = w_inv_sqrt @ am @ w_inv_sqrt
-    return lam_max(0.5 * (m + m.T))
+    w_inv_sqrt = (v / np.sqrt(w)) @ v.T
+    m = w_inv_sqrt @ (0.5 * (am + am.T)) @ w_inv_sqrt
+    lam = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    if not math.isfinite(lam):
+        raise DomainError("pencil eigenvalue is not finite")
+    return lam
 
 
 def find_root(
@@ -218,7 +229,7 @@ def find_root(
 
     for _ in range(max_iter):
         # stop at tol, or at the floating-point spacing of the endpoints
-        if hi - lo <= max(tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))):
+        if hi - lo <= max(tol, 4.0 * _EPS * max(abs(lo), abs(hi))):
             return 0.5 * (lo + hi)
         width = hi - lo
         x = 0.5 * (lo + hi)

@@ -92,6 +92,12 @@ class TestSolveQhatStar:
         res = solve_qhat_star(g)
         assert res.q_star == pytest.approx(max(res.auxiliary["q_hat_star"], 0.5))
 
+    def test_unrepresentable_q_star_raises(self):
+        # alpha1 alphat2 underflows, alpha2 alphat1 underflows
+        for constants in [(1e-200, 1.0, 1.0, 1e-200), (1.0, 1e-200, 1e-200, 1.0)]:
+            with pytest.raises(DomainError):
+                solve_qhat_star(GainConstants(*constants))
+
     def test_maximality_on_grid(self):
         g = GainConstants(2.0, 0.7, 1.3, 0.9)
         res = solve_qhat_star(g)
@@ -100,10 +106,16 @@ class TestSolveQhatStar:
         taus = np.array([htau_generic(float(q), g) for q in qs])
         assert res.tau_max >= taus.max() * (1 - 1e-12)
 
-    def test_residual(self):
-        g = GainConstants(3.0, 0.5, 2.0, 1.1)
-        res = solve_qhat_star(g)
-        assert abs(res.auxiliary["stationarity_residual"]) <= 1e-9
+    def test_residual(self, rng):
+        # constants spanning six decades; q* from the closed form must match
+        # plain bisection of a2 at1 (1 + ln q) + a1 at2 q to near machine precision
+        draws = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(2000, 4)))
+        for a1, a2, at1, at2 in [(3.0, 0.5, 2.0, 1.1), *draws]:
+            res = solve_qhat_star(GainConstants(a1, a2, at1, at2))
+            c = a2 * at1 / (a1 * at2)
+            assert abs(res.auxiliary["stationarity_residual"]) <= 1e-9 * max(1.0, c)
+            oracle = bisect(lambda q: a2 * at1 * (1.0 + math.log(q)) + a1 * at2 * q, 1e-300, 1.0)
+            assert res.auxiliary["q_hat_star"] == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestEmulationBoundSingle:
@@ -209,12 +221,20 @@ class TestEmulationBoundTwo:
         assert res.q_star == pytest.approx(0.1821, abs=2e-4)
 
     def test_residuals_and_bracket(self, rng):
-        for _ in range(30):
-            a, ab, g1, g2 = np.exp(rng.uniform(np.log(0.1), np.log(100), size=4))
+        # q* down to ~1e-13 here: an absolute root tolerance would lose digits
+        for a, ab, g1, g2 in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(2000, 4))):
             c = TwoFunctionConstants(a, ab, g1, g2)
             res = emulation_bound_two(c)
             assert 0.0 < res.q_star < 1 / E
             assert abs(res.auxiliary["stationarity_residual"]) <= 1e-9 * max(1.0, a * a * g2)
+            oracle = bisect(lambda q: a * a * g2 * q + ab * g1 * (math.log(q) + 1.0), 1e-300, 1 / E)
+            assert res.q_star == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_unrepresentable_q_star_raises(self):
+        # alpha^2 gamma2 underflows, alpha_b gamma1 underflows, alpha_b gamma1 overflows
+        for constants in [(1e-200, 1.0, 1.0, 1.0), (1.0, 1e-200, 1e-200, 1.0), (1.0, 1e200, 1e200, 1.0)]:
+            with pytest.raises(DomainError):
+                emulation_bound_two(TwoFunctionConstants(*constants))
 
     def test_curve_maximality(self):
         c = TwoFunctionConstants(4.3957, 241.9335, 1.2491, 60.5024)

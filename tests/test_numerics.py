@@ -126,6 +126,15 @@ class TestPencilMaxEig:
         with pytest.raises(DomainError):
             pencil_max_eig(np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_nan_rejected(self):
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            bad = np.eye(2)
+            bad[i, j] = np.nan
+            with pytest.raises(DomainError):
+                pencil_max_eig(bad, np.eye(2))
+            with pytest.raises(DomainError):
+                pencil_max_eig(np.eye(2), bad)
+
 
 class TestFindRoot:
     def test_linear(self):
