@@ -126,7 +126,10 @@ def _flag(args, doc, name, default=None):
         v = doc.get(name, default)
     if v is None:
         raise FormatError(f"missing constant {name!r} (flag --{name.replace('_', '-')})")
-    return float(v)
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"constant {name!r} is not a number: {v!r}") from exc
 
 
 def cmd_bound(args, argv) -> int:
@@ -271,14 +274,25 @@ def reverify_report(report: dict) -> dict:
 # design
 # ---------------------------------------------------------------------------
 
-def _parse_c_tilde(text: Optional[str]):
-    if text is None:
-        return 1.0
+def _parse_c_tilde(text: str):
+    """--c-tilde: a number, 'free' (None: automatic sweep) or 'sweep:v1,v2,...'."""
     if text == "free":
         return None
-    if text.startswith("sweep:"):
-        return [float(v) for v in text[len("sweep:"):].split(",") if v]
-    return float(text)
+    sweep = text.startswith("sweep:")
+    try:
+        values = [float(v) for v in text[len("sweep:"):].split(",") if v] if sweep else [float(text)]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a number, 'free' or 'sweep:v1,v2,...', got {text!r}")
+    return values if sweep else values[0]
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def cmd_design(args, argv) -> int:
@@ -286,7 +300,7 @@ def cmd_design(args, argv) -> int:
     model = load_model(args.model)
     report["inputs"] = {"model": {"path": str(args.model), "sha256": _sha256(args.model)}}
     options = DesignOptions(
-        c_tilde=_parse_c_tilde(args.c_tilde),
+        c_tilde=args.c_tilde,
         alpha_fraction=args.alpha_fraction,
         seed=args.seed,
     )
@@ -343,7 +357,6 @@ def cmd_simulate(args, argv) -> int:
         raise ValidationError("model gain unresolved; pass --cert with K_hat or Q/Y")
     schedule = SamplingSchedule.parse(args.schedule)
     dt_sim = args.dt_sim if args.dt_sim is not None else schedule.underline_dt / 10.0
-    x0 = None if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
     cfg = SimConfig(
         schedule=schedule,
         horizon=args.horizon,
@@ -351,7 +364,7 @@ def cmd_simulate(args, argv) -> int:
         n_paths=args.paths,
         seed=args.seed,
         store_stride=args.store_stride,
-        x0=x0,
+        x0=args.x0,
     )
     t0 = time.perf_counter()
     ens = run_ensemble(model, cfg, workers=args.workers)
@@ -443,12 +456,13 @@ def cmd_report(args, argv) -> int:
                 rep = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"cannot read report {path}: {exc}") from exc
+        if not isinstance(rep, dict) or not isinstance(rep.get("results", {}), dict):
+            raise FormatError(f"report {path} is not a run report object")
         if rep.get("version") != __version__:
             print(f"warning: report {path} from version {rep.get('version')}", file=sys.stderr)
         res = rep.get("results", {})
         cmd = (rep.get("command") or ["?"])[0]
         name = res.get("model", {}).get("name") if isinstance(res.get("model"), dict) else None
-        gain = res.get("gain")
         rows.append({
             "report": str(path),
             "command": cmd,
@@ -459,11 +473,13 @@ def cmd_report(args, argv) -> int:
             "passed": res.get("passed"),
         })
         if cmd == "bound":
-            pts = _curve_points(res)
+            try:
+                pts = _curve_points(res)
+            except (KeyError, TypeError) as exc:
+                raise FormatError(f"bound report {path} lacks its constants ({exc})") from exc
             if pts:
                 for q, tau in pts:
                     curve_rows.append((str(path), q, tau))
-        _ = gain
     header = f"{'command':10s} {'model':20s} {'tau_max':>12s} {'|K|':>10s} {'decay':>10s} {'passed':>7s}"
     print(header)
     for r in rows:
@@ -524,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="synthesize a state-feedback gain")
     p.add_argument("--model", required=True)
-    p.add_argument("--c-tilde", dest="c_tilde", default=None,
+    p.add_argument("--c-tilde", dest="c_tilde", type=_parse_c_tilde, default=1.0,
                    help="number, 'free', or 'sweep:v1,v2,...'")
     p.add_argument("--alpha-fraction", dest="alpha_fraction", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
@@ -542,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-sim", dest="dt_sim", type=float, default=None)
     p.add_argument("--store-stride", dest="store_stride", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--x0", help="comma-separated initial state, overrides the model")
+    p.add_argument("--x0", type=_parse_vector, help="comma-separated initial state, overrides the model")
     p.add_argument("--traj-out", dest="traj_out", help="trajectory CSV path")
     p.add_argument("--stats-out", dest="stats_out", help="ensemble stats CSV path")
     p.add_argument("--out")

@@ -12,7 +12,9 @@ The synthesis pipeline follows the four-step recipe behind the design LMIs:
    computing the least feasible gamma1 from the Schur complement of the cross
    block, maximizing the resulting sampling bound.
 
-Every result is re-verified from raw matrices before it is returned.
+Steps 1 and 2 take their rate LMI from lmi.assemble_design_rate, the block
+verify_design_certificate checks.  Every result is re-verified from raw
+matrices before it is returned.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two
-from .errors import DomainError, InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .lmi import (
     AffineMatrixMap,
     LmiCertificate,
     VariableLayout,
+    assemble_design_rate,
     assemble_lyapunov_ito,
     build_affine_map,
     minimize_gevp,
@@ -41,6 +44,11 @@ from .numerics import pencil_max_eig
 
 _TINY = 1e-12
 _INFLATE = 1e-7  # relative safety margin applied to exact pencil optima
+_STRICTNESS = 1e-8  # margin every solved LMI point must clear
+_FRACTION_LADDER = (0.9, 0.7, 0.5, 0.3, 0.1)  # rate fractions tried after alpha_fraction
+_GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
+_B_RANGE = (5e-3, 20.0)  # planar envelope weight b
+_C_RANGE = (1e-1, 1e3)  # planar envelope weight c
 
 
 def extract_alpha_b(P, P_tilde, B_bar) -> float:
@@ -105,7 +113,6 @@ def _best_gamma_pair(
     shift22: float = 0.0,
     coarse: int = 120,
     refine_rounds: int = 3,
-    first_feasible: bool = False,
 ) -> Tuple[float, float, float]:
     """Scan gamma2, take the exact least gamma1 per point, maximize the bound.
 
@@ -139,8 +146,6 @@ def _best_gamma_pair(
             if out is None:
                 continue
             g1, tau = out
-            if first_feasible:
-                return g1, float(g2), tau
             if best is None or tau > best[2]:
                 best = (g1, float(g2), tau)
         if best is None:
@@ -157,20 +162,16 @@ def fit_gamma(
     model: LinearSampledModel,
     P,
     P_tilde,
-    strategy: str = "max-bound",
     alpha_bar: Optional[float] = None,
     alpha_b: Optional[float] = None,
-    scan: Tuple[float, float] = (1e-4, 1e6),
+    scan: Tuple[float, float] = _GAMMA_SCAN,
 ) -> Tuple[float, float]:
     """Feasible cross-gain pair for the two-function cross block.
 
-    Under "max-bound" the pair maximizes the resulting sampling bound over the
-    scan box; "first-feasible" stops at the first admissible pair.  alpha_bar
-    defaults to the largest rate this P certifies, alpha_b to its exact pencil
-    extraction.
+    The pair maximizes the resulting sampling bound over the scan box.
+    alpha_bar defaults to the largest rate this P certifies, alpha_b to its
+    exact pencil extraction.
     """
-    if strategy not in ("max-bound", "first-feasible"):
-        raise DomainError(f"unknown strategy {strategy!r}")
     b_bar = model.B_bar
     if b_bar is None:
         raise ValidationError("fit_gamma needs a resolved feedback matrix")
@@ -182,10 +183,7 @@ def fit_gamma(
         alpha_bar = 0.999 * cap
     if alpha_b is None:
         alpha_b = max(extract_alpha_b(P, P_tilde, b_bar) * (1 + _INFLATE), _TINY)
-    g1, g2, _ = _best_gamma_pair(
-        f, model.diffusion, b_bar, P, P_tilde, alpha_bar, alpha_b, scan,
-        first_feasible=(strategy == "first-feasible"),
-    )
+    g1, g2, _ = _best_gamma_pair(f, model.diffusion, b_bar, P, P_tilde, alpha_bar, alpha_b, scan)
     return g1, g2
 
 
@@ -199,12 +197,7 @@ class DesignOptions:
 
     c_tilde: Union[float, Sequence[float], None] = 1.0
     alpha_fraction: float = 0.9
-    fraction_ladder: Tuple[float, ...] = (0.9, 0.7, 0.5, 0.3, 0.1)
-    strictness: float = 1e-8
     seed: int = 0
-    gamma_scan: Tuple[float, float] = (1e-4, 1e6)
-    b_range: Tuple[float, float] = (5e-3, 20.0)
-    c_range: Tuple[float, float] = (1e-1, 1e3)
 
     def c_tilde_candidates(self) -> Tuple[float, ...]:
         if self.c_tilde is None:
@@ -215,7 +208,7 @@ class DesignOptions:
 
     def fractions(self) -> Tuple[float, ...]:
         ladder = [self.alpha_fraction]
-        ladder += [f for f in self.fraction_ladder if f < self.alpha_fraction - 1e-12]
+        ladder += [f for f in _FRACTION_LADDER if f < self.alpha_fraction - 1e-12]
         return tuple(ladder)
 
 
@@ -232,6 +225,11 @@ class DesignResult:
     trace: Dict[str, float] = field(default_factory=dict)
 
 
+def _q_below_identity(v):
+    """Normalization block Q <= I, read as I - Q."""
+    return np.eye(len(v["Q"])) - v["Q"]
+
+
 def _design_rate_maps(model: LinearSampledModel):
     """GEVP data for step 1: numerator diag(Q, 0), denominator the negated rate block."""
     layout = VariableLayout()
@@ -245,38 +243,20 @@ def _design_rate_maps(model: LinearSampledModel):
         return m
 
     def den(v):
-        q, y = v["Q"], v["Y"]
-        q11 = q @ model.A.T + y.T @ model.B_hat.T + model.A @ q + model.B_hat @ y
-        rows = [[-q11] + [-(g @ q).T for g in model.diffusion]]
-        for j, g in enumerate(model.diffusion):
-            rows.append([-(g @ q)] + [(q if i == j else np.zeros((n, n))) for i in range(k)])
-        return np.block(rows) if k else -q11
+        return -assemble_design_rate(model.A, model.diffusion, model.B_hat, v["Q"], v["Y"], 0.0)
 
-    def norm(v):
-        return np.eye(n) - v["Q"]
-
-    return layout, build_affine_map(layout, num), build_affine_map(layout, den), build_affine_map(layout, norm)
+    return (layout, build_affine_map(layout, num), build_affine_map(layout, den),
+            build_affine_map(layout, _q_below_identity))
 
 
 def _rate_feasibility_map(model: LinearSampledModel, layout: VariableLayout, alpha_bar: float):
-    n, k = model.n, len(model.diffusion)
+    """Step 2: the rate block at alpha_bar stacked with Q <= I."""
 
     def rate(v):
-        q, y = v["Q"], v["Y"]
-        q11 = (
-            q @ model.A.T + y.T @ model.B_hat.T + model.A @ q + model.B_hat @ y
-            + 2.0 * alpha_bar * q
-        )
-        rows = [[q11] + [(g @ q).T for g in model.diffusion]]
-        for j, g in enumerate(model.diffusion):
-            rows.append([g @ q] + [(-q if i == j else np.zeros((n, n))) for i in range(k)])
-        return np.block(rows) if k else q11
-
-    def norm(v):
-        return np.eye(n) - v["Q"]
+        return assemble_design_rate(model.A, model.diffusion, model.B_hat, v["Q"], v["Y"], alpha_bar)
 
     return AffineMatrixMap.blockdiag(
-        build_affine_map(layout, rate), build_affine_map(layout, norm)
+        build_affine_map(layout, rate), build_affine_map(layout, _q_below_identity)
     )
 
 
@@ -366,7 +346,7 @@ def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: floa
     try:
         _, _, tau = _best_gamma_pair(
             f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b,
-            (1e-4, 1e6), coarse=36, refine_rounds=1,
+            _GAMMA_SCAN, coarse=36, refine_rounds=1,
         )
     except InfeasibleError:
         return None
@@ -434,7 +414,7 @@ def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignRes
         alpha_b = max(extract_alpha_b(p, p_tilde, b_bar) * (1 + _INFLATE), _TINY)
         try:
             g1, g2, tau = _best_gamma_pair(
-                f, model.diffusion, b_bar, p, p_tilde, alpha_bar, alpha_b, options.gamma_scan
+                f, model.diffusion, b_bar, p, p_tilde, alpha_bar, alpha_b, _GAMMA_SCAN
             )
         except InfeasibleError:
             continue
@@ -474,7 +454,7 @@ def synthesize_feedback(
     layout, num, den, norm = _design_rate_maps(model)
     try:
         gevp = minimize_gevp(
-            num, den, extra=norm, seed=options.seed, strictness=options.strictness
+            num, den, extra=norm, seed=options.seed, strictness=_STRICTNESS
         )
     except InfeasibleError as exc:
         raise InfeasibleError("plant not stabilizable at any rate found") from exc
@@ -487,7 +467,7 @@ def synthesize_feedback(
         alpha_bar = 0.5 * frac * two_alpha_max
         prob = _rate_feasibility_map(model, layout, alpha_bar)
         rep = solve_feasibility(
-            prob, strictness=options.strictness, seed=options.seed, initial=[gevp.point]
+            prob, strictness=_STRICTNESS, seed=options.seed, initial=[gevp.point]
         )
         k_starts = [k_gevp, 0.5 * k_gevp, 2.0 * k_gevp]
         candidates = []
@@ -540,13 +520,11 @@ def _planar_rate_maps(model: NonlinearPlanarModel, b: float):
         m = q @ model.A_bar.T + model.A_bar @ q + y.T @ model.B_hat.T + model.B_hat @ y + b * q
         return -np.block([[m, (e1 @ q).T], [e1 @ q, -b * q]])
 
-    def norm(v):
-        return np.eye(2) - v["Q"]
-
-    return layout, build_affine_map(layout, num), build_affine_map(layout, den), build_affine_map(layout, norm)
+    return (layout, build_affine_map(layout, num), build_affine_map(layout, den),
+            build_affine_map(layout, _q_below_identity))
 
 
-def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, options):
+def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar):
     """Maximize the bound over the cyber certificate shape P_tilde and weight c.
 
     P_tilde enters the bound scale-free, so it is parameterized by a unit
@@ -554,7 +532,7 @@ def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, options):
     gamma1 per gamma2 comes from the Schur pencil and gamma2 is scanned.
     """
     e1 = model.envelope
-    c_lo, c_hi = options.c_range
+    c_lo, c_hi = _C_RANGE
 
     def evaluate(l1: float, l2: float, c: float):
         pt = np.array([[1.0, l1], [l1, l1 * l1 + l2 * l2]])
@@ -562,7 +540,7 @@ def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, options):
         try:
             g1, g2, tau = _best_gamma_pair(
                 a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b,
-                options.gamma_scan,
+                _GAMMA_SCAN,
                 lhs_extra=(e1.T @ pt @ e1) / c,
                 shift22=c,
                 coarse=40,
@@ -612,14 +590,14 @@ def synthesize_nonlinear_planar(
     if not model.design_mode:
         raise ValidationError("model already carries a gain; synthesis needs design mode")
 
-    b_lo, b_hi = options.b_range
+    b_lo, b_hi = _B_RANGE
     b_grid = np.exp(np.linspace(math.log(b_lo), math.log(b_hi), 10))
     best: Optional[DesignResult] = None
     for b in b_grid:
         layout, num, den, norm = _planar_rate_maps(model, float(b))
         try:
             gevp = minimize_gevp(
-                num, den, extra=norm, seed=options.seed, strictness=options.strictness
+                num, den, extra=norm, seed=options.seed, strictness=_STRICTNESS
             )
         except InfeasibleError:
             continue
@@ -632,7 +610,7 @@ def synthesize_nonlinear_planar(
         closed = model.with_gain(k_hat)
         b_bar = closed.B_bar
         a_tilde = model.A_bar + b_bar
-        out = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, options)
+        out = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar)
         if out is None:
             continue
         tau, pt, alpha_b, g1, g2, (l1, l2, c) = out

@@ -5,7 +5,8 @@ explicitly assembled symmetric block matrix, so "margin <= 0" is the matrix
 inequality itself.  Certificates read from files were typically printed to
 4-5 significant digits, so the certificate-level PASS test compares the margin
 against tol * (1 + ||M||_F) with a relative tol (default 1e-2); freshly solved
-points are held to an absolute strictness instead.
+points are held to an absolute strictness instead.  Each verify_*_certificate
+assembles its named blocks and hands them to one margin loop, `_outcome`.
 
 The feasibility solver is a projected subgradient method on
 x -> lambda_max(map(x)) with Polyak-style steps, random restarts, and a
@@ -100,7 +101,7 @@ class AffineMatrixMap:
 
 
 class VariableLayout:
-    """Registry mapping named matrix/scalar variables onto one flat vector."""
+    """Registry mapping named symmetric and full matrix variables onto one flat vector."""
 
     def __init__(self):
         self._specs = []
@@ -121,11 +122,6 @@ class VariableLayout:
         self._size += rows * cols
         return name
 
-    def add_scalar(self, name: str) -> str:
-        self._specs.append(("scalar", name, 1, self._size, 1, None))
-        self._size += 1
-        return name
-
     def unpack(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         x = np.asarray(x, dtype=float)
         out: Dict[str, np.ndarray] = {}
@@ -137,24 +133,9 @@ class VariableLayout:
                     m[i, j] = v
                     m[j, i] = v
                 out[name] = m
-            elif kind == "full":
+            else:
                 out[name] = chunk.reshape(shape)
-            else:
-                out[name] = float(chunk[0])
         return out
-
-    def pack(self, **values) -> np.ndarray:
-        x = np.zeros(self._size)
-        for kind, name, shape, off, count, idx in self._specs:
-            v = values[name]
-            if kind == "sym":
-                m = np.asarray(v, dtype=float)
-                x[off:off + count] = [m[i, j] for i, j in idx]
-            elif kind == "full":
-                x[off:off + count] = np.asarray(v, dtype=float).ravel()
-            else:
-                x[off] = float(v)
-        return x
 
 
 def build_affine_map(layout: VariableLayout, assemble: Callable[[Dict], np.ndarray]) -> AffineMatrixMap:
@@ -184,7 +165,10 @@ def build_affine_map(layout: VariableLayout, assemble: Callable[[Dict], np.ndarr
 def _opt_matrix(doc, key) -> Optional[np.ndarray]:
     if key not in doc or doc[key] is None:
         return None
-    m = np.asarray(doc[key], dtype=float)
+    try:
+        m = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"certificate field {key!r} is not a numeric matrix") from exc
     if m.ndim != 2 or not np.all(np.isfinite(m)):
         raise FormatError(f"certificate field {key!r} must be a finite matrix")
     return m
@@ -193,7 +177,10 @@ def _opt_matrix(doc, key) -> Optional[np.ndarray]:
 def _opt_scalar(doc, key) -> Optional[float]:
     if key not in doc or doc[key] is None:
         return None
-    v = float(doc[key])
+    try:
+        v = float(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"certificate field {key!r} is not a number") from exc
     if not np.isfinite(v):
         raise FormatError(f"certificate field {key!r} must be finite")
     return v
@@ -251,10 +238,11 @@ class LmiCertificate:
         unknown = set(doc) - _CERT_KEYS
         if unknown:
             raise FormatError(f"unknown certificate keys: {sorted(unknown)}")
-        if "alpha_bar" not in doc:
+        alpha_bar = _opt_scalar(doc, "alpha_bar")
+        if alpha_bar is None:
             raise FormatError("certificate is missing alpha_bar")
         return LmiCertificate(
-            alpha_bar=float(doc["alpha_bar"]),
+            alpha_bar=alpha_bar,
             P=_opt_matrix(doc, "P"),
             P_tilde=_opt_matrix(doc, "P_tilde"),
             alpha_b=_opt_scalar(doc, "alpha_b"),
@@ -484,7 +472,13 @@ class VerificationOutcome:
         return name, self.margins[name]
 
 
-def _outcome(margins, scales, tol, form, constants: Optional[TwoFunctionConstants]):
+def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFunctionConstants]):
+    """Margins of the named assembled blocks; PASS iff each is <= tol * its scale."""
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    margins, scales = {}, {}
+    for name, m in blocks.items():
+        margins[name], scales[name] = _margin(m)
     passed = all(margins[k] <= tol * scales[k] for k in margins)
     tau_max = q_star = None
     if passed and constants is not None:
@@ -509,24 +503,16 @@ def verify_analysis_certificate(
     if b_bar is None:
         raise ValidationError("model gain is unresolved and the certificate carries no K_hat")
     f = model.A + b_bar
-    margins = {}
-    scales = {}
-    margins["rate"], scales["rate"] = _margin(
-        assemble_lyapunov_ito(f, model.diffusion, cert.P, cert.alpha_bar)
-    )
+    blocks = {"rate": assemble_lyapunov_ito(f, model.diffusion, cert.P, cert.alpha_bar)}
     constants = cert.two_function_constants
     if constants is not None:
         if cert.P_tilde is None:
             raise ValidationError("two-function certificate needs P_tilde")
-        margins["feedback_energy"], scales["feedback_energy"] = _margin(
-            assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b)
+        blocks["feedback_energy"] = assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b)
+        blocks["cross"] = assemble_cross_block(
+            f, model.diffusion, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
         )
-        margins["cross"], scales["cross"] = _margin(
-            assemble_cross_block(
-                f, model.diffusion, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
-            )
-        )
-    return _outcome(margins, scales, tol, "analysis", constants)
+    return _outcome(blocks, tol, "analysis", constants)
 
 
 def verify_design_certificate(
@@ -541,21 +527,13 @@ def verify_design_certificate(
             raise ValidationError(f"design certificate is missing {name}")
     if cert.Y.shape != (model.B_hat.shape[1], model.n):
         raise DomainError("Y has the wrong shape for this input map")
-    margins = {}
-    scales = {}
-    margins["rate"], scales["rate"] = _margin(
-        assemble_design_rate(model.A, model.diffusion, model.B_hat, cert.Q, cert.Y, cert.alpha_bar)
-    )
-    margins["feedback_energy"], scales["feedback_energy"] = _margin(
-        assemble_design_energy(model.B_hat, cert.Q, cert.Y, cert.alpha_b, cert.c_tilde)
-    )
-    margins["cross"], scales["cross"] = _margin(
-        assemble_design_cross(
-            model.A, model.diffusion, model.B_hat, cert.Q, cert.Y,
-            cert.c_tilde, cert.gamma1, cert.gamma2,
-        )
-    )
-    return _outcome(margins, scales, tol, "design", cert.two_function_constants)
+    a, gs, b, q, y = model.A, model.diffusion, model.B_hat, cert.Q, cert.Y
+    blocks = {
+        "rate": assemble_design_rate(a, gs, b, q, y, cert.alpha_bar),
+        "feedback_energy": assemble_design_energy(b, q, y, cert.alpha_b, cert.c_tilde),
+        "cross": assemble_design_cross(a, gs, b, q, y, cert.c_tilde, cert.gamma1, cert.gamma2),
+    }
+    return _outcome(blocks, tol, "design", cert.two_function_constants)
 
 
 def verify_planar_certificate(
@@ -572,20 +550,14 @@ def verify_planar_certificate(
     b_bar = work.B_bar
     a_tilde = work.A_bar + b_bar
     e1 = work.envelope
-    margins = {}
-    scales = {}
-    margins["rate"], scales["rate"] = _margin(
-        assemble_planar_rate(a_tilde, e1, cert.P, cert.alpha_bar, cert.b)
-    )
-    margins["feedback_energy"], scales["feedback_energy"] = _margin(
-        assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b)
-    )
-    margins["cross"], scales["cross"] = _margin(
-        assemble_planar_cross(
+    blocks = {
+        "rate": assemble_planar_rate(a_tilde, e1, cert.P, cert.alpha_bar, cert.b),
+        "feedback_energy": assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b),
+        "cross": assemble_planar_cross(
             a_tilde, e1, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2, cert.c
-        )
-    )
-    return _outcome(margins, scales, tol, "planar", cert.two_function_constants)
+        ),
+    }
+    return _outcome(blocks, tol, "planar", cert.two_function_constants)
 
 
 def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:

@@ -29,8 +29,15 @@ _MODEL_KEYS = {"name", "n", "A", "diffusion", "B_bar", "B_hat", "K_hat", "nonlin
 PLANAR_ENVELOPE = np.array([[0.25, 0.0], [1.0, 0.0]])
 
 
+def _array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: not a numeric array ({exc})") from exc
+
+
 def _matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
+    m = _array(value, what)
     if m.shape != (rows, cols):
         raise ValidationError(f"{what}: expected shape ({rows}, {cols}), got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -409,8 +416,10 @@ def model_from_dict(doc: dict) -> Model:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise FormatError("n must be a positive integer")
-    x0 = None if "x0" not in doc else np.asarray(doc["x0"], dtype=float)
-    k_hat = None if "K_hat" not in doc else np.asarray(doc["K_hat"], dtype=float)
+    if not isinstance(doc["diffusion"], list):
+        raise FormatError("diffusion must be a list of matrices")
+    x0 = None if "x0" not in doc else _array(doc["x0"], "x0")
+    k_hat = None if "K_hat" not in doc else _array(doc["K_hat"], "K_hat")
     if "nonlinearity" in doc:
         nl = doc["nonlinearity"]
         if not isinstance(nl, dict) or nl.get("type") != "planar_sin":
@@ -419,7 +428,7 @@ def model_from_dict(doc: dict) -> Model:
             raise ValidationError("planar_sin nonlinearity requires n = 2")
         if "B_bar" in doc:
             raise ValidationError("nonlinear planar model takes B_hat, not B_bar")
-        if any(np.any(np.asarray(g) != 0.0) for g in doc["diffusion"]):
+        if any(np.any(_array(g, "diffusion") != 0.0) for g in doc["diffusion"]):
             raise ValidationError("nonlinear planar model is deterministic (zero diffusion)")
         return NonlinearPlanarModel(
             name=doc["name"],
@@ -436,8 +445,8 @@ def model_from_dict(doc: dict) -> Model:
         n=n,
         A=_matrix(doc["A"], n, n, "A"),
         diffusion=diffusion,
-        B_bar_explicit=None if "B_bar" not in doc else np.asarray(doc["B_bar"], dtype=float),
-        B_hat=None if "B_hat" not in doc else np.asarray(doc["B_hat"], dtype=float),
+        B_bar_explicit=None if "B_bar" not in doc else _array(doc["B_bar"], "B_bar"),
+        B_hat=None if "B_hat" not in doc else _array(doc["B_hat"], "B_hat"),
         K_hat=k_hat,
         x0=x0,
     )

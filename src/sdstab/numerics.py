@@ -54,27 +54,8 @@ class SymMatrix:
     def mat(self) -> np.ndarray:
         return self._m
 
-    @property
-    def order(self) -> int:
-        return self._m.shape[0]
-
     def entry(self, i: int, j: int) -> float:
         return float(self._m[i, j])
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self._m))
-
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
-    def zeros(n: int) -> "SymMatrix":
-        return SymMatrix(np.zeros((n, n)))
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self._m!r})"
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ independently of chunking, worker count, or execution order.  Sampling
 instants are knots of the integration grid: local substeps shrink so each
 instant is hit exactly and the zero-order-hold input switches at the instant,
 never inside a step.
+
+One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble,
+simulate_sampled_path and the discrete-time chains simulate_em_discrete(_terminal),
+which it runs on a uniform grid with no sampling refresh and B_bar = 0: the
+sampled-data loop and its discrete-time approximation are one recursion.
+simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
+with jumps rather than a batched linear-plus-drift state.
 """
 
 from __future__ import annotations
@@ -13,12 +20,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import CallbackError, DegenerateEnsemble, DomainError, ValidationError
-from .models import GeneralSiDE, Model, SamplingSchedule, Segment, schedule_instants
+from .models import (
+    GeneralSiDE, LinearSampledModel, Model, SamplingSchedule, Segment, schedule_instants,
+)
 
 _MASK64 = (1 << 64) - 1
 _SCHEDULE_STREAM = 1 << 63
@@ -137,7 +146,8 @@ class TrajectoryEnsemble:
         The reduction is a fixed-order sum over path index, so the result is
         independent of how paths were chunked across workers.
         """
-        sq = np.einsum("pti,pti->pt", np.nan_to_num(self.states), np.nan_to_num(self.states))
+        states = np.nan_to_num(self.states)
+        sq = np.einsum("pti,pti->pt", states, states)
         counts = self.alive.sum(axis=0).astype(float)
         tot = np.where(self.alive, sq, 0.0).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -147,19 +157,26 @@ class TrajectoryEnsemble:
         return self.alive.sum(axis=0)
 
 
-def _resolve_x0(model: Model, cfg: SimConfig) -> np.ndarray:
+def _resolve_x0(model: Union[Model, GeneralSiDE], cfg: SimConfig) -> np.ndarray:
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif model.x0 is not None:
         x0 = np.asarray(model.x0, dtype=float)
     else:
         raise DomainError("no initial state: set x0 on the model or the config")
-    if x0.shape != (model.n,):
-        raise DomainError(f"x0 must have length {model.n}")
+    if x0.shape != (model.n,) or not np.all(np.isfinite(x0)):
+        raise DomainError(f"x0 must hold {model.n} finite numbers")
     return x0
 
 
+def _path_noise(seed: int, path: int, nsteps: int, m: int) -> np.ndarray:
+    """Standard normals of one path, shape (nsteps, m): row i drives step i."""
+    return _path_generator(seed, path).standard_normal((nsteps, m))
+
+
 def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, capture_held=False):
+    """EM for a batch of paths with drift model.drift(x) + x(t_*) B_bar^T, x(t_*)
+    refreshed where grid.refresh is set; returns (states, alive, diverged_at, held)."""
     npaths = len(path_indices)
     n, m = model.n, model.m
     nsteps = len(grid.steps)
@@ -167,7 +184,7 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, capt
     if m > 0:
         noise = np.empty((npaths, nsteps, m))
         for row, p in enumerate(path_indices):
-            noise[row] = _path_generator(seed, p).standard_normal((nsteps, m))
+            noise[row] = _path_noise(seed, p, nsteps, m)
     x = np.tile(x0, (npaths, 1)).astype(float)
     xstar = x.copy()
     alive = np.ones(npaths, dtype=bool)
@@ -213,11 +230,17 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, capt
     return states, alive_store, diverged_at, held
 
 
-def _store_indices(n_grid_points: int, stride: int) -> np.ndarray:
-    idx = list(range(0, n_grid_points, stride))
-    if idx[-1] != n_grid_points - 1:
-        idx.append(n_grid_points - 1)
-    return np.asarray(idx, dtype=int)
+def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
+    """Integration grid of a run and the grid indices it stores."""
+    instants = schedule_instants(
+        cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
+    )
+    grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
+    last = len(grid.times) - 1
+    store_idx = list(range(0, last + 1, cfg.store_stride))
+    if store_idx[-1] != last:
+        store_idx.append(last)
+    return grid, np.asarray(store_idx, dtype=int)
 
 
 def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
@@ -229,12 +252,8 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
     b_bar = model.B_bar
     if b_bar is None:
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
-    instants = schedule_instants(
-        cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
-    )
-    grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
+    grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
-    store_idx = _store_indices(len(grid.times), cfg.store_stride)
 
     # fixed chunk size: worker count must not influence batch shapes, or
     # BLAS shape dispatch could perturb low-order bits across worker counts
@@ -272,12 +291,8 @@ def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> 
     b_bar = model.B_bar
     if b_bar is None:
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
-    instants = schedule_instants(
-        cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
-    )
-    grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
+    grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
-    store_idx = _store_indices(len(grid.times), cfg.store_stride)
     states, alive, diverged_at, held = _integrate_chunk(
         model, b_bar, grid, x0, [path_index], cfg.seed, store_idx, capture_held=True
     )
@@ -291,29 +306,28 @@ def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> 
     )
 
 
-def simulate_em_discrete(F, G_list, h: float, n_steps: int, x0, seed: int = 0) -> np.ndarray:
-    """Discrete-time EM recursion X_k = X_{k-1} + F X_{k-1} h + sum_j G_j X_{k-1} dB_{j,k}.
-
-    dB ~ N(0, h); h = 0 degenerates to the constant sequence.  Returns the
-    full path, shape (n_steps + 1, n), bit-reproducible for a given seed.
-    """
+def _em_chain(F, G_list, h: float, n_steps: int, x0, paths, seed: int, store_idx):
+    """The EM chain X_k = X_{k-1} + h F X_{k-1} + sum_j G_j X_{k-1} dB_{j,k} through
+    the sampled-data kernel: a uniform grid with no refresh and B_bar = 0."""
     if h < 0:
         raise DomainError("stepsize must be nonnegative")
     f = np.asarray(F, dtype=float)
-    gs = [np.asarray(g, dtype=float) for g in G_list]
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    out = np.empty((n_steps + 1, n))
-    out[0] = x0
-    rng = _path_generator(seed, 0)
-    scale = math.sqrt(h)
-    for k in range(n_steps):
-        db = scale * rng.standard_normal(len(gs)) if gs else ()
-        nxt = out[k] + h * (f @ out[k])
-        for j, g in enumerate(gs):
-            nxt = nxt + (g @ out[k]) * db[j]
-        out[k + 1] = nxt
-    return out
+    gs = tuple(np.asarray(g, dtype=float) for g in G_list)
+    chain = LinearSampledModel("em", len(f), f, gs, B_bar_explicit=np.zeros_like(f))
+    times = h * np.arange(n_steps + 1, dtype=float)
+    grid = _Grid(times=times, steps=np.full(n_steps, float(h)),
+                 refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
+    return _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx)[0]
+
+
+def simulate_em_discrete(F, G_list, h: float, n_steps: int, x0, seed: int = 0) -> np.ndarray:
+    """Discrete-time EM recursion X_k = X_{k-1} + F X_{k-1} h + sum_j G_j X_{k-1} dB_{j,k}.
+
+    dB ~ N(0, h) from Philox stream 0; h = 0 degenerates to the constant
+    sequence.  Returns the full path, shape (n_steps + 1, n), bit-reproducible
+    for a given seed; states past the divergence cap read NaN.
+    """
+    return _em_chain(F, G_list, h, n_steps, x0, [0], seed, np.arange(n_steps + 1))[0]
 
 
 def simulate_em_discrete_terminal(
@@ -321,27 +335,11 @@ def simulate_em_discrete_terminal(
 ) -> np.ndarray:
     """Terminal states X_N for a batch of EM paths, shape (n_paths, n).
 
-    Paths use per-path Philox streams, so path p here equals
-    simulate_em_discrete(..., seed=seed) with stream p.
+    Path p draws its increments from Philox stream p, so path 0 matches the
+    last state of simulate_em_discrete(..., seed=seed) up to rounding: a
+    batched matmul may round differently from a single-row one.
     """
-    f = np.asarray(F, dtype=float)
-    gs = [np.asarray(g, dtype=float).T for g in G_list]
-    x0 = np.asarray(x0, dtype=float)
-    x = np.tile(x0, (n_paths, 1))
-    m = len(gs)
-    noise = np.empty((n_paths, n_steps, m)) if m else None
-    for p in range(n_paths):
-        if m:
-            noise[p] = _path_generator(seed, p).standard_normal((n_steps, m))
-    scale = math.sqrt(h)
-    for k in range(n_steps):
-        nxt = x + h * (x @ f.T)
-        if m:
-            db = scale * noise[:, k, :]
-            for j, gt in enumerate(gs):
-                nxt = nxt + (x @ gt) * db[:, j:j + 1]
-        x = nxt
-    return x
+    return _em_chain(F, G_list, h, n_steps, x0, range(n_paths), seed, np.array([n_steps]))[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -362,23 +360,13 @@ def simulate_side(side: GeneralSiDE, cfg: SimConfig, path_index: int = 0) -> Sid
     Jump noise xi_k comes from a dedicated stream so the Brownian increments
     match the sampled-data simulator draw for draw.
     """
-    instants = schedule_instants(
-        cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
-    )
-    grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
+    grid, store_idx = _grid_for(cfg)
     nsteps = len(grid.steps)
-    if cfg.x0 is not None:
-        x = np.asarray(cfg.x0, dtype=float).copy()
-    elif side.x0 is not None:
-        x = np.array(side.x0, dtype=float)
-    else:
-        raise DomainError("no initial state: set x0 on the system or the config")
+    x = _resolve_x0(side, cfg)
     y = np.array(side.y0 if side.y0 is not None else np.zeros(side.q), dtype=float)
-    rng = _path_generator(cfg.seed, path_index)
-    noise = rng.standard_normal((nsteps, side.m)) if side.m > 0 else None
+    noise = _path_noise(cfg.seed, path_index, nsteps, side.m) if side.m > 0 else None
     jump_rng = _path_generator(cfg.seed, path_index + _JUMP_STREAM)
 
-    store_idx = _store_indices(len(grid.times), cfg.store_stride)
     store_map = {int(g): s for s, g in enumerate(store_idx)}
     xs = np.full((len(store_idx), side.n), np.nan)
     ys = np.full((len(store_idx), side.q), np.nan)

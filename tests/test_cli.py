@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,11 @@ FX = "tests/fixtures"
 
 def run(argv):
     return main(argv)
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestBoundCommand:
@@ -160,6 +169,48 @@ class TestExitCodes:
         assert run(["verify", "--model", "does/not/exist.json",
                     "--cert", f"{FX}/cert_ex1_sub1_analysis.json"]) == 3
 
+    @pytest.mark.parametrize("case", [
+        "x0_flag", "x0_nan", "c_tilde_flag", "c_tilde_sweep", "cert_scalar", "model_A",
+        "model_x0", "model_diffusion", "report_list", "report_no_constants",
+        "constants_file", "verify_tol_nan",
+    ])
+    def test_malformed_input_exit_3(self, case, capsys, tmp_path):
+        # exit 1 means verified-negative, so malformed input must never land there
+        def patched(fixture, **changes):
+            doc = json.loads(open(f"{FX}/{fixture}.json").read())
+            path = tmp_path / f"{fixture}.json"
+            path.write_text(json.dumps({**doc, **changes}))
+            return str(path)
+
+        def verify(**model_changes):
+            return ["verify", "--model", patched("ex1_sub1", **model_changes),
+                    "--cert", f"{FX}/cert_ex1_sub1_analysis.json"]
+
+        simulate = ["simulate", "--model", f"{FX}/ex1_sub1.json",
+                    "--schedule", "periodic:0.01", "--horizon", "0.1"]
+        design = ["design", "--model", f"{FX}/ex1_sub1_control.json"]
+        argv = {
+            "x0_flag": lambda: simulate + ["--x0", "a,b"],
+            "x0_nan": lambda: simulate + ["--x0", "nan,1"],
+            "c_tilde_flag": lambda: design + ["--c-tilde", "abc"],
+            "c_tilde_sweep": lambda: design + ["--c-tilde", "sweep:1,x"],
+            "cert_scalar": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json",
+                                    "--cert", patched("cert_ex1_sub1_analysis", alpha_b="x")],
+            "model_A": lambda: verify(A="zz"),
+            "model_x0": lambda: verify(x0=["a", 1]),
+            "model_diffusion": lambda: verify(diffusion=5),
+            "constants_file": lambda: ["bound", "--single-v", "--constants", _write(
+                tmp_path / "c.json", {"alpha": "x", "alpha_b": 1.0, "alpha_f": 1.0})],
+            "verify_tol_nan": lambda: verify() + ["--tol", "nan"],
+            "report_list": lambda: ["report", _write(tmp_path / "list.json", [1, 2])],
+            "report_no_constants": lambda: ["report", _write(
+                tmp_path / "bound.json",
+                {"command": ["bound"], "results": {"mode": "two-v", "tau_max": 0.01}},
+            )],
+        }[case]()
+        assert run(argv) == 3
+        assert "error" in capsys.readouterr().err
+
 
 class TestDesignCommand:
     def test_sweep_echoes_choice(self, capsys, tmp_path):
@@ -247,3 +298,12 @@ class TestPlanarCliRoundTrip:
         median = float([l for l in out.splitlines()
                         if l.startswith("as_exponent_median")][0].split("=")[1])
         assert median < 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that need it, so the bound,
+    # verify and simulate commands start without paying for it
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sdstab.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

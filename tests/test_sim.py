@@ -136,6 +136,19 @@ class TestEmDiscrete:
         path = simulate_em_discrete(np.eye(1), [np.eye(1)], 0.0, 5, np.array([2.0]), seed=1)
         assert np.all(path == 2.0)
 
+    def test_nan_past_divergence_cap(self):
+        path = simulate_em_discrete(np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))
+        assert np.isfinite(path[:40]).all() and np.isnan(path[-1]).all()
+
+    def test_terminal_path_zero_matches_full_path(self, rng):
+        # one kernel serves both; batched and single-row matmuls may round apart
+        for _ in range(20):
+            f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
+            x0 = rng.normal(size=2)
+            path = simulate_em_discrete(f, [g], 0.05, 40, x0, seed=5)
+            term = simulate_em_discrete_terminal(f, [g], 0.05, 40, x0, n_paths=3, seed=5)
+            assert np.allclose(term[0], path[-1], rtol=1e-12, atol=0)
+
     def test_discrete_mean_matches_growth(self):
         # E X_N = (1 + a h)^N x0 exactly for the EM chain
         a, sigma, h, n_steps, n_paths = 1.0, 0.5, 0.02, 50, 100_000
