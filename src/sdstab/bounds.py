@@ -120,18 +120,22 @@ class ConditionReport:
     degenerate: bool
 
 
-def _stationary_q(k: float, s: float) -> float:
-    """Root of s q + k (1 + ln q) = 0 for k, s > 0: q = c W0(1/(c e)) with c = k / s."""
+def _stationary_q(k, s):
+    """Root of s q + k (1 + ln q) = 0 for k, s > 0: q = c W0(1/(c e)) with c = k / s.
+
+    Elementwise over broadcast arrays; scalar k and s give a float.
+    """
     from scipy.special import lambertw  # imported here so `import sdstab.cli` loads no scipy
 
-    try:
-        c = k / s
-        q = c * float(lambertw(1.0 / (c * math.e)).real)
-    except ZeroDivisionError:  # s or k / s underflowed to zero
-        q = math.nan
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"stationary point not representable in floating point (k={k:g}, s={s:g})")
-    return q
+    k, s = np.asarray(k, dtype=float), np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = k / s  # an underflowed s or k / s ends in a NaN q below
+        q = c * lambertw(1.0 / (c * math.e)).real
+    bad = ~((0.0 < q) & (q < 1.0))
+    if bad.any():
+        kb, sb = (np.broadcast_to(v, q.shape)[bad].flat[0] for v in (k, s))
+        raise DomainError(f"stationary point not representable in floating point (k={kb:g}, s={sb:g})")
+    return float(q) if q.ndim == 0 else q
 
 
 def check_condition_iii(g: GainConstants) -> ConditionReport:
@@ -227,8 +231,9 @@ def single_v_stationarity(q: float, c: EmulationConstants) -> float:
 
 def single_v_curve(q: float, c: EmulationConstants, q_star: float) -> float:
     """Bound curve tau(q) with the auxiliary parameters frozen at their optima."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    for name, v in (("q", q), ("q_star", q_star)):
+        if not 0.0 < v < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1), got {v}")
     a, ab, af = c.alpha_bar, c.alpha_b, c.alpha_f
     rs = a * math.sqrt(q_star)
     r2 = a * a * q
@@ -290,22 +295,52 @@ def emulation_bound_single_rate_form(c: EmulationConstants) -> SamplingBoundResu
 # two-Lyapunov-function emulation bound
 # ---------------------------------------------------------------------------
 
+def _two_v_at(q, a, ab, g1, g2):
+    """tau(q) = -alpha^2 q ln q / (alpha_b gamma1 + gamma2 alpha^2 q), elementwise."""
+    a2q = a * a * q
+    return -a2q * np.log(q) / (ab * g1 + g2 * a2q)
+
+
 def two_v_curve(q: float, c: TwoFunctionConstants) -> float:
     """tau(q) = -alpha^2 q ln q / (alpha_b gamma1 + gamma2 alpha^2 q) on (0, 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    a2q = c.alpha_bar * c.alpha_bar * q
-    return -a2q * math.log(q) / (c.alpha_b * c.gamma1 + c.gamma2 * a2q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = float(_two_v_at(q, c.alpha_bar, c.alpha_b, c.gamma1, c.gamma2))
+    if not math.isfinite(tau):
+        raise DomainError(f"tau(q) is not representable in floating point at q={q:g}")
+    return tau
+
+
+def two_v_tau(alpha_bar, alpha_b, gamma1, gamma2):
+    """(q*, tau_max) of the two-function bound, elementwise over broadcast arrays.
+
+    q* solves alpha^2 g2 q + alpha_b g1 (ln q + 1) = 0 in (0, 1/e) and tau_max
+    is the curve tau(q) at q*.  Every input must be positive and finite;
+    DomainError names the first element that is not, or whose q* is not
+    representable.  Scalar inputs give floats.
+    """
+    a, ab, g1, g2 = args = [np.asarray(v, dtype=float) for v in (alpha_bar, alpha_b, gamma1, gamma2)]
+    for name, v in zip(("alpha_bar", "alpha_b", "gamma1", "gamma2"), args):
+        ok = np.isfinite(v) & (v > 0)
+        if not ok.all():
+            raise DomainError(f"{name} must be positive and finite, got {v[~ok].flat[0]}")
+    with np.errstate(over="ignore"):  # an overflowed product fails in _stationary_q
+        q = np.asarray(_stationary_q(ab * g1, a * a * g2))
+    tau = _two_v_at(q, a, ab, g1, g2)
+    if tau.ndim == 0:
+        return float(q), float(tau)
+    return q, tau
 
 
 def emulation_bound_two(c: TwoFunctionConstants) -> SamplingBoundResult:
     """Two-function bound: q* solves alpha^2 g2 q + alpha_b g1 (ln q + 1) = 0 in (0, 1/e)."""
+    q_star, tau = two_v_tau(c.alpha_bar, c.alpha_b, c.gamma1, c.gamma2)
     a2g2 = c.alpha_bar * c.alpha_bar * c.gamma2
     abg1 = c.alpha_b * c.gamma1
-    q_star = _stationary_q(abg1, a2g2)
     return SamplingBoundResult(
         q_star=q_star,
-        tau_max=two_v_curve(q_star, c),
+        tau_max=tau,
         provenance="emulation-two",
         auxiliary={
             "stationarity_residual": a2g2 * q_star + abg1 * (math.log(q_star) + 1.0),

@@ -444,6 +444,46 @@ def _curve_points(results: dict, n: int = 200):
     return None
 
 
+def _report_field(path, key: str, value, kind: str):
+    """A checked field of a run report: None if absent, else a float, bool or text.
+
+    Raises FormatError for any other shape, so that a malformed report never
+    reaches the table and CSV formatting below.
+    """
+    if value is None:
+        return None
+    if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) or abs(value) <= sys.float_info.max:  # JSON ints are unbounded
+            return float(value)
+    elif kind == "bool" and isinstance(value, bool):
+        return value
+    elif kind == "text" and isinstance(value, str) and value.isprintable():
+        return value
+    raise FormatError(f"report {path}: {key} must be {kind}, got {type(value).__name__}")
+
+
+def _report_row(path, rep: dict) -> dict:
+    """The summary row of one run report, with every field shape checked."""
+    res = rep.get("results", {})
+    command = rep.get("command", [])
+    if not isinstance(command, list):
+        raise FormatError(f"report {path}: command must be a list, got {type(command).__name__}")
+    model = res.get("model")
+    decay = res.get("ms_decay")
+    if decay is not None and not isinstance(decay, dict):
+        raise FormatError(f"report {path}: ms_decay must be an object, got {type(decay).__name__}")
+    return {
+        "report": str(path),
+        "command": _report_field(path, "command", (command or [None])[0], "text") or "?",
+        "model": (_report_field(path, "model name", model.get("name"), "text")
+                  if isinstance(model, dict) else None) or "-",
+        "tau_max": _report_field(path, "tau_max", res.get("tau_max"), "number"),
+        "gain_norm": _report_field(path, "gain_norm", res.get("gain_norm"), "number"),
+        "ms_decay_rate": _report_field(path, "ms_decay rate", (decay or {}).get("rate"), "number"),
+        "passed": _report_field(path, "passed", res.get("passed"), "bool"),
+    }
+
+
 def cmd_report(args, argv) -> int:
     if not args.reports:
         print("error: no report files given", file=sys.stderr)
@@ -454,29 +494,19 @@ def cmd_report(args, argv) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 rep = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise FormatError(f"cannot read report {path}: {exc}") from exc
         if not isinstance(rep, dict) or not isinstance(rep.get("results", {}), dict):
             raise FormatError(f"report {path} is not a run report object")
         if rep.get("version") != __version__:
-            print(f"warning: report {path} from version {rep.get('version')}", file=sys.stderr)
-        res = rep.get("results", {})
-        cmd = (rep.get("command") or ["?"])[0]
-        name = res.get("model", {}).get("name") if isinstance(res.get("model"), dict) else None
-        rows.append({
-            "report": str(path),
-            "command": cmd,
-            "model": name or "-",
-            "tau_max": res.get("tau_max"),
-            "gain_norm": res.get("gain_norm"),
-            "ms_decay_rate": (res.get("ms_decay") or {}).get("rate") if res.get("ms_decay") else None,
-            "passed": res.get("passed"),
-        })
-        if cmd == "bound":
+            print(f"warning: report {path} from version {rep.get('version')!r:.40}", file=sys.stderr)
+        row = _report_row(path, rep)
+        rows.append(row)
+        if row["command"] == "bound":
             try:
-                pts = _curve_points(res)
-            except (KeyError, TypeError) as exc:
-                raise FormatError(f"bound report {path} lacks its constants ({exc})") from exc
+                pts = _curve_points(rep.get("results", {}))
+            except (KeyError, TypeError, ArithmeticError) as exc:
+                raise FormatError(f"bound report {path} has no usable constants ({exc!r})") from exc
             if pts:
                 for q, tau in pts:
                     curve_rows.append((str(path), q, tau))

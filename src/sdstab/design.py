@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two
+from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau
 from .errors import InfeasibleError, ValidationError
 from .lmi import (
     AffineMatrixMap,
@@ -81,28 +81,32 @@ def extract_alpha_u(P, F) -> float:
 
 
 def _gamma1_min(
-    F, G_list, B_bar, P, P_tilde, gamma2: float,
+    F, G_list, B_bar, P, P_tilde, gamma2,
     lhs_extra: Optional[np.ndarray] = None,
     shift22: float = 0.0,
-) -> Optional[float]:
-    """Least gamma1 making the cross block feasible at this gamma2 (None if none).
+) -> np.ndarray:
+    """Least gamma1 making the cross block feasible at each gamma2 (NaN where none).
 
     Obtained from the Schur complement over the (2,2) corner
     S = B^T Pt + Pt B + (gamma2 - shift22) Pt, which must be positive definite.
+    gamma2 is a scalar or an array; the result has its shape.
     """
+    g2 = np.asarray(gamma2, dtype=float)
     pt = np.asarray(P_tilde)
     b = np.asarray(B_bar)
-    s = b.T @ pt + pt @ b + (gamma2 - shift22) * pt
-    s = 0.5 * (s + s.T)
-    if float(np.linalg.eigvalsh(s)[0]) <= 0.0:
-        return None
-    f = np.asarray(F)
-    lhs = f.T @ pt @ np.linalg.solve(s, pt @ f)
-    for g in G_list:
-        lhs = lhs + np.asarray(g).T @ pt @ np.asarray(g)
-    if lhs_extra is not None:
-        lhs = lhs + lhs_extra
-    return pencil_max_eig(lhs, P)
+    s = b.T @ pt + pt @ b + (g2.reshape(-1, 1, 1) - shift22) * pt
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    ok = np.linalg.eigvalsh(s)[:, 0] > 0.0
+    out = np.full(g2.size, np.nan)
+    if ok.any():
+        f = np.asarray(F)
+        lhs = f.T @ pt @ np.linalg.solve(s[ok], pt @ f)
+        for g in G_list:
+            lhs = lhs + np.asarray(g).T @ pt @ np.asarray(g)
+        if lhs_extra is not None:
+            lhs = lhs + lhs_extra
+        out[ok] = pencil_max_eig(lhs, P)
+    return out.reshape(g2.shape)
 
 
 def _best_gamma_pair(
@@ -116,6 +120,8 @@ def _best_gamma_pair(
 ) -> Tuple[float, float, float]:
     """Scan gamma2, take the exact least gamma1 per point, maximize the bound.
 
+    Each round evaluates its whole gamma2 grid at once; the first maximum
+    wins, and a later round replaces the best pair only if it beats it.
     Returns (gamma1, gamma2, tau_max); raises InfeasibleError if the scan box
     contains no feasible pair.
     """
@@ -126,28 +132,18 @@ def _best_gamma_pair(
     if start >= hi:
         raise InfeasibleError("gamma2 scan box excludes every feasible point")
 
-    def evaluate(g2: float):
-        g1 = _gamma1_min(F, G_list, B_bar, P, P_tilde, g2, lhs_extra, shift22)
-        if g1 is None:
-            return None
-        g1 = max(g1 * (1 + _INFLATE), _TINY, lo)
-        if g1 > hi:
-            return None
-        tau = emulation_bound_two(
-            TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
-        ).tau_max
-        return g1, tau
-
     best = None
     grid = np.exp(np.linspace(math.log(start), math.log(hi), coarse))
     for _ in range(refine_rounds + 1):
-        for g2 in grid:
-            out = evaluate(float(g2))
-            if out is None:
-                continue
-            g1, tau = out
-            if best is None or tau > best[2]:
-                best = (g1, float(g2), tau)
+        g1 = _gamma1_min(F, G_list, B_bar, P, P_tilde, grid, lhs_extra, shift22)
+        g1 = np.maximum(g1 * (1 + _INFLATE), max(_TINY, lo))
+        ok = g1 <= hi  # NaN, an infeasible corner, compares False
+        if ok.any():
+            g1, g2 = g1[ok], grid[ok]
+            _, tau = two_v_tau(alpha_bar, alpha_b, g1, g2)
+            i = int(np.argmax(tau))
+            if best is None or tau[i] > best[2]:
+                best = (float(g1[i]), float(g2[i]), float(tau[i]))
         if best is None:
             raise InfeasibleError("no feasible (gamma1, gamma2) in the scan box")
         step = grid[1] / grid[0]

@@ -4,15 +4,14 @@ Everything here targets the small symmetric matrices (order <= ~10) that
 appear in quadratic stability certificates: a cyclic Jacobi eigensolver and
 positive-definiteness predicate, used only for verification margins so that
 certificates are checked by an eigensolver the design search does not use;
-the LAPACK symmetric-pencil maximum eigenvalue lambda_max(B^{-1/2} A B^{-1/2})
-behind every envelope constant and design search step; and the bracketed
-root finder with secant acceleration of the single-V bound.  All functions
-are pure and thread-safe.
+the LAPACK symmetric-pencil maximum eigenvalue lambda_max(B^{-1/2} A B^{-1/2}),
+for one A or a stack of them, behind every envelope constant and design search
+step; and the bracketed root finder with secant acceleration of the single-V
+bound.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -168,24 +167,33 @@ def is_pos_def(s: ArrayLike, tol: float = 0.0) -> bool:
     return lam_min(s) > tol
 
 
-def pencil_max_eig(a: ArrayLike, b: ArrayLike) -> float:
+def _sym(m: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def pencil_max_eig(a: ArrayLike, b: ArrayLike):
     """Largest generalized eigenvalue of the symmetric pencil (A, B) with B > 0.
 
     Returns lambda_max(B^{-1/2} A B^{-1/2}), the least lam with A <= lam*B,
-    for the symmetric parts of A and B.  Raises DomainError when B is not
-    positive definite (NaN entries included) or the result is not finite.
+    for the symmetric parts of A and B.  A may carry leading stack axes, all
+    sharing the one B: a single A gives a float, a stack an array of the stack
+    shape.  Raises DomainError when B is not positive definite (NaN entries
+    included) or any result is not finite.
     """
     am = np.asarray(getattr(a, "mat", a), dtype=float)
     bm = np.asarray(getattr(b, "mat", b), dtype=float)
-    w, v = np.linalg.eigh(0.5 * (bm + bm.T))
+    w, v = np.linalg.eigh(_sym(bm))
     if not w[0] > 0.0:
         raise DomainError("pencil denominator must be positive definite")
     w_inv_sqrt = (v / np.sqrt(w)) @ v.T
-    m = w_inv_sqrt @ (0.5 * (am + am.T)) @ w_inv_sqrt
-    lam = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
-    if not math.isfinite(lam):
+    if not np.all(np.isfinite(am)):  # LAPACK raises an untyped LinAlgError on inf
+        raise DomainError("pencil numerator must be finite")
+    m = w_inv_sqrt @ _sym(am) @ w_inv_sqrt
+    lam = np.linalg.eigvalsh(_sym(m))[..., -1]
+    if not np.all(np.isfinite(lam)):
         raise DomainError("pencil eigenvalue is not finite")
-    return lam
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def find_root(

@@ -18,6 +18,7 @@ from sdstab.bounds import (
     single_v_stationarity,
     solve_qhat_star,
     two_v_curve,
+    two_v_tau,
 )
 from sdstab.errors import DomainError, InfeasibleError
 
@@ -235,6 +236,25 @@ class TestEmulationBoundTwo:
         for constants in [(1e-200, 1.0, 1.0, 1.0), (1.0, 1e-200, 1e-200, 1.0), (1.0, 1e200, 1e200, 1.0)]:
             with pytest.raises(DomainError):
                 emulation_bound_two(TwoFunctionConstants(*constants))
+
+    def test_array_matches_scalar(self, rng):
+        a, ab, g1, g2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(4, 2000)))
+        q, tau = two_v_tau(a, ab, g1, g2)
+        assert q.shape == tau.shape == (2000,)
+        for i in range(2000):
+            res = emulation_bound_two(TwoFunctionConstants(a[i], ab[i], g1[i], g2[i]))
+            assert tau[i] == pytest.approx(res.tau_max, rel=1e-15, abs=0.0)
+            assert q[i] == pytest.approx(res.q_star, rel=1e-15, abs=0.0)
+
+    def test_array_unrepresentable_element_raises(self, rng):
+        a, ab, g1, g2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(4, 50)))
+        a[17] = 1e-200  # alpha^2 gamma2 underflows at this element only
+        with pytest.raises(DomainError):
+            emulation_bound_two(TwoFunctionConstants(a[17], ab[17], g1[17], g2[17]))
+        with pytest.raises(DomainError):
+            two_v_tau(a, ab, g1, g2)
+        with pytest.raises(DomainError):
+            two_v_tau(a[:17], ab[:17], g1[:17], np.where(np.arange(17) == 3, 0.0, g2[:17]))
 
     def test_curve_maximality(self):
         c = TwoFunctionConstants(4.3957, 241.9335, 1.2491, 60.5024)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdstab.cli import main, reverify_report
 
@@ -172,7 +176,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "x0_flag", "x0_nan", "c_tilde_flag", "c_tilde_sweep", "cert_scalar", "model_A",
         "model_x0", "model_diffusion", "report_list", "report_no_constants",
-        "constants_file", "verify_tol_nan",
+        "constants_file", "verify_tol_nan", "report_decay_number", "report_command_number",
+        "report_tau_text", "report_name_number",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -189,6 +194,10 @@ class TestExitCodes:
         simulate = ["simulate", "--model", f"{FX}/ex1_sub1.json",
                     "--schedule", "periodic:0.01", "--horizon", "0.1"]
         design = ["design", "--model", f"{FX}/ex1_sub1_control.json"]
+
+        def report(**doc):
+            return ["report", _write(tmp_path / "report.json", doc)]
+
         argv = {
             "x0_flag": lambda: simulate + ["--x0", "a,b"],
             "x0_nan": lambda: simulate + ["--x0", "nan,1"],
@@ -207,9 +216,60 @@ class TestExitCodes:
                 tmp_path / "bound.json",
                 {"command": ["bound"], "results": {"mode": "two-v", "tau_max": 0.01}},
             )],
+            "report_decay_number": lambda: report(command=["simulate"], results={"ms_decay": 5}),
+            "report_command_number": lambda: report(command=5, results={}),
+            "report_tau_text": lambda: report(command=["design"], results={"tau_max": "0.02"}),
+            "report_name_number": lambda: report(command=["verify"], results={"model": {"name": 7}}),
         }[case]()
         assert run(argv) == 3
         assert "error" in capsys.readouterr().err
+
+
+_REPORT_KEYS = ("tool", "version", "command", "inputs", "results", "mode", "constants", "q_star",
+                "tau_max", "gain_norm", "ms_decay", "rate", "passed", "model", "name")
+_CONSTANTS = ("alpha", "alpha_b", "alpha_f", "gamma1", "gamma2", "alpha1", "alpha2", "alphat1",
+              "alphat2", "beta1", "beta2", "beta3")
+_WORDS = ("bound", "verify", "design", "simulate", "two-v", "single-v", "generic", "0.1.0")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.sampled_from(_WORDS),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_REPORT_KEYS + _CONSTANTS) | st.text(), kids, max_size=6),
+    max_leaves=12,
+)
+# numbers at the edges of the float range, where bound arithmetic under- or overflows
+_NUMBER = st.floats() | st.integers() | st.sampled_from([5e-324, 1e-200, 1e-100, 1e200, 10**400])
+_RUN_REPORT = st.fixed_dictionaries(
+    {"command": _JSON | st.lists(st.sampled_from(_WORDS) | _JSON, max_size=3),
+     "results": st.dictionaries(st.sampled_from(_REPORT_KEYS), _JSON | _NUMBER)},
+    optional={"version": _JSON},
+)
+_BOUND_REPORT = st.fixed_dictionaries({
+    "command": st.just(["bound"]),
+    "results": st.fixed_dictionaries(
+        {"mode": st.sampled_from(["two-v", "single-v", "generic"]),
+         "constants": st.fixed_dictionaries({}, optional={k: _NUMBER for k in _CONSTANTS})},
+        optional={"q_star": _NUMBER, "tau_max": _NUMBER},
+    ),
+})
+
+
+class TestReportGenerated:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_JSON | _RUN_REPORT | _BOUND_REPORT)
+    def test_any_json_exits_0_or_3(self, doc):
+        # every JSON document is either a report or malformed input: exit 0 or
+        # 3, never an escaped exception, with output on strict UTF-8 streams
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["report", path, "--curve-out", os.path.join(tmp, "curve.csv"),
+                             "--format", "csv", "--out", os.path.join(tmp, "summary.csv")])
+            err.flush()
+            assert code in (0, 3)
+            assert "Traceback" not in err.buffer.getvalue().decode("utf-8")
 
 
 class TestDesignCommand:

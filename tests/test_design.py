@@ -15,12 +15,19 @@ from sdstab.errors import InfeasibleError, ValidationError
 from sdstab.lmi import load_certificate, verify_analysis_certificate
 from sdstab.models import LinearSampledModel, load_model
 
-from oracles import sphere_ratio_max
+from oracles import bisect, sphere_ratio_max
 
 
 def random_spd(rng, n, shift=1.0):
     m = rng.normal(size=(n, n))
     return m @ m.T + shift * np.eye(n)
+
+
+def random_stable_loop(rng, n=2):
+    """(F, B_bar): a random feedback term and a closed loop F = A + B_bar with spectral abscissa -1."""
+    b_bar = rng.normal(size=(n, n))
+    a = rng.normal(size=(n, n))
+    return a - (np.linalg.eigvals(a + b_bar).real.max() + 1.0) * np.eye(n) + b_bar, b_bar
 
 
 class TestExtractAlphaB:
@@ -114,6 +121,34 @@ class TestFitGamma:
         block = assemble_cross_block(f, (), np.zeros((2, 2)), p, p, g1 * (1 + 1e-9), 2.0)
         assert lam_max(block) <= 1e-12
 
+    def test_batched_gamma1_matches_bisection_oracle(self, rng):
+        # the stacked Schur/pencil gamma1 against plain bisection on the full
+        # cross block, at gamma2 on both sides of the Schur corner's floor
+        from sdstab.design import _gamma1_min
+        from sdstab.lmi import assemble_cross_block
+        from sdstab.numerics import lam_max
+
+        for _ in range(3):
+            f, b_bar = random_stable_loop(rng)
+            g_list = [0.3 * rng.normal(size=(2, 2)) for _ in range(2)]
+            p, pt = random_spd(rng, 2), random_spd(rng, 2, shift=0.5)
+            # S = B^T Pt + Pt B + g2 Pt > 0 exactly when g2 exceeds this floor
+            floor = np.linalg.eigvals(np.linalg.solve(pt, -(b_bar.T @ pt + pt @ b_bar))).real.max()
+            offsets = np.geomspace(1e-3, 10.0, 20) * max(1.0, abs(floor))
+            g2 = np.concatenate([floor - offsets[::-1], floor + offsets])
+            got = _gamma1_min(f, g_list, b_bar, p, pt, g2)
+            assert got.shape == g2.shape
+            for g2_i, g1_i in zip(g2, got):
+                def top(log_g1):
+                    return lam_max(assemble_cross_block(f, g_list, b_bar, p, pt, np.exp(log_g1), g2_i))
+
+                if top(np.log(1e8)) >= 0.0:  # no gamma1 makes the block negative definite
+                    assert g2_i < floor and np.isnan(g1_i)
+                    continue
+                assert g2_i > floor
+                oracle = np.exp(bisect(top, np.log(1e-6), np.log(1e8), iters=60))
+                assert g1_i == pytest.approx(oracle, rel=1e-8)
+
     def test_adversarial_infeasible(self):
         # unstable uncontrolled pair: the required gamma1 outgrows any
         # gamma2 the box offers, so the scan exhausts
@@ -134,6 +169,56 @@ class TestFitGamma:
         with pytest.raises(InfeasibleError):
             fit_gamma(model, np.eye(2), np.eye(2), alpha_bar=1.0,
                       alpha_b=1.0, scan=(1e-4, 1.0))
+
+
+def _per_point_scan(f, g_list, b_bar, p, pt, alpha_bar, alpha_b, scan,
+                    lhs_extra=None, shift22=0.0, coarse=120, refine_rounds=3):
+    """The gamma2 scan one point at a time, kept as the batched scan's reference."""
+    from sdstab.bounds import TwoFunctionConstants
+    from sdstab.design import _INFLATE, _TINY
+    from sdstab.numerics import pencil_max_eig
+
+    lo, hi = scan
+    bp = b_bar.T @ pt + pt @ b_bar
+    start = max(lo, (shift22 + pencil_max_eig(-bp, pt)) * (1 + 1e-9) + _TINY, _TINY)
+    best = None
+    grid = np.exp(np.linspace(np.log(start), np.log(hi), coarse))
+    for _ in range(refine_rounds + 1):
+        for g2 in grid:
+            s = bp + (g2 - shift22) * pt
+            s = 0.5 * (s + s.T)
+            if np.linalg.eigvalsh(s)[0] <= 0.0:
+                continue
+            lhs = f.T @ pt @ np.linalg.solve(s, pt @ f)
+            for g in g_list:
+                lhs = lhs + g.T @ pt @ g
+            if lhs_extra is not None:
+                lhs = lhs + lhs_extra
+            g1 = max(pencil_max_eig(lhs, p) * (1 + _INFLATE), _TINY, lo)
+            if g1 > hi:
+                continue
+            tau = emulation_bound_two(TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)).tau_max
+            if best is None or tau > best[2]:
+                best = (g1, float(g2), tau)
+        step = grid[1] / grid[0]
+        grid = np.exp(np.linspace(np.log(max(best[1] / step**2, start)),
+                                  np.log(min(best[1] * step**2, hi)), 25))
+    return best
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_matches_per_point_scan(self, rng, planar):
+        # same grids, refine rule, inflation, clamp and first-max choice
+        from sdstab.design import _best_gamma_pair
+
+        for _ in range(4):
+            f, b_bar = random_stable_loop(rng)
+            g_list = [] if planar else [0.3 * rng.normal(size=(2, 2))]
+            p, pt = random_spd(rng, 2), random_spd(rng, 2, shift=0.5)
+            kw = dict(lhs_extra=random_spd(rng, 2), shift22=2.0, coarse=40, refine_rounds=1) if planar else {}
+            args = (f, g_list, b_bar, p, pt, 1.5, 0.7, (1e-4, 1e6))
+            assert _best_gamma_pair(*args, **kw) == pytest.approx(_per_point_scan(*args, **kw), rel=1e-12)
 
 
 class TestRateLyapunov:

@@ -122,6 +122,18 @@ class TestPencilMaxEig:
             lam_c = pencil_max_eig(m.T @ a @ m, m.T @ b @ m)
             assert lam_c == pytest.approx(lam, rel=1e-7, abs=1e-7)
 
+    def test_stack_matches_single(self, rng):
+        b = random_sym(rng, 3) + 6.0 * np.eye(3)
+        stack = np.array([random_sym(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        lam = pencil_max_eig(stack, b)
+        assert lam.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert lam[idx] == pytest.approx(pencil_max_eig(stack[idx], b), rel=1e-14, abs=1e-14)
+        bad = stack.copy()
+        bad[1, 2, 0, 0] = np.inf
+        with pytest.raises(DomainError):
+            pencil_max_eig(bad, b)
+
     def test_indefinite_denominator_rejected(self):
         with pytest.raises(DomainError):
             pencil_max_eig(np.eye(2), np.diag([1.0, -1.0]))
