@@ -1,7 +1,8 @@
 """Command-line interface: bound, verify, design, simulate, report.
 
 Exit codes are stable across commands: 0 success, 1 verified-negative
-(certificate FAIL or excessive divergence), 2 infeasible, 3 input error.
+(certificate FAIL or excessive divergence), 2 infeasible, 3 input error
+(an output path that cannot be written included).
 Reports are single JSON documents that embed the inputs they were computed
 from, so every recorded margin and bound can be reproduced from the report
 alone.
@@ -12,8 +13,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -39,6 +42,7 @@ from .errors import (
     FormatError,
     InfeasibleError,
     NumericalFailure,
+    OutputError,
     ToolkitError,
     ValidationError,
 )
@@ -91,11 +95,23 @@ def _report_skeleton(command, args_list) -> dict:
     }
 
 
+def _save(path, write) -> None:
+    """Call write(path); an OSError from it (unwritable path, full disk) is an
+    input error, exit 3, never the verified-negative exit 1."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit_report(report: dict, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _save(out, partial(_write_text, json.dumps(report, indent=2) + "\n"))
 
 
 def _print_kv(key: str, value) -> None:
@@ -331,7 +347,7 @@ def cmd_design(args, argv) -> int:
     if "c_tilde" in result.trace:
         _print_kv("c_tilde", result.trace["c_tilde"])
     if args.cert_out:
-        save_certificate(result.certificate, args.cert_out)
+        _save(args.cert_out, partial(save_certificate, result.certificate))
         print(f"certificate written to {args.cert_out}")
     _emit_report(report, args.out)
     return EXIT_OK
@@ -368,8 +384,10 @@ def cmd_simulate(args, argv) -> int:
     )
     t0 = time.perf_counter()
     ens = run_ensemble(model, cfg, workers=args.workers)
+    t_integrated = time.perf_counter()
     frac_diverged = ens.n_diverged / ens.n_paths
-    terminal = float(ens.mean_sq()[-1])
+    means = ens.mean_sq()
+    terminal = float(means[-1])
     results = {
         "n_paths": ens.n_paths,
         "n_diverged": ens.n_diverged,
@@ -378,9 +396,10 @@ def cmd_simulate(args, argv) -> int:
         "dt_sim": dt_sim,
         "seed": args.seed,
         "terminal_mean_sq": None if np.isnan(terminal) else terminal,
+        "terminal_mean_sq_se": _terminal_mean_sq_se(ens),
     }
     try:
-        decay = estimate_ms_decay(ens)
+        decay = estimate_ms_decay(ens, means=means)
         results["ms_decay"] = {
             "rate": decay.rate, "intercept": decay.intercept,
             "r_squared": decay.r_squared, "window": list(decay.window),
@@ -401,12 +420,14 @@ def cmd_simulate(args, argv) -> int:
         results["as_exponent"] = None
         print(f"note: pathwise exponent estimate unavailable ({exc})")
     report["results"] = results
-    report["wall_time_s"] = time.perf_counter() - t0
+    t_done = time.perf_counter()
+    report["wall_time_s"] = t_done - t0
+    report["stage_s"] = {"integrate": t_integrated - t0, "estimate": t_done - t_integrated}
     if args.traj_out:
-        export_trajectories_csv(ens, args.traj_out)
+        _save(args.traj_out, partial(export_trajectories_csv, ens))
         print(f"trajectories written to {args.traj_out}")
     if args.stats_out:
-        export_ensemble_stats_csv(ens, args.stats_out)
+        _save(args.stats_out, partial(export_ensemble_stats_csv, ens))
         print(f"ensemble stats written to {args.stats_out}")
     _print_kv("diverged_fraction", frac_diverged)
     _emit_report(report, args.out)
@@ -414,6 +435,16 @@ def cmd_simulate(args, argv) -> int:
         print("FAIL: more than half of the paths diverged")
         return EXIT_NEGATIVE
     return EXIT_OK
+
+
+def _terminal_mean_sq_se(ens) -> Optional[float]:
+    """Monte Carlo standard error of E|x(T)|^2: the sample standard deviation
+    of |x(T)|^2 over the alive paths over the root of their count."""
+    last = ens.states[ens.alive[:, -1], -1, :]
+    if len(last) < 2:
+        return None
+    sq = np.einsum("pi,pi->p", last, last)
+    return float(sq.std(ddof=1) / math.sqrt(len(sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +550,21 @@ def cmd_report(args, argv) -> int:
         ps = "-" if r["passed"] is None else str(r["passed"])
         print(f"{r['command']:10s} {r['model'][:20]:20s} {tau:>12s} {gn:>10s} {dr:>10s} {ps:>7s}")
     if args.curve_out and curve_rows:
-        with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write("report,q,tau\n")
-            for path, q, tau in curve_rows:
-                fh.write(f"{path},{q!r},{tau!r}\n")
+        lines = ["report,q,tau"] + [f"{path},{q!r},{tau!r}" for path, q, tau in curve_rows]
+        _save(args.curve_out, partial(_write_text, "\n".join(lines) + "\n"))
         print(f"curve samples written to {args.curve_out}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if args.format == "csv":
-                fh.write("report,command,model,tau_max,gain_norm,ms_decay_rate,passed\n")
-                for r in rows:
-                    cells = [r["report"], r["command"], r["model"]]
-                    cells += ["" if r[k] is None else repr(r[k])
-                              for k in ("tau_max", "gain_norm", "ms_decay_rate", "passed")]
-                    fh.write(",".join(str(c) for c in cells) + "\n")
-            else:
-                json.dump({"rows": rows}, fh, indent=2)
-                fh.write("\n")
+        if args.format == "csv":
+            lines = ["report,command,model,tau_max,gain_norm,ms_decay_rate,passed"]
+            for r in rows:
+                cells = [r["report"], r["command"], r["model"]]
+                cells += ["" if r[k] is None else repr(r[k])
+                          for k in ("tau_max", "gain_norm", "ms_decay_rate", "passed")]
+                lines.append(",".join(str(c) for c in cells))
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps({"rows": rows}, indent=2) + "\n"
+        _save(args.out, partial(_write_text, text))
     return EXIT_OK
 
 
@@ -613,7 +642,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except (FormatError, ValidationError, DomainError) as exc:
+    except (FormatError, ValidationError, DomainError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleError as exc:

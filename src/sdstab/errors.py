@@ -17,6 +17,10 @@ class FormatError(ToolkitError):
     """An input file could not be parsed against its schema."""
 
 
+class OutputError(ToolkitError):
+    """An output file could not be written."""
+
+
 class ValidationError(ToolkitError):
     """Parsed data violates a structural invariant (dimensions, signs, ordering)."""
 

@@ -1,18 +1,29 @@
 """Euler-Maruyama simulation of sampled-data loops and impulsive systems.
 
-Noise is generated from counter-based Philox streams keyed by
-(master seed, path index), so every path's increments are reproducible
-independently of chunking, worker count, or execution order.  Sampling
-instants are knots of the integration grid: local substeps shrink so each
-instant is hit exactly and the zero-order-hold input switches at the instant,
-never inside a step.
+Brownian increments are counter-addressed: normal k = step * m + j of path p
+is a pure function of (seed, p, k), so every path's increments are
+reproducible independently of chunking, worker count, or execution order.
+Its raw words come from Philox4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), numpy's Philox bit generator under
+the key (seed mod 2^64, p): normal k is word k mod 4 of counter block k // 4,
+where block b equals np.random.Philox(key=(seed, p), counter=b).random_raw(4).
+Box-Muller turns each word pair (0, 1) and (2, 3) of a block into two
+normals, so every block yields exactly four.  The generator is written in
+numpy uint64 array arithmetic, so a whole chunk of paths draws its noise in
+one vectorized pass that releases the GIL, a window of steps at a time.
+Sampling instants and jump noise come from per-stream numpy generators.
+
+Sampling instants are knots of the integration grid: local substeps shrink so
+each instant is hit exactly and the zero-order-hold input switches at the
+instant, never inside a step.
 
 One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble,
 simulate_sampled_path and the discrete-time chains simulate_em_discrete(_terminal),
 which it runs on a uniform grid with no sampling refresh and B_bar = 0: the
 sampled-data loop and its discrete-time approximation are one recursion.
 simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
-with jumps rather than a batched linear-plus-drift state.
+with jumps rather than a batched linear-plus-drift state; it draws the same
+increments as the kernel.
 """
 
 from __future__ import annotations
@@ -34,11 +45,67 @@ _SCHEDULE_STREAM = 1 << 63
 _JUMP_STREAM = 1 << 62
 _DIVERGENCE_CAP = 1e150
 _CHUNK = 4096
+_WINDOW_NORMALS = 1 << 16   # normals drawn per window; bounds the Philox temporaries
+_LO32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
 
 
 def _path_generator(seed: int, stream: int) -> np.random.Generator:
+    """numpy generator of one stream: sampling instants and jump noise."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low words of the 128-bit products m * x, from 32-bit halves of x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    t = x_lo * m_hi + ((x_lo * m_lo) >> np.uint64(32))
+    u = x_hi * m_lo + (t & _LO32)
+    return x_hi * m_hi + (t >> np.uint64(32)) + (u >> np.uint64(32)), x * np.uint64(m)
+
+
+def _philox_blocks(seed: int, paths, b0: int, nblocks: int):
+    """Philox4x64-10 blocks b0 .. b0 + nblocks - 1 of each path's stream.
+
+    Returns the four words, each of shape (len(paths), nblocks).  Block b of
+    path p equals np.random.Philox(key=(seed, p), counter=b).random_raw(4):
+    numpy increments the counter before it encrypts, so block b encrypts b + 1.
+    """
+    k0 = int(seed) & _MASK64
+    k1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    shape = (len(k1), nblocks)
+    hi, lo = _mulhilo(_PHILOX_M[0], np.arange(b0 + 1, b0 + 1 + nblocks, dtype=np.uint64))
+    # round 1: counter words 1..3 are zero
+    c = [np.full(shape, k0, dtype=np.uint64), np.zeros(shape, dtype=np.uint64),
+         hi ^ k1, np.broadcast_to(lo, shape)]
+    for r in range(1, 10):
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
+        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ key0, lo1, hi0 ^ c[3] ^ key1, lo0]
+    return c
+
+
+def _noise(seed: int, paths, step0: int, nsteps: int, m: int) -> np.ndarray:
+    """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path.
+
+    Shape (len(paths), nsteps, m); entry [r, i, j] is normal
+    k = (step0 + i) * m + j of path paths[r].  Box-Muller on the word pairs
+    (0, 1) and (2, 3) of a block, with u = ((w >> 11) + 0.5) 2^-53 in (0, 1]
+    (1 only by rounding), so ln u is finite.
+    """
+    k0 = step0 * m
+    b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
+    u = [((w >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+         for w in _philox_blocks(seed, paths, b0, b1 - b0)]
+    r01, r23 = np.sqrt(-2.0 * np.log(u[0])), np.sqrt(-2.0 * np.log(u[2]))
+    a01, a23 = 2.0 * np.pi * u[1], 2.0 * np.pi * u[3]
+    z = np.stack([r01 * np.cos(a01), r01 * np.sin(a01), r23 * np.cos(a23), r23 * np.sin(a23)],
+                 axis=-1).reshape(len(u[0]), -1)
+    return z[:, k0 - 4 * b0:k0 - 4 * b0 + nsteps * m].reshape(-1, nsteps, m)
 
 
 @dataclass(frozen=True)
@@ -146,8 +213,8 @@ class TrajectoryEnsemble:
         The reduction is a fixed-order sum over path index, so the result is
         independent of how paths were chunked across workers.
         """
-        states = np.nan_to_num(self.states)
-        sq = np.einsum("pti,pti->pt", states, states)
+        # dead rows hold NaN; the np.where below masks them out
+        sq = np.einsum("pti,pti->pt", self.states, self.states)
         counts = self.alive.sum(axis=0).astype(float)
         tot = np.where(self.alive, sq, 0.0).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -169,30 +236,29 @@ def _resolve_x0(model: Union[Model, GeneralSiDE], cfg: SimConfig) -> np.ndarray:
     return x0
 
 
-def _path_noise(seed: int, path: int, nsteps: int, m: int) -> np.ndarray:
-    """Standard normals of one path, shape (nsteps, m): row i drives step i."""
-    return _path_generator(seed, path).standard_normal((nsteps, m))
+def _outputs(npaths: int, nstore: int, n: int):
+    """Kernel output arrays: stored states, alive flags and divergence times."""
+    return (np.empty((npaths, nstore, n)), np.empty((npaths, nstore), dtype=bool),
+            np.full(npaths, np.nan))
 
 
-def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, capture_held=False):
+def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
+                     states, alive_store, diverged_at, held=None):
     """EM for a batch of paths with drift model.drift(x) + x(t_*) B_bar^T, x(t_*)
-    refreshed where grid.refresh is set; returns (states, alive, diverged_at, held)."""
+    refreshed where grid.refresh is set.
+
+    Row r of states (rows, stored times, n), alive_store and diverged_at
+    (NaN-filled) is written for path path_indices[r]; every stored time is
+    written.  held, if given, receives the x(t_*) of the first path.
+    """
     npaths = len(path_indices)
-    n, m = model.n, model.m
+    m = model.m
     nsteps = len(grid.steps)
-    noise = None
-    if m > 0:
-        noise = np.empty((npaths, nsteps, m))
-        for row, p in enumerate(path_indices):
-            noise[row] = _path_noise(seed, p, nsteps, m)
+    # steps per noise window, a multiple of 4 so every window starts on a block
+    window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
     x = np.tile(x0, (npaths, 1)).astype(float)
     xstar = x.copy()
     alive = np.ones(npaths, dtype=bool)
-    diverged_at = np.full(npaths, np.nan)
-    nstore = len(store_idx)
-    states = np.full((npaths, nstore, n), np.nan)
-    alive_store = np.zeros((npaths, nstore), dtype=bool)
-    held = np.full((nstore, n), np.nan) if capture_held else None
     store_map = {int(g): s for s, g in enumerate(store_idx)}
     gts = [g.T for g in model.diffusion]
     sqrt_h = np.sqrt(grid.steps)
@@ -214,20 +280,19 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, capt
             h = grid.steps[i]
             upd = (model.drift(x) + xstar @ b_bar.T) * h
             if m > 0:
-                db = sqrt_h[i] * noise[:, i, :]
+                if i % window == 0:
+                    noise = _noise(seed, path_indices, i, min(window, nsteps - i), m)
+                db = sqrt_h[i] * noise[:, i % window, :]
                 for j, gt in enumerate(gts):
                     upd += (x @ gt) * db[:, j:j + 1]
             x = x + upd
-            with np.errstate(invalid="ignore"):
-                finite = np.all(np.isfinite(x), axis=1)
-                small = np.nanmax(np.abs(x), axis=1, initial=0.0) <= _DIVERGENCE_CAP
-            bad = alive & ~(finite & small)
+            # NaN and inf compare False, so this also catches non-finite rows
+            bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
             if bad.any():
                 alive[bad] = False
                 diverged_at[bad] = grid.times[i + 1]
                 x[bad] = np.nan
         record(nsteps)
-    return states, alive_store, diverged_at, held
 
 
 def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
@@ -255,24 +320,25 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
     grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
 
+    states, alive, diverged_at = _outputs(cfg.n_paths, len(store_idx), model.n)
+
     # fixed chunk size: worker count must not influence batch shapes, or
     # BLAS shape dispatch could perturb low-order bits across worker counts
     all_paths = np.arange(cfg.n_paths)
-    chunk = min(_CHUNK, cfg.n_paths)
-    blocks = [all_paths[i:i + chunk] for i in range(0, cfg.n_paths, chunk)]
+    blocks = [slice(i, i + _CHUNK) for i in range(0, cfg.n_paths, _CHUNK)]
 
-    def work(block):
-        return _integrate_chunk(model, b_bar, grid, x0, block, cfg.seed, store_idx)
+    def work(rows):
+        # each chunk writes its own rows of the shared result arrays
+        _integrate_chunk(model, b_bar, grid, x0, all_paths[rows], cfg.seed, store_idx,
+                         states[rows], alive[rows], diverged_at[rows])
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, blocks))
+            list(pool.map(work, blocks))  # re-raises a worker's exception
     else:
-        results = [work(b) for b in blocks]
+        for rows in blocks:
+            work(rows)
 
-    states = np.concatenate([r[0] for r in results], axis=0)
-    alive = np.concatenate([r[1] for r in results], axis=0)
-    diverged_at = np.concatenate([r[2] for r in results], axis=0)
     return TrajectoryEnsemble(
         times=grid.times[store_idx],
         states=states,
@@ -293,9 +359,10 @@ def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> 
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
     grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
-    states, alive, diverged_at, held = _integrate_chunk(
-        model, b_bar, grid, x0, [path_index], cfg.seed, store_idx, capture_held=True
-    )
+    states, alive, diverged_at = _outputs(1, len(store_idx), model.n)
+    held = np.empty((len(store_idx), model.n))
+    _integrate_chunk(model, b_bar, grid, x0, [path_index], cfg.seed, store_idx,
+                     states, alive, diverged_at, held)
     return SinglePath(
         times=grid.times[store_idx],
         states=states[0],
@@ -317,13 +384,15 @@ def _em_chain(F, G_list, h: float, n_steps: int, x0, paths, seed: int, store_idx
     times = h * np.arange(n_steps + 1, dtype=float)
     grid = _Grid(times=times, steps=np.full(n_steps, float(h)),
                  refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
-    return _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx)[0]
+    states, alive, diverged_at = _outputs(len(paths), len(store_idx), len(f))
+    _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, states, alive, diverged_at)
+    return states
 
 
 def simulate_em_discrete(F, G_list, h: float, n_steps: int, x0, seed: int = 0) -> np.ndarray:
     """Discrete-time EM recursion X_k = X_{k-1} + F X_{k-1} h + sum_j G_j X_{k-1} dB_{j,k}.
 
-    dB ~ N(0, h) from Philox stream 0; h = 0 degenerates to the constant
+    dB ~ N(0, h) from the noise of path 0; h = 0 degenerates to the constant
     sequence.  Returns the full path, shape (n_steps + 1, n), bit-reproducible
     for a given seed; states past the divergence cap read NaN.
     """
@@ -335,7 +404,7 @@ def simulate_em_discrete_terminal(
 ) -> np.ndarray:
     """Terminal states X_N for a batch of EM paths, shape (n_paths, n).
 
-    Path p draws its increments from Philox stream p, so path 0 matches the
+    Path p draws the increments of path p, so path 0 matches the
     last state of simulate_em_discrete(..., seed=seed) up to rounding: a
     batched matmul may round differently from a single-row one.
     """
@@ -364,7 +433,7 @@ def simulate_side(side: GeneralSiDE, cfg: SimConfig, path_index: int = 0) -> Sid
     nsteps = len(grid.steps)
     x = _resolve_x0(side, cfg)
     y = np.array(side.y0 if side.y0 is not None else np.zeros(side.q), dtype=float)
-    noise = _path_noise(cfg.seed, path_index, nsteps, side.m) if side.m > 0 else None
+    noise = _noise(cfg.seed, [path_index], 0, nsteps, side.m)[0] if side.m > 0 else None
     jump_rng = _path_generator(cfg.seed, path_index + _JUMP_STREAM)
 
     store_map = {int(g): s for s, g in enumerate(store_idx)}
@@ -447,12 +516,14 @@ class DecayEstimate:
 
 
 def estimate_ms_decay(
-    ens: TrajectoryEnsemble, window: Optional[Tuple[float, float]] = None
+    ens: TrajectoryEnsemble, window: Optional[Tuple[float, float]] = None,
+    means: Optional[np.ndarray] = None,
 ) -> DecayEstimate:
     """Fit the mean-square decay rate on a time window (default [0.2 T, T]).
 
     Requires at least 10 stored grid points in the window and strictly
-    positive empirical means everywhere on it.
+    positive empirical means everywhere on it.  means is ens.mean_sq(), for
+    a caller that already holds it.
     """
     t = ens.times
     horizon = float(t[-1])
@@ -464,7 +535,7 @@ def estimate_ms_decay(
     sel = (t >= w0) & (t <= w1)
     if int(sel.sum()) < 10:
         raise DegenerateEnsemble(f"only {int(sel.sum())} grid points in window; need >= 10")
-    means = ens.mean_sq()[sel]
+    means = (ens.mean_sq() if means is None else means)[sel]
     if not np.all(np.isfinite(means)) or np.any(means <= 0.0):
         raise DegenerateEnsemble("ensemble means are zero, negative, or undefined on the window")
     tt = t[sel]

@@ -89,3 +89,31 @@ def sphere_ratio_max(numerator_quadratic, denominator_quadratic, n, n_dirs=10_00
             best_val, best_dir = float(r[i]), cand[i]
         sigma *= 0.35
     return best_val
+
+
+def em_second_moment(A, B_bar, G_list, x0, times, instants):
+    """E|x_k|^2 of the sampled-data Euler-Maruyama recursion, exactly, at every grid time.
+
+    Propagates S = E[z z^T] for z = (x, x(t_*)) through the grid `times`:
+    S <- J S J^T with J = [[I, 0], [I, 0]] where a step starts at a sampling
+    instant, then S <- M S M^T + h sum_j Gb_j S Gb_j^T with M = I + h Abar,
+    Abar = [[A, B_bar], [0, 0]] and Gb_j = diag(G_j, 0).  The increments are
+    independent of z with mean zero and variance h, so this is the recursion's
+    own second moment: no Monte Carlo and no discretization bias.
+    """
+    n = len(x0)
+    zero = np.zeros((n, n))
+    a_bar = np.block([[A, B_bar], [zero, zero]])
+    g_bar = [np.block([[g, zero], [zero, zero]]) for g in G_list]
+    j = np.block([[np.eye(n), zero], [np.eye(n), zero]])
+    z0 = np.concatenate([x0, x0])
+    s = np.outer(z0, z0)
+    refresh = np.isin(times[:-1], instants)
+    out = [np.trace(s[:n, :n])]
+    for h, reset in zip(np.diff(times), refresh):
+        if reset:
+            s = j @ s @ j.T
+        m = np.eye(2 * n) + h * a_bar
+        s = m @ s @ m.T + h * sum(g @ s @ g.T for g in g_bar)
+        out.append(np.trace(s[:n, :n]))
+    return np.array(out)

@@ -121,15 +121,23 @@ class TestSimulateCommand:
         assert code == 0
         assert "unavailable" in capsys.readouterr().out
 
-    def test_gain_from_certificate(self, capsys):
+    def test_gain_from_certificate(self, capsys, tmp_path):
+        out = tmp_path / "sim.json"
         code = run(["simulate", "--model", f"{FX}/ex1_sub1_control.json",
                     "--cert", f"{FX}/cert_ex1_sub1_design.json",
                     "--schedule", "periodic:0.0234", "--paths", "20",
-                    "--horizon", "2", "--seed", "3", "--store-stride", "5"])
+                    "--horizon", "2", "--seed", "3", "--store-stride", "5", "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
         rate = float([l for l in text.splitlines() if l.startswith("ms_decay_rate")][0].split("=")[1])
         assert rate < 0
+        # the report carries the Monte Carlo error bar and where the time went
+        rep = json.loads(out.read_text())
+        res = rep["results"]
+        assert 0 < res["terminal_mean_sq_se"] < res["terminal_mean_sq"]
+        stages = rep["stage_s"]
+        assert set(stages) == {"integrate", "estimate"} and min(stages.values()) > 0
+        assert sum(stages.values()) == pytest.approx(rep["wall_time_s"])
 
     def test_divergent_exit_1(self, capsys, tmp_path):
         # unstable plant without feedback: most paths blow up
@@ -177,7 +185,9 @@ class TestExitCodes:
         "x0_flag", "x0_nan", "c_tilde_flag", "c_tilde_sweep", "cert_scalar", "model_A",
         "model_x0", "model_diffusion", "report_list", "report_no_constants",
         "constants_file", "verify_tol_nan", "report_decay_number", "report_command_number",
-        "report_tau_text", "report_name_number",
+        "report_tau_text", "report_name_number", "bound_out_unwritable", "verify_out_unwritable",
+        "traj_out_unwritable", "stats_out_unwritable",
+        "report_out_unwritable", "curve_out_unwritable",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -197,6 +207,14 @@ class TestExitCodes:
 
         def report(**doc):
             return ["report", _write(tmp_path / "report.json", doc)]
+
+        missing = str(tmp_path / "no_such_dir" / "out.json")
+        bound = ["bound", "--two-v", "--alpha", "1", "--alpha-b", "1", "--gamma1", "1", "--gamma2", "1"]
+
+        def bound_report():
+            path = str(tmp_path / "bound.json")
+            assert run(bound + ["--out", path]) == 0
+            return path
 
         argv = {
             "x0_flag": lambda: simulate + ["--x0", "a,b"],
@@ -220,6 +238,13 @@ class TestExitCodes:
             "report_command_number": lambda: report(command=5, results={}),
             "report_tau_text": lambda: report(command=["design"], results={"tau_max": "0.02"}),
             "report_name_number": lambda: report(command=["verify"], results={"model": {"name": 7}}),
+            # an unwritable output path is a bad argument, found after the work is done
+            "bound_out_unwritable": lambda: bound + ["--out", missing],
+            "verify_out_unwritable": lambda: verify() + ["--out", missing],
+            "traj_out_unwritable": lambda: simulate + ["--traj-out", missing],
+            "stats_out_unwritable": lambda: simulate + ["--stats-out", missing],
+            "report_out_unwritable": lambda: ["report", bound_report(), "--out", missing],
+            "curve_out_unwritable": lambda: ["report", bound_report(), "--curve-out", missing],
         }[case]()
         assert run(argv) == 3
         assert "error" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from sdstab.sim import (
     simulate_sampled_path,
     simulate_side,
 )
+from sdstab.sim import _CHUNK, _noise, _philox_blocks
+
+from oracles import em_second_moment
 
 
 def decay_model(n=2):
@@ -113,10 +118,91 @@ class TestEnsemble:
             ens = run_ensemble(m, cfg, workers=w)
             assert np.array_equal(np.nan_to_num(ref.states), np.nan_to_num(ens.states))
 
+    def test_mean_sq_matches_masked_formula_with_divergence(self):
+        # mean_sq masks dead rows without zeroing their NaNs first; the means
+        # and the decay fit must equal those of the zero-filled formula
+        m = LinearSampledModel(
+            name="gbm", n=1, A=np.array([[50.0]]), diffusion=(np.array([[10.0]]),),
+            B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
+        )
+        ens = run_ensemble(m, cfg_for(0.1, 20.0, dt_sim=0.01, n_paths=64, seed=2, store_stride=10))
+        assert 0 < ens.n_diverged < ens.n_paths
+        states = np.nan_to_num(ens.states)
+        sq = np.einsum("pti,pti->pt", states, states)
+        counts = ens.alive.sum(axis=0).astype(float)
+        tot = np.where(ens.alive, sq, 0.0).sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref = np.where(counts > 0, tot / counts, np.nan)
+        means = ens.mean_sq()
+        assert hashlib.sha256(means.tobytes()).hexdigest() == hashlib.sha256(ref.tobytes()).hexdigest()
+        fit = estimate_ms_decay(ens)
+        assert fit == estimate_ms_decay(ens, means=ref) == estimate_ms_decay(ens, means=means)
+
     def test_unresolved_gain_rejected(self, fixtures):
         m = load_model(fixtures / "ex1_sub1_control.json")
         with pytest.raises(ValidationError):
             run_ensemble(m, cfg_for(0.0234, 1.0))
+
+
+class TestCounterNoise:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
+    def test_blocks_match_numpy_philox(self, seed):
+        for path in (0, 3, 2**40 + 1):
+            words = np.stack(_philox_blocks(seed, [path, path + 1], 3, 5), axis=-1)
+            for row, p in enumerate((path, path + 1)):
+                key = np.array([seed, p], dtype=np.uint64)
+                for b in range(3, 8):
+                    ref = np.random.Philox(key=key, counter=b).random_raw(4)
+                    assert np.array_equal(words[row, b - 3], ref)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_windows_concatenate(self, m):
+        paths = np.array([0, 5, 2**33])
+        whole = _noise(11, paths, 0, 37, m)
+        assert whole.shape == (3, 37, m)
+        for a in (1, 6, 18, 36):
+            parts = np.concatenate([_noise(11, paths, 0, a, m), _noise(11, paths, a, 37 - a, m)], axis=1)
+            assert np.array_equal(whole, parts)
+        # a path's noise does not depend on which other paths share the call
+        assert np.array_equal(whole[1], _noise(11, [5], 0, 37, m)[0])
+
+    def test_moments(self):
+        z = _noise(3, np.arange(1000), 0, 1000, 1).ravel()
+        n = z.size
+        assert np.isfinite(z).all()
+        assert abs(z.mean()) <= 5 / np.sqrt(n)
+        assert abs((z * z).mean() - 1.0) <= 5 * np.sqrt(2.0 / n)
+        assert abs((z ** 4).mean() - 3.0) <= 5 * np.sqrt(96.0 / n)
+
+    def test_sampled_path_is_row_of_multichunk_ensemble(self, fixtures):
+        m = load_model(fixtures / "ex1_sub1.json")
+        cfg = cfg_for(0.0234, 0.1, n_paths=_CHUNK + 5, seed=4, store_stride=5)
+        ens = run_ensemble(m, cfg, workers=1)
+        two = run_ensemble(m, cfg, workers=2)
+        assert ens.states.tobytes() == two.states.tobytes()
+        assert ens.alive.tobytes() == two.alive.tobytes()
+        for p in (_CHUNK, _CHUNK + 3):
+            path = simulate_sampled_path(m, cfg, path_index=p)
+            assert np.array_equal(path.states, ens.states[p])
+
+
+class TestSecondMomentOracle:
+    @pytest.mark.parametrize("schedule", [
+        SamplingSchedule.periodic(0.0234), SamplingSchedule.uniform_random(0.01, 0.02),
+    ])
+    def test_mean_sq_matches_exact_moment(self, fixtures, schedule):
+        # the EM recursion's own E|x|^2, propagated exactly on the same grid
+        model = load_model(fixtures / "ex1_sub1_control.json").with_gain(np.array([[-5.5085, -0.1520]]))
+        cfg = SimConfig(schedule=schedule, horizon=0.5, dt_sim=schedule.underline_dt / 10,
+                        n_paths=20_000, seed=8)
+        ens = run_ensemble(model, cfg, workers=2)
+        assert ens.n_diverged == 0
+        exact = em_second_moment(model.A, model.B_bar, model.diffusion, model.x0,
+                                 ens.times, ens.instants)
+        sq = np.einsum("pti,pti->pt", ens.states, ens.states)
+        se = sq.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
+        z = np.abs(ens.mean_sq() - exact)
+        assert np.all(z <= 5 * se + 1e-12 * exact)
 
 
 class TestEmDiscrete:
