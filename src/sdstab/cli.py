@@ -304,6 +304,17 @@ def _parse_c_tilde(text: str):
     return values if sweep else values[0]
 
 
+def _parse_fraction(text: str) -> float:
+    """--alpha-fraction: a number strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
@@ -451,7 +462,7 @@ def _terminal_mean_sq_se(ens) -> Optional[float]:
 # report
 # ---------------------------------------------------------------------------
 
-def _curve_points(results: dict, n: int = 200):
+def _curve_points(path, results: dict, n: int = 200):
     """tau(q) curve samples for a bound-style result, over the admissible interval."""
     mode = results.get("mode")
     cs = results.get("constants", {})
@@ -469,8 +480,13 @@ def _curve_points(results: dict, n: int = 200):
             alphat1=cs["alphat1"], alphat2=cs["alphat2"],
             beta1=cs.get("beta1", 0.0), beta2=cs.get("beta2", 0.0), beta3=cs.get("beta3", 0.0),
         )
-        lo = max(check_condition_iii(g).value, 1e-4)
-        qs = np.linspace(lo + 1e-6, 1.0 - 1e-4, n)
+        value = check_condition_iii(g).value
+        lo = max(value, 1e-4) + 1e-6
+        if not lo < 1.0 - 1e-4:  # NaN fails too
+            raise FormatError(
+                f"bound report {path}: condition value {value!r} leaves no admissible q interval"
+            )
+        qs = np.linspace(lo, 1.0 - 1e-4, n)
         return [(float(q), htau_generic(float(q), g)) for q in qs]
     return None
 
@@ -535,7 +551,7 @@ def cmd_report(args, argv) -> int:
         rows.append(row)
         if row["command"] == "bound":
             try:
-                pts = _curve_points(rep.get("results", {}))
+                pts = _curve_points(path, rep.get("results", {}))
             except (KeyError, TypeError, ArithmeticError) as exc:
                 raise FormatError(f"bound report {path} has no usable constants ({exc!r})") from exc
             if pts:
@@ -601,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--c-tilde", dest="c_tilde", type=_parse_c_tilde, default=1.0,
                    help="number, 'free', or 'sweep:v1,v2,...'")
-    p.add_argument("--alpha-fraction", dest="alpha_fraction", type=float, default=0.9)
+    p.add_argument("--alpha-fraction", dest="alpha_fraction", type=_parse_fraction, default=0.9,
+                   help="share of the largest certifiable rate, in (0, 1): the starting point "
+                        "of the linear rate search, the fixed share for the planar plant")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cert-out", dest="cert_out", help="write the certificate here")
     p.add_argument("--out")

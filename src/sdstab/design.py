@@ -1,27 +1,33 @@
 """Envelope-constant extraction and state-feedback gain synthesis.
 
-The synthesis pipeline follows the four-step recipe behind the design LMIs:
+The linear synthesis pipeline follows the recipe behind the design LMIs:
 
-1. a generalized-eigenvalue minimization finds the largest certifiable decay
-   rate for the plant (variables: Q > 0 and Y, gain K = Y Q^{-1});
-2. the rate LMI is re-solved at a fraction of that optimum (a retry ladder
-   walks the fraction down if later steps turn out infeasible);
+1. the rate-optimal gain K* maximizes the exact mean-square decay rate
+   2*alpha(K) = -max Re eig(ito_generator(A + B K, G)) over |K| <= _GAIN_CAP,
+   by Nelder-Mead; at a fixed gain this is the optimum of the rate LMI, so no
+   SDP solver is needed;
+2. one Nelder-Mead refinement from K* searches the gain, the shape of the
+   Lyapunov residual and the rate alpha_bar = alpha_max * sigmoid(u) together,
+   maximizing the sampling bound; P solves the rate Lyapunov equation at
+   alpha_bar;
 3. the feedback-energy constant alpha_b is extracted exactly as a symmetric
    pencil eigenvalue;
 4. the cross-gain pair (gamma1, gamma2) is fitted by scanning gamma2 and
    computing the least feasible gamma1 from the Schur complement of the cross
    block, maximizing the resulting sampling bound.
 
-Steps 1 and 2 take their rate LMI from lmi.assemble_design_rate, the block
-verify_design_certificate checks.  Every result is re-verified from raw
-matrices before it is returned.
+The planar synthesis still takes its rate from the subgradient GEVP in
+lmi.minimize_gevp.  Every result is re-verified from raw matrices before it
+is returned.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .lmi import (
     assemble_lyapunov_ito,
     build_affine_map,
     minimize_gevp,
-    solve_feasibility,
+    solve_feasibility,  # unused here; perfbench/tracer.py wraps it by name in this module
     verify_design_certificate,
     verify_planar_certificate,
 )
@@ -45,7 +51,7 @@ from .numerics import pencil_max_eig
 _TINY = 1e-12
 _INFLATE = 1e-7  # relative safety margin applied to exact pencil optima
 _STRICTNESS = 1e-8  # margin every solved LMI point must clear
-_FRACTION_LADDER = (0.9, 0.7, 0.5, 0.3, 0.1)  # rate fractions tried after alpha_fraction
+_GAIN_CAP = 9.9  # |K| bound of the linear design searches (the quality floor is |K| <= 10)
 _GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
 _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
@@ -195,17 +201,16 @@ class DesignOptions:
     alpha_fraction: float = 0.9
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha_fraction < 1.0:  # NaN fails too
+            raise ValidationError(f"alpha_fraction must lie in (0, 1), got {self.alpha_fraction!r}")
+
     def c_tilde_candidates(self) -> Tuple[float, ...]:
         if self.c_tilde is None:
             return tuple(np.exp(np.linspace(math.log(0.05), math.log(50.0), 13)))
         if np.isscalar(self.c_tilde):
             return (float(self.c_tilde),)
         return tuple(float(v) for v in self.c_tilde)
-
-    def fractions(self) -> Tuple[float, ...]:
-        ladder = [self.alpha_fraction]
-        ladder += [f for f in _FRACTION_LADDER if f < self.alpha_fraction - 1e-12]
-        return tuple(ladder)
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,7 @@ class DesignResult:
     certificate: LmiCertificate
     constants: TwoFunctionConstants
     bound: SamplingBoundResult
-    trace: Dict[str, float] = field(default_factory=dict)
+    trace: Dict[str, Any] = field(default_factory=dict)  # floats, or dicts of floats
 
 
 def _q_below_identity(v):
@@ -227,7 +232,7 @@ def _q_below_identity(v):
 
 
 def _design_rate_maps(model: LinearSampledModel):
-    """GEVP data for step 1: numerator diag(Q, 0), denominator the negated rate block."""
+    """GEVP data for the design rate LMI: numerator diag(Q, 0), denominator the negated rate block."""
     layout = VariableLayout()
     layout.add_sym(model.n, "Q")
     layout.add_full(model.B_hat.shape[1], model.n, "Y")
@@ -246,7 +251,7 @@ def _design_rate_maps(model: LinearSampledModel):
 
 
 def _rate_feasibility_map(model: LinearSampledModel, layout: VariableLayout, alpha_bar: float):
-    """Step 2: the rate block at alpha_bar stacked with Q <= I."""
+    """The design rate block at alpha_bar stacked with Q <= I."""
 
     def rate(v):
         return assemble_design_rate(model.A, model.diffusion, model.B_hat, v["Q"], v["Y"], alpha_bar)
@@ -315,28 +320,74 @@ def _unpack_r_shape(x: np.ndarray, n: int) -> Optional[np.ndarray]:
     return ln @ ln.T
 
 
-def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: float):
+def ito_generator(F, G_list) -> np.ndarray:
+    """Second-moment operator I(x)F + F(x)I + sum G(x)G of dx = F x dt + sum G x dW.
+
+    vec(E[x x^T]) evolves by this matrix, so -max Re eig is the exact
+    mean-square decay rate 2*alpha of the loop: the largest rate any quadratic
+    Lyapunov function certifies (Has'minskii, ch. 6).
+    """
+    f = np.asarray(F, dtype=float)
+    eye = np.eye(f.shape[0])
+    out = np.kron(eye, f) + np.kron(f, eye)
+    for g in G_list:
+        g = np.asarray(g, dtype=float)
+        out = out + np.kron(g, g)
+    return out
+
+
+def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """The gain z scaled back onto the ball |K| <= _GAIN_CAP."""
+    k = np.asarray(z, dtype=float).reshape(shape)
+    norm = float(np.linalg.norm(k))
+    return k * (_GAIN_CAP / norm) if norm > _GAIN_CAP else k
+
+
+def _rate_optimal_gain(model: LinearSampledModel):
+    """Nelder-Mead over the capped gain for the largest exact rate: (K*, 2*alpha_max, nfev)."""
+    from scipy.optimize import minimize
+
+    shape = (model.B_hat.shape[1], model.n)
+
+    def abscissa(v):  # max Re eig of the generator: -2*alpha(K)
+        f = model.A + model.B_hat @ _capped_gain(v, shape)
+        return np.linalg.eigvals(ito_generator(f, model.diffusion)).real.max()
+
+    z = np.zeros(shape[0] * shape[1])
+    nfev = 0
+    for simplex in (np.vstack([z, 0.5 * _GAIN_CAP * np.eye(z.size)]), None):
+        res = minimize(
+            abscissa, z, method="Nelder-Mead",
+            options={"initial_simplex": simplex, "maxfev": 2000, "xatol": 1e-10, "fatol": 1e-13},
+        )
+        z, nfev = res.x, nfev + int(res.nfev)
+    return _capped_gain(z, shape), -float(res.fun), nfev
+
+
+def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: float, rejected: Counter):
     """(tau, P) for a candidate gain with P from the residual-shaped Lyapunov solve.
 
     P is trace-normalized and the rate inequality is re-checked at that scale;
     near-singular solves (gain driving the shifted operator towards
     singularity) fail the margin check and are rejected, which keeps the
-    search away from certificates that only hold in exact arithmetic.
+    search away from certificates that only hold in exact arithmetic.  Each
+    rejection is counted in `rejected` under its reason.
     """
     b_bar = model.B_hat @ k_hat
     f = model.A + b_bar
     p = solve_rate_lyapunov(f, model.diffusion, 2.0 * alpha_bar, r_mat)
-    if p is None:
-        return None
-    tr = float(np.trace(p))
+    tr = -1.0 if p is None else float(np.trace(p))
     if tr <= 0.0:
+        rejected["singular_solve"] += 1
         return None
     p = p * (model.n / tr)
     w = np.linalg.eigvalsh(p)
     if w[0] <= 1e-12 * w[-1]:
+        rejected["singular_solve"] += 1
         return None
     rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar)
     if float(np.linalg.eigvalsh(rate)[-1]) > -1e-9:
+        rejected["rate_check"] += 1
         return None
     alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
     try:
@@ -345,47 +396,57 @@ def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: floa
             _GAMMA_SCAN, coarse=36, refine_rounds=1,
         )
     except InfeasibleError:
+        rejected["gamma_box"] += 1
         return None
     return tau, p
 
 
-def _gain_objective(z: np.ndarray, model, alpha_bar: float) -> float:
+def _unpack_point(z: np.ndarray, model, alpha_max: float):
+    """(gain, residual shape or None, alpha_bar) of a refinement point."""
     mh, n = model.B_hat.shape[1], model.n
     k_hat = z[: mh * n].reshape(mh, n)
-    r_mat = _unpack_r_shape(z[mh * n:], n)
-    if r_mat is None:
+    fraction = 0.5 * (1.0 + math.tanh(0.5 * z[-1]))  # sigmoid(u), never overflows
+    return k_hat, _unpack_r_shape(z[mh * n: -1], n), alpha_max * fraction
+
+
+def _gain_objective(z: np.ndarray, model, alpha_max: float, rejected: Counter) -> float:
+    k_hat, r_mat, alpha_bar = _unpack_point(z, model, alpha_max)
+    if np.linalg.norm(k_hat) > _GAIN_CAP:
+        rejected["gain_cap"] += 1
         return 10.0
-    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar)
+    if r_mat is None:
+        rejected["singular_solve"] += 1
+        return 10.0
+    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected)
     return 10.0 if out is None else -out[0]
 
 
-def _refine_gain(model, k_starts, alpha_bar: float, maxfev: int = 500):
-    """Nelder-Mead over (gain, residual shape), two rounds per start."""
+def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter):
+    """Nelder-Mead over (gain, residual shape, rate), two rounds from (k0, R = I, fraction).
+
+    Returns (gain, P, alpha_bar) and the evaluation count; the point is None
+    if no candidate certified a bound.
+    """
     from scipy.optimize import minimize
 
-    mh, n = model.B_hat.shape[1], model.n
-    r_dims = n * (n + 1) // 2 - 1
-    best = None
-    for k0 in k_starts:
-        z = np.concatenate([np.asarray(k0, dtype=float).ravel(), np.zeros(r_dims)])
-        val = _gain_objective(z, model, alpha_bar)
-        for _ in range(2):
-            res = minimize(
-                _gain_objective, z, args=(model, alpha_bar), method="Nelder-Mead",
-                options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-11},
-            )
-            z, val = res.x, res.fun
-        if best is None or val < best[0]:
-            best = (val, z)
-    if best is None or best[0] >= 0.0:
-        return None
-    z = best[1]
-    k_hat = z[: mh * n].reshape(mh, n)
-    r_mat = _unpack_r_shape(z[mh * n:], n)
-    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar)
+    k_dims, r_dims = np.size(k0), model.n * (model.n + 1) // 2 - 1
+    z = np.concatenate([np.ravel(k0), np.zeros(r_dims), [math.log(fraction / (1.0 - fraction))]])
+    # first-round steps: a tenth of the gain cap, half a unit of log-shape, one unit of logit
+    steps = np.concatenate([np.full(k_dims, 0.1 * _GAIN_CAP), np.full(r_dims, 0.5), [1.0]])
+    nfev = 0
+    for simplex in (np.vstack([z, z + np.diag(steps)]), None):
+        res = minimize(
+            _gain_objective, z, args=(model, alpha_max, rejected), method="Nelder-Mead",
+            options={"initial_simplex": simplex, "maxfev": 800, "xatol": 1e-8, "fatol": 1e-11},
+        )
+        z, nfev = res.x, nfev + int(res.nfev)
+    if res.fun >= 0.0:
+        return None, nfev
+    k_hat, r_mat, alpha_bar = _unpack_point(z, model, alpha_max)
+    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar, Counter())
     if out is None:
-        return None
-    return k_hat, out[1]
+        return None, nfev
+    return (k_hat, out[1], alpha_bar), nfev
 
 
 def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignResult]:
@@ -441,59 +502,54 @@ def synthesize_feedback(
     """Synthesize a stabilizing state-feedback gain maximizing the sampling bound.
 
     The model must be in design mode (input map present, gain absent).  Raises
-    InfeasibleError if no certifiable rate exists or the retry ladder runs out.
+    InfeasibleError if no gain with |K| <= _GAIN_CAP gives a positive exact
+    mean-square rate, or if neither the refined point nor the fallback at the
+    rate-optimal gain yields a verifiable design.
     """
     options = options or DesignOptions()
     if not isinstance(model, LinearSampledModel) or not model.design_mode:
         raise ValidationError("synthesize_feedback needs a linear model in design mode")
 
-    layout, num, den, norm = _design_rate_maps(model)
-    try:
-        gevp = minimize_gevp(
-            num, den, extra=norm, seed=options.seed, strictness=_STRICTNESS
+    t0 = time.perf_counter()
+    k_star, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
+    if two_alpha_max <= 0.0:
+        raise InfeasibleError(
+            f"plant not stabilizable: best exact mean-square rate 2*alpha = {two_alpha_max:.6g} "
+            f"over |K| <= {_GAIN_CAP}"
         )
-    except InfeasibleError as exc:
-        raise InfeasibleError("plant not stabilizable at any rate found") from exc
-    two_alpha_max = 1.0 / gevp.lam
-    v = layout.unpack(gevp.point)
-    k_gevp = v["Y"] @ np.linalg.inv(v["Q"])
+    alpha_max = 0.5 * two_alpha_max
 
-    best: Optional[DesignResult] = None
-    for frac in options.fractions():
-        alpha_bar = 0.5 * frac * two_alpha_max
-        prob = _rate_feasibility_map(model, layout, alpha_bar)
-        rep = solve_feasibility(
-            prob, strictness=_STRICTNESS, seed=options.seed, initial=[gevp.point]
-        )
-        k_starts = [k_gevp, 0.5 * k_gevp, 2.0 * k_gevp]
-        candidates = []
-        if rep.status == "feasible":
-            w = layout.unpack(rep.point)
-            k_solve = w["Y"] @ np.linalg.inv(w["Q"])
-            k_starts.insert(1, k_solve)
-            candidates.append((w["Q"], w["Y"]))
-        refined = _refine_gain(model, k_starts, alpha_bar)
-        if refined is not None:
-            k_hat, p = refined
-            q = np.linalg.inv(p)
-            q = 0.5 * (q + q.T)
-            candidates.insert(0, (q, k_hat @ q))
-        for q, y in candidates:
-            result = _finish_linear_design(model, q, y, alpha_bar, options)
-            if result is not None:
-                result.trace.update(
-                    {
-                        "lambda_step1": gevp.lam,
-                        "two_alpha_max": two_alpha_max,
-                        "alpha_fraction": frac,
-                        "solver_iterations": float(rep.iterations),
-                    }
-                )
-                if best is None or result.bound.tau_max > best.bound.tau_max:
-                    best = result
-        if best is not None:
-            return best
-    raise InfeasibleError("rate ladder exhausted without a verifiable design")
+    def finish(k_hat, p, alpha_bar):
+        q = np.linalg.inv(p)
+        q = 0.5 * (q + q.T)
+        return _finish_linear_design(model, q, k_hat @ q, alpha_bar, options)
+
+    t1 = time.perf_counter()
+    # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
+    rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
+    point, refine_nfev = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected)
+    t2 = time.perf_counter()
+    result = None if point is None else finish(*point)
+    fallback = result is None
+    if fallback:
+        # closed-form candidate: the rate Lyapunov solve at K* with R = I
+        alpha_bar = options.alpha_fraction * alpha_max
+        p = solve_rate_lyapunov(model.A + model.B_hat @ k_star, model.diffusion, 2.0 * alpha_bar,
+                                np.eye(model.n))
+        if p is not None and np.linalg.eigvalsh(p)[0] > 0.0:
+            result = finish(k_star, p, alpha_bar)
+    if result is None:
+        raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
+    result.trace.update({
+        "two_alpha_max": two_alpha_max,
+        "alpha_fraction": result.constants.alpha_bar / alpha_max,
+        "fallback": float(fallback),
+        "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
+                    "finish": time.perf_counter() - t2},
+        "nfev": {"rate_search": float(rate_nfev), "refine": float(refine_nfev)},
+        "rejected": {k: float(v) for k, v in rejected.items()},
+    })
+    return result
 
 
 # ---------------------------------------------------------------------------

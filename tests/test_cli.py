@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,8 @@ class TestExitCodes:
         "report_tau_text", "report_name_number", "bound_out_unwritable", "verify_out_unwritable",
         "traj_out_unwritable", "stats_out_unwritable",
         "report_out_unwritable", "curve_out_unwritable",
+        "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
+        "report_generic_overflow",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -245,9 +248,24 @@ class TestExitCodes:
             "stats_out_unwritable": lambda: simulate + ["--stats-out", missing],
             "report_out_unwritable": lambda: ["report", bound_report(), "--out", missing],
             "curve_out_unwritable": lambda: ["report", bound_report(), "--curve-out", missing],
+            "alpha_fraction_nan": lambda: design + ["--alpha-fraction", "nan"],
+            "alpha_fraction_zero": lambda: design + ["--alpha-fraction", "0"],
+            "alpha_fraction_one": lambda: design + ["--alpha-fraction", "1"],
+            "alpha_fraction_above_one": lambda: design + ["--alpha-fraction", "1.5"],
+            # the condition value overflows to inf: no admissible q for the curve
+            "report_generic_overflow": lambda: report(command=["bound"], results={
+                "mode": "generic",
+                "constants": {"alpha1": 1.0, "alpha2": 1e308, "alphat1": 1.0, "alphat2": 1.0,
+                              "beta1": 1e308},
+            }),
         }[case]()
-        assert run(argv) == 3
-        assert "error" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 _REPORT_KEYS = ("tool", "version", "command", "inputs", "results", "mode", "constants", "q_star",
@@ -309,6 +327,16 @@ class TestDesignCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "c_tilde =" in text and "tau_max =" in text
+        # the report records where the time went and what the search decided
+        trace = json.loads((tmp_path / "rep.json").read_text())["results"]["trace"]
+        assert set(trace["stage_s"]) == {"rate_search", "refine", "finish"}
+        assert set(trace["nfev"]) == {"rate_search", "refine"}
+        assert set(trace["rejected"]) == {"singular_solve", "rate_check", "gamma_box", "gain_cap"}
+        for group in ("stage_s", "nfev", "rejected"):
+            assert all(type(v) is float and v >= 0.0 for v in trace[group].values())
+        assert trace["nfev"]["rate_search"] > 0 and trace["nfev"]["refine"] > 0
+        assert type(trace["two_alpha_max"]) is float and trace["two_alpha_max"] > 0.0
+        assert 0.0 < trace["alpha_fraction"] < 1.0
         # the written certificate verifies against the model
         assert run(["verify", "--model", str(mp), "--cert", str(cert)]) == 0
 

@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,14 +12,17 @@ from sdstab.design import (
     extract_alpha_f,
     extract_alpha_u,
     fit_gamma,
+    ito_generator,
     solve_rate_lyapunov,
     synthesize_feedback,
 )
 from sdstab.errors import InfeasibleError, ValidationError
-from sdstab.lmi import load_certificate, verify_analysis_certificate
+from sdstab.lmi import load_certificate, verify_analysis_certificate, verify_design_certificate
 from sdstab.models import LinearSampledModel, load_model
 
 from oracles import bisect, sphere_ratio_max
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def random_spd(rng, n, shift=1.0):
@@ -229,6 +236,61 @@ class TestRateLyapunov:
         res = f.T @ p + p @ f + g.T @ p @ g + 1.0 * p
         assert np.allclose(res, -np.eye(2), atol=1e-10)
         assert np.all(np.linalg.eigvalsh(p) > 0)
+
+
+class TestItoGenerator:
+    def test_rate_is_the_lyapunov_threshold(self, rng):
+        # 2*alpha = -max Re eig(L) is exactly where the rate Lyapunov solve
+        # stops being positive definite, on either side by one part in 1e6
+        for _ in range(50):
+            f, _ = random_stable_loop(rng)
+            g = 0.3 * rng.normal(size=(2, 2))
+            two_alpha = -np.linalg.eigvals(ito_generator(f, [g])).real.max()
+            assert two_alpha > 0.0
+            below = solve_rate_lyapunov(f, [g], two_alpha * (1 - 1e-6), np.eye(2))
+            above = solve_rate_lyapunov(f, [g], two_alpha * (1 + 1e-6), np.eye(2))
+            assert np.linalg.eigvalsh(below)[0] > 0.0
+            assert np.linalg.eigvalsh(above)[0] < 0.0
+
+
+@pytest.fixture(scope="module")
+def linear_designs():
+    models = [load_model(FIXTURES / f"{name}.json") for name in ("ex1_sub1_control", "ex1_sub2_control")]
+    return [(model, synthesize_feedback(model)) for model in models]
+
+
+class TestExactRateDesign:
+    def test_coordinate_swap_gives_the_same_design(self, linear_designs):
+        # sub2 is sub1 with its two coordinates swapped
+        (_, r1), (_, r2) = linear_designs
+        assert r2.trace["two_alpha_max"] == pytest.approx(r1.trace["two_alpha_max"], rel=1e-9)
+        assert r2.bound.tau_max == pytest.approx(r1.bound.tau_max, rel=1e-4)
+
+    def test_quality_and_strict_reverification(self, linear_designs):
+        for model, res in linear_designs:
+            assert res.bound.tau_max >= 0.0241
+            assert np.linalg.norm(res.gain) <= 10.0
+            assert verify_design_certificate(model, res.certificate, tol=0.0).passed
+
+    def test_alpha_fraction_outside_unit_interval_rejected(self):
+        for bad in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValidationError):
+                DesignOptions(alpha_fraction=bad)
+
+
+def test_benchmark_tracer_finds_every_name(monkeypatch):
+    # the benchmark tracer wraps functions by name in each sdstab module, so a
+    # name removed from a module must fail here rather than in a traced run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)  # dataclasses look the module up
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install_sdstab(tracer)
+    finally:
+        tracer.close()
 
 
 class TestSynthesize:
