@@ -326,11 +326,7 @@ def cmd_design(args, argv) -> int:
     report = _report_skeleton("design", argv)
     model = load_model(args.model)
     report["inputs"] = {"model": {"path": str(args.model), "sha256": _sha256(args.model)}}
-    options = DesignOptions(
-        c_tilde=args.c_tilde,
-        alpha_fraction=args.alpha_fraction,
-        seed=args.seed,
-    )
+    options = DesignOptions(c_tilde=args.c_tilde, alpha_fraction=args.alpha_fraction)
     t0 = time.perf_counter()
     if isinstance(model, NonlinearPlanarModel):
         result = synthesize_nonlinear_planar(options, model=model)
@@ -620,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-fraction", dest="alpha_fraction", type=_parse_fraction, default=0.9,
                    help="share of the largest certifiable rate, in (0, 1): the starting point "
                         "of the linear rate search, the fixed share for the planar plant")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cert-out", dest="cert_out", help="write the certificate here")
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)

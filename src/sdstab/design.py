@@ -16,9 +16,12 @@ The linear synthesis pipeline follows the recipe behind the design LMIs:
    computing the least feasible gamma1 from the Schur complement of the cross
    block, maximizing the resulting sampling bound.
 
-The planar synthesis still takes its rate from the subgradient GEVP in
-lmi.minimize_gevp.  Every result is re-verified from raw matrices before it
-is returned.
+The planar synthesis uses the same exact rate.  Its rate block is the Ito
+rate inequality with diffusion E1/sqrt(b) and an extra shift b, so Nelder-Mead
+over (K, log b) maximizes 2*alpha(K, b), P solves the rate Lyapunov equation at
+alpha_fraction * alpha_max, and each round of the (l1, l2, c) certificate grid
+is one stacked gamma scan.  No design path calls the SDP solver in lmi.  Every
+result is re-verified from raw matrices before it is returned.
 """
 
 from __future__ import annotations
@@ -40,32 +43,30 @@ from .lmi import (
     assemble_design_rate,
     assemble_lyapunov_ito,
     build_affine_map,
-    minimize_gevp,
+    minimize_gevp,  # unused here; perfbench/tracer.py wraps it by name in this module
     solve_feasibility,  # unused here; perfbench/tracer.py wraps it by name in this module
     verify_design_certificate,
     verify_planar_certificate,
 )
 from .models import LinearSampledModel, NonlinearPlanarModel
-from .numerics import pencil_max_eig
+from .numerics import pencil_max_eig, sym_inv_sqrt
 
 _TINY = 1e-12
 _INFLATE = 1e-7  # relative safety margin applied to exact pencil optima
-_STRICTNESS = 1e-8  # margin every solved LMI point must clear
-_GAIN_CAP = 9.9  # |K| bound of the linear design searches (the quality floor is |K| <= 10)
+_GAIN_CAP = 9.9  # |K| bound of the design searches (the quality floor is |K| <= 10)
 _GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
 _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
 
 
-def extract_alpha_b(P, P_tilde, B_bar) -> float:
+def extract_alpha_b(P, P_tilde, B_bar):
     """Least alpha_b with B^T P B <= alpha_b * P_tilde.
 
-    Returns 0 for B = 0; downstream uses require a strictly positive value,
-    so callers should then choose any alpha_b > 0.
+    P_tilde may be a stack of certificates along leading axes; the result is
+    then an array of that shape.  Returns 0 for B = 0; downstream uses require
+    a strictly positive value, so callers should then choose any alpha_b > 0.
     """
     b = np.asarray(B_bar, dtype=float)
-    if np.abs(b).max(initial=0.0) == 0.0:
-        return 0.0
     return pencil_max_eig(b.T @ P @ b, P_tilde)
 
 
@@ -86,78 +87,124 @@ def extract_alpha_u(P, F) -> float:
     return pencil_max_eig(f.T @ P @ f, P)
 
 
-def _gamma1_min(
-    F, G_list, B_bar, P, P_tilde, gamma2,
-    lhs_extra: Optional[np.ndarray] = None,
-    shift22: float = 0.0,
-) -> np.ndarray:
+def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
+    """Per-certificate constants of the least-gamma1 map, for one P_tilde or a stack.
+
+    With R = Pt^{-1/2} and B^T Pt + Pt B = Pt^{1/2} U diag(mu) U^T Pt^{1/2},
+    the Schur corner is S = Pt^{1/2} U diag(mu + gamma2 - shift22) U^T Pt^{1/2},
+    so F^T Pt S^{-1} Pt F = V^T diag(1/(mu + gamma2 - shift22)) V with
+    V = U^T Pt^{1/2} F.  Returns (floor, d0, W, C): the corner is positive
+    definite exactly for gamma2 > floor = shift22 - min mu, d0 = mu - shift22,
+    W = V P^{-1/2}, and C = P^{-1/2} (sum G^T Pt G + lhs_extra) P^{-1/2}.
+    """
+    pt, b, f = np.asarray(P_tilde, dtype=float), np.asarray(B_bar), np.asarray(F)
+    r = sym_inv_sqrt(pt, "P_tilde")
+    mu, u = np.linalg.eigh(r @ (b.T @ pt + pt @ b) @ r)
+    p_r = sym_inv_sqrt(P, "P")
+    w = u.swapaxes(-1, -2) @ (r @ pt) @ f @ p_r
+    c = np.zeros(pt.shape)
+    for g in G_list:
+        c = c + np.asarray(g).T @ pt @ np.asarray(g)
+    if lhs_extra is not None:
+        c = c + lhs_extra
+    shift = np.asarray(shift22, dtype=float)
+    return shift - mu[..., 0], mu - shift[..., None], w, p_r @ c @ p_r
+
+
+def _gamma1_at(terms, gamma2) -> np.ndarray:
+    """Least gamma1 at each gamma2 from _schur_terms(...)[1:] (NaN where the corner is not PD).
+
+    gamma2 has one row of points per certificate of a stack (any shape for
+    one certificate); the least gamma1 is lambda_max(C + W^T diag(1/d) W)
+    with d = d0 + gamma2, and the result has gamma2's shape.
+    """
+    d0, w, c = terms
+    g2 = np.asarray(gamma2, dtype=float)
+    d = d0[..., None, :] + g2[..., None]
+    ok = d[..., 0] > 0.0  # mu comes sorted ascending
+    inv = 1.0 / np.where(ok[..., None], d, 1.0)
+    w = w[..., None, :, :]
+    lhs = c[..., None, :, :] + (w.swapaxes(-1, -2) * inv[..., None, :]) @ w
+    return np.where(ok, np.linalg.eigvalsh(lhs)[..., -1], np.nan).reshape(g2.shape)
+
+
+def _gamma1_min(F, G_list, B_bar, P, P_tilde, gamma2, lhs_extra=None, shift22=0.0) -> np.ndarray:
     """Least gamma1 making the cross block feasible at each gamma2 (NaN where none).
 
-    Obtained from the Schur complement over the (2,2) corner
-    S = B^T Pt + Pt B + (gamma2 - shift22) Pt, which must be positive definite.
-    gamma2 is a scalar or an array; the result has its shape.
+    The Schur complement over the (2,2) corner
+    S = B^T Pt + Pt B + (gamma2 - shift22) Pt, which must be positive
+    definite, evaluated through _schur_terms; see _gamma1_at for the shapes.
     """
-    g2 = np.asarray(gamma2, dtype=float)
-    pt = np.asarray(P_tilde)
-    b = np.asarray(B_bar)
-    s = b.T @ pt + pt @ b + (g2.reshape(-1, 1, 1) - shift22) * pt
-    s = 0.5 * (s + np.swapaxes(s, 1, 2))
-    ok = np.linalg.eigvalsh(s)[:, 0] > 0.0
-    out = np.full(g2.size, np.nan)
-    if ok.any():
-        f = np.asarray(F)
-        lhs = f.T @ pt @ np.linalg.solve(s[ok], pt @ f)
-        for g in G_list:
-            lhs = lhs + np.asarray(g).T @ pt @ np.asarray(g)
-        if lhs_extra is not None:
-            lhs = lhs + lhs_extra
-        out[ok] = pencil_max_eig(lhs, P)
-    return out.reshape(g2.shape)
+    return _gamma1_at(_schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra, shift22)[1:], gamma2)
+
+
+def _log_grid(lo, hi, num: int) -> np.ndarray:
+    """num log-spaced points from lo to hi, one row per element of lo (hi broadcasts)."""
+    return lo[:, None] * (hi / lo)[:, None] ** (np.arange(num) / (num - 1))
 
 
 def _best_gamma_pair(
     F, G_list, B_bar, P, P_tilde,
-    alpha_bar: float, alpha_b: float,
+    alpha_bar: float, alpha_b,
     scan: Tuple[float, float],
     lhs_extra: Optional[np.ndarray] = None,
-    shift22: float = 0.0,
+    shift22=0.0,
     coarse: int = 120,
     refine_rounds: int = 3,
-) -> Tuple[float, float, float]:
+):
     """Scan gamma2, take the exact least gamma1 per point, maximize the bound.
 
-    Each round evaluates its whole gamma2 grid at once; the first maximum
-    wins, and a later round replaces the best pair only if it beats it.
-    Returns (gamma1, gamma2, tau_max); raises InfeasibleError if the scan box
-    contains no feasible pair.
+    P_tilde is one cyber certificate or a stack of them along a leading cell
+    axis; alpha_b, lhs_extra and shift22 are per cell or shared.  Each cell
+    scans its own gamma2 grid, and each round evaluates every cell's grid at
+    once.  Per cell the first maximum wins, and a later round replaces the
+    best pair only if it beats it.  Returns (gamma1, gamma2, tau_max): floats
+    for one P_tilde, arrays over the cells for a stack, with NaN pairs and
+    tau_max -inf where a cell has no feasible pair.  Raises InfeasibleError
+    if no cell has a feasible pair in the scan box.
     """
     lo, hi = scan
-    bp = np.asarray(B_bar).T @ P_tilde + np.asarray(P_tilde) @ np.asarray(B_bar)
-    g2_floor = shift22 + pencil_max_eig(-bp, P_tilde)
-    start = max(lo, g2_floor * (1 + 1e-9) + _TINY, _TINY)
-    if start >= hi:
+    single = np.ndim(P_tilde) == 2
+    pt = np.asarray(P_tilde, dtype=float)
+    pt = pt.reshape((-1,) + pt.shape[-2:])
+    cells = len(pt)
+    floor, *terms = _schur_terms(F, G_list, B_bar, P, pt, lhs_extra, shift22)
+    start = np.maximum(np.maximum(lo, floor * (1 + 1e-9) + _TINY), _TINY)
+    live = np.flatnonzero(start < hi)
+    if not live.size:
         raise InfeasibleError("gamma2 scan box excludes every feasible point")
+    terms, start = [v[live] for v in terms], start[live]
+    a_b = (np.zeros(cells) + alpha_b)[live, None]
 
-    best = None
-    grid = np.exp(np.linspace(math.log(start), math.log(hi), coarse))
-    for _ in range(refine_rounds + 1):
-        g1 = _gamma1_min(F, G_list, B_bar, P, P_tilde, grid, lhs_extra, shift22)
-        g1 = np.maximum(g1 * (1 + _INFLATE), max(_TINY, lo))
+    grid = _log_grid(start, hi, coarse)
+    rows = np.arange(len(live))
+    for r in range(refine_rounds + 1):
+        g1 = np.maximum(_gamma1_at(terms, grid) * (1 + _INFLATE), max(_TINY, lo))
         ok = g1 <= hi  # NaN, an infeasible corner, compares False
-        if ok.any():
-            g1, g2 = g1[ok], grid[ok]
-            _, tau = two_v_tau(alpha_bar, alpha_b, g1, g2)
-            i = int(np.argmax(tau))
-            if best is None or tau[i] > best[2]:
-                best = (float(g1[i]), float(g2[i]), float(tau[i]))
-        if best is None:
-            raise InfeasibleError("no feasible (gamma1, gamma2) in the scan box")
-        step = grid[1] / grid[0]
-        g2c = best[1]
-        grid = np.exp(
-            np.linspace(math.log(max(g2c / step**2, start)), math.log(min(g2c * step**2, hi)), 25)
-        )
-    return best
+        _, tau = two_v_tau(alpha_bar, a_b, np.where(ok, g1, hi), grid)
+        tau[~ok] = -np.inf
+        i = tau.argmax(axis=1)
+        row_best = (g1[rows, i], grid[rows, i], tau[rows, i])
+        if r == 0:
+            best = row_best
+            keep = np.isfinite(best[2])
+            if not keep.all():  # a cell with no feasible point on its coarse grid has none
+                if not keep.any():
+                    raise InfeasibleError("no feasible (gamma1, gamma2) in the scan box")
+                live, start, a_b, grid = (v[keep] for v in (live, start, a_b, grid))
+                terms = [v[keep] for v in terms]
+                best, rows = [v[keep] for v in best], rows[: len(live)]
+        else:
+            win = row_best[2] > best[2]
+            best = [np.where(win, new, old) for new, old in zip(row_best, best)]
+        step2 = (grid[:, 1] / grid[:, 0]) ** 2
+        grid = _log_grid(np.maximum(best[1] / step2, start), np.minimum(best[1] * step2, hi), 25)
+    if single:
+        return tuple(float(v[0]) for v in best)
+    out = np.full((3, cells), np.nan)
+    out[2] = -np.inf
+    out[:, live] = best
+    return tuple(out)
 
 
 def fit_gamma(
@@ -199,7 +246,6 @@ class DesignOptions:
 
     c_tilde: Union[float, Sequence[float], None] = 1.0
     alpha_fraction: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha_fraction < 1.0:  # NaN fails too
@@ -261,46 +307,23 @@ def _rate_feasibility_map(model: LinearSampledModel, layout: VariableLayout, alp
     )
 
 
-def _sym_basis(n: int):
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-    return basis
-
-
 def solve_rate_lyapunov(F, G_list, two_alpha: float, R) -> Optional[np.ndarray]:
     """Solve F^T P + P F + sum G^T P G + two_alpha P = -R for symmetric P.
 
-    Returns None when the shifted Lyapunov operator is singular; a positive
-    definite solution exists exactly when the loop decays faster than
-    two_alpha in mean square, which makes this the workhorse for generating
-    rate-feasible candidate certificates.
+    The left side is the transposed Ito generator acting on vec P, so this is
+    one n^2 x n^2 solve of (ito_generator(F, G)^T + two_alpha I) vec P = -vec R.
+    Returns None when the shifted operator is singular; a positive definite
+    solution exists exactly when the loop decays faster than two_alpha in mean
+    square, which makes this the workhorse for generating rate-feasible
+    candidate certificates.
     """
-    f = np.asarray(F, dtype=float)
-    n = f.shape[0]
-    basis = _sym_basis(n)
-    cols = []
-    for e in basis:
-        le = f.T @ e + e @ f + two_alpha * e
-        for g in G_list:
-            le = le + np.asarray(g).T @ e @ np.asarray(g)
-        cols.append([le[i, j] for i in range(n) for j in range(i, n)])
-    m = np.array(cols).T
-    rhs = np.array([-np.asarray(R)[i, j] for i in range(n) for j in range(i, n)])
+    op = ito_generator(F, G_list).T
+    r = np.asarray(R, dtype=float)
     try:
-        v = np.linalg.solve(m, rhs)
+        p = np.linalg.solve(op + two_alpha * np.eye(len(op)), -r.ravel()).reshape(r.shape)
     except np.linalg.LinAlgError:
         return None
-    p = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            p[i, j] = p[j, i] = v[k]
-            k += 1
-    return p
+    return 0.5 * (p + p.T)
 
 
 def _unpack_r_shape(x: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -328,12 +351,17 @@ def ito_generator(F, G_list) -> np.ndarray:
     Lyapunov function certifies (Has'minskii, ch. 6).
     """
     f = np.asarray(F, dtype=float)
-    eye = np.eye(f.shape[0])
-    out = np.kron(eye, f) + np.kron(f, eye)
+    n = f.shape[0]
+    eye = np.eye(n)
+
+    def kron(a, b):  # np.kron by broadcasting, without its per-call overhead
+        return a[:, None, :, None] * b[None, :, None, :]
+
+    out = kron(eye, f) + kron(f, eye)
     for g in G_list:
         g = np.asarray(g, dtype=float)
-        out = out + np.kron(g, g)
-    return out
+        out = out + kron(g, g)
+    return out.reshape(n * n, n * n)
 
 
 def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
@@ -343,25 +371,50 @@ def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     return k * (_GAIN_CAP / norm) if norm > _GAIN_CAP else k
 
 
-def _rate_optimal_gain(model: LinearSampledModel):
-    """Nelder-Mead over the capped gain for the largest exact rate: (K*, 2*alpha_max, nfev)."""
+def _rate_optimal_gain(model):
+    """Nelder-Mead for the largest exact rate: (K*, b*, 2*alpha_max, nfev).
+
+    A linear plant searches the gain, capped at |K| <= _GAIN_CAP, and b* is
+    None.  The planar plant also searches log b, clipped to _B_RANGE: its rate
+    block is the Ito rate inequality with diffusion E1/sqrt(b) and the extra
+    shift b, so 2*alpha(K, b) = -max Re eig(ito_generator(A_bar + B K,
+    [E1/sqrt(b)])) - b.  A generator or abscissa that is not finite certifies
+    no rate and raises InfeasibleError.
+    """
     from scipy.optimize import minimize
 
+    planar = isinstance(model, NonlinearPlanarModel)
     shape = (model.B_hat.shape[1], model.n)
+    k_dims = shape[0] * shape[1]
+    log_b = np.log(_B_RANGE)
 
-    def abscissa(v):  # max Re eig of the generator: -2*alpha(K)
-        f = model.A + model.B_hat @ _capped_gain(v, shape)
-        return np.linalg.eigvals(ito_generator(f, model.diffusion)).real.max()
+    def unpack(v):
+        b = math.exp(min(max(v[-1], log_b[0]), log_b[1])) if planar else None
+        return _capped_gain(v[:k_dims], shape), b
 
-    z = np.zeros(shape[0] * shape[1])
+    def abscissa(v):  # max Re eig of the generator, plus the planar shift: -2*alpha(K, b)
+        k, b = unpack(v)
+        if planar:
+            gen = ito_generator(model.A_bar + model.B_hat @ k, [model.envelope / math.sqrt(b)])
+        else:
+            gen = ito_generator(model.A + model.B_hat @ k, model.diffusion)
+        lam = np.linalg.eigvals(gen).real.max() if np.isfinite(gen).all() else math.inf
+        if not math.isfinite(lam):
+            raise InfeasibleError("the mean-square rate generator is not finite: no certifiable rate")
+        return lam + b if planar else lam
+
+    z = np.zeros(k_dims + planar)
+    # first-round steps: half the gain cap, one unit of log b
+    steps = np.concatenate([np.full(k_dims, 0.5 * _GAIN_CAP), np.ones(int(planar))])
     nfev = 0
-    for simplex in (np.vstack([z, 0.5 * _GAIN_CAP * np.eye(z.size)]), None):
+    for simplex in (np.vstack([z, z + np.diag(steps)]), None):
         res = minimize(
             abscissa, z, method="Nelder-Mead",
             options={"initial_simplex": simplex, "maxfev": 2000, "xatol": 1e-10, "fatol": 1e-13},
         )
         z, nfev = res.x, nfev + int(res.nfev)
-    return _capped_gain(z, shape), -float(res.fun), nfev
+    k, b = unpack(z)
+    return k, b, -float(res.fun), nfev
 
 
 def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: float, rejected: Counter):
@@ -465,21 +518,17 @@ def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignRes
     closed = model.with_gain(k_hat)
     b_bar = closed.B_bar
     f = model.A + b_bar
-    best = None
-    for c_tilde in options.c_tilde_candidates():
-        p_tilde = c_tilde * p
-        alpha_b = max(extract_alpha_b(p, p_tilde, b_bar) * (1 + _INFLATE), _TINY)
-        try:
-            g1, g2, tau = _best_gamma_pair(
-                f, model.diffusion, b_bar, p, p_tilde, alpha_bar, alpha_b, _GAMMA_SCAN
-            )
-        except InfeasibleError:
-            continue
-        if best is None or tau > best[0]:
-            best = (tau, c_tilde, alpha_b, g1, g2)
-    if best is None:
+    c_all = np.array(options.c_tilde_candidates())
+    p_tilde = c_all[:, None, None] * p  # one cell per c_tilde candidate
+    alpha_b = np.maximum(extract_alpha_b(p, p_tilde, b_bar) * (1 + _INFLATE), _TINY)
+    try:
+        g1, g2, tau = _best_gamma_pair(
+            f, model.diffusion, b_bar, p, p_tilde, alpha_bar, alpha_b, _GAMMA_SCAN
+        )
+    except InfeasibleError:
         return None
-    tau, c_tilde, alpha_b, g1, g2 = best
+    i = int(np.argmax(tau))
+    c_tilde, alpha_b, g1, g2 = float(c_all[i]), float(alpha_b[i]), float(g1[i]), float(g2[i])
     cert = LmiCertificate(
         alpha_bar=alpha_bar, P=p, P_tilde=c_tilde * p,
         alpha_b=alpha_b, gamma1=g1, gamma2=g2, c_tilde=c_tilde,
@@ -511,7 +560,7 @@ def synthesize_feedback(
         raise ValidationError("synthesize_feedback needs a linear model in design mode")
 
     t0 = time.perf_counter()
-    k_star, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
+    k_star, _, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
     if two_alpha_max <= 0.0:
         raise InfeasibleError(
             f"plant not stabilizable: best exact mean-square rate 2*alpha = {two_alpha_max:.6g} "
@@ -556,75 +605,54 @@ def synthesize_feedback(
 # nonlinear planar synthesis
 # ---------------------------------------------------------------------------
 
-def _planar_rate_maps(model: NonlinearPlanarModel, b: float):
-    layout = VariableLayout()
-    layout.add_sym(2, "Q")
-    layout.add_full(1, 2, "Y")
-    e1 = model.envelope
-
-    def num(v):
-        m = np.zeros((4, 4))
-        m[:2, :2] = v["Q"]
-        return m
-
-    def den(v):
-        q, y = v["Q"], v["Y"]
-        m = q @ model.A_bar.T + model.A_bar @ q + y.T @ model.B_hat.T + model.B_hat @ y + b * q
-        return -np.block([[m, (e1 @ q).T], [e1 @ q, -b * q]])
-
-    return (layout, build_affine_map(layout, num), build_affine_map(layout, den),
-            build_affine_map(layout, _q_below_identity))
-
-
-def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar):
+def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, rejected: Counter):
     """Maximize the bound over the cyber certificate shape P_tilde and weight c.
 
     P_tilde enters the bound scale-free, so it is parameterized by a unit
-    Cholesky factor [[1, 0], [l1, l2]]; for each (l1, l2, c) the exact least
-    gamma1 per gamma2 comes from the Schur pencil and gamma2 is scanned.
+    Cholesky factor [[1, 0], [l1, l2]].  Each round stacks its whole
+    (l1, l2, c) grid along the cell axis of one gamma scan, which takes the
+    exact least gamma1 per gamma2 from the Schur pencil; the next round
+    refines around the best cell so far.  Returns the successive best cells,
+    in increasing tau, as (tau, P_tilde, alpha_b, gamma1, gamma2, c), and the
+    number of cells evaluated.  Cells with no feasible gamma pair in the box
+    are counted in rejected["gamma_box"].
     """
     e1 = model.envelope
     c_lo, c_hi = _C_RANGE
-
-    def evaluate(l1: float, l2: float, c: float):
-        pt = np.array([[1.0, l1], [l1, l1 * l1 + l2 * l2]])
-        alpha_b = max(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
-        try:
-            g1, g2, tau = _best_gamma_pair(
-                a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b,
-                _GAMMA_SCAN,
-                lhs_extra=(e1.T @ pt @ e1) / c,
-                shift22=c,
-                coarse=40,
-                refine_rounds=1,
-            )
-        except InfeasibleError:
-            return None
-        return tau, pt, alpha_b, g1, g2
-
-    best = None
-    best_arg = None
     l1g = np.linspace(-4.0, 4.0, 9)
     l2g = np.exp(np.linspace(math.log(0.02), math.log(5.0), 9))
     cg = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), 9))
+    best, cells = [], 0
     for _ in range(3):
-        for l1 in l1g:
-            for l2 in l2g:
-                for c in cg:
-                    out = evaluate(float(l1), float(l2), float(c))
-                    if out is not None and (best is None or out[0] > best[0]):
-                        best = out
-                        best_arg = (float(l1), float(l2), float(c))
-        if best is None:
-            return None
-        l1c, l2c, cc = best_arg
-        dl = (l1g[1] - l1g[0]) if len(l1g) > 1 else 0.5
+        l1, l2, c = (v.ravel() for v in np.meshgrid(l1g, l2g, cg, indexing="ij"))
+        pt = np.empty((l1.size, 2, 2))
+        pt[:, 0, 0] = 1.0
+        pt[:, 0, 1] = pt[:, 1, 0] = l1
+        pt[:, 1, 1] = l1 * l1 + l2 * l2
+        alpha_b = np.maximum(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
+        cells += l1.size
+        try:
+            g1, g2, tau = _best_gamma_pair(
+                a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
+                lhs_extra=(e1.T @ pt @ e1) / c[:, None, None], shift22=c,
+                coarse=40, refine_rounds=1,
+            )
+        except InfeasibleError:
+            tau = np.full(l1.size, -np.inf)
+        rejected["gamma_box"] += int(np.isinf(tau).sum())
+        i = int(np.argmax(tau))
+        if np.isfinite(tau[i]) and (not best or tau[i] > best[-1][0]):
+            best.append((float(tau[i]), pt[i], float(alpha_b[i]), float(g1[i]), float(g2[i]), float(c[i])))
+            l1c, l2c, cc = l1[i], l2[i], c[i]
+        if not best:
+            break
+        dl = l1g[1] - l1g[0]
         l1g = np.linspace(l1c - dl, l1c + dl, 7)
-        r2 = l2g[1] / l2g[0] if len(l2g) > 1 else 2.0
+        r2 = l2g[1] / l2g[0]
         l2g = np.exp(np.linspace(math.log(l2c / r2), math.log(l2c * r2), 7))
-        rc = cg[1] / cg[0] if len(cg) > 1 else 2.0
+        rc = cg[1] / cg[0]
         cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
-    return best + (best_arg,)
+    return best, cells
 
 
 def synthesize_nonlinear_planar(
@@ -633,57 +661,61 @@ def synthesize_nonlinear_planar(
 ) -> DesignResult:
     """Gain synthesis for the planar sine-envelope plant.
 
-    Scans the envelope weight b; per b, a GEVP maximizes the certifiable rate,
-    then the cyber certificate shape and weight c are searched to maximize the
-    sampling bound.  The winning certificate is re-verified before returning.
+    Nelder-Mead over (K, log b) maximizes the exact rate 2*alpha(K, b) of the
+    planar rate block; alpha_bar is options.alpha_fraction of its maximum and
+    P solves the rate Lyapunov equation there with residual I.  The cyber
+    certificate shape and weight c are then searched to maximize the
+    sampling bound, and the best candidate that passes re-verification at
+    tol=0 is returned.  Raises InfeasibleError if no gain with
+    |K| <= _GAIN_CAP and b in _B_RANGE gives a positive rate, or if no
+    candidate verifies.
     """
     options = options or DesignOptions()
     model = model or NonlinearPlanarModel(name="planar")
     if not model.design_mode:
         raise ValidationError("model already carries a gain; synthesis needs design mode")
 
-    b_lo, b_hi = _B_RANGE
-    b_grid = np.exp(np.linspace(math.log(b_lo), math.log(b_hi), 10))
-    best: Optional[DesignResult] = None
-    for b in b_grid:
-        layout, num, den, norm = _planar_rate_maps(model, float(b))
-        try:
-            gevp = minimize_gevp(
-                num, den, extra=norm, seed=options.seed, strictness=_STRICTNESS
-            )
-        except InfeasibleError:
-            continue
-        alpha_bar = 0.5 * options.alpha_fraction / gevp.lam
-        v = layout.unpack(gevp.point)
-        q, y = v["Q"], v["Y"]
-        k_hat = y @ np.linalg.inv(q)
-        p = np.linalg.inv(q)
-        p = 0.5 * (p + p.T)
-        closed = model.with_gain(k_hat)
-        b_bar = closed.B_bar
-        a_tilde = model.A_bar + b_bar
-        out = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar)
-        if out is None:
-            continue
-        tau, pt, alpha_b, g1, g2, (l1, l2, c) = out
+    t0 = time.perf_counter()
+    k_hat, b, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
+    if two_alpha_max <= 0.0:
+        raise InfeasibleError(
+            f"plant not stabilizable: best exact planar rate 2*alpha = {two_alpha_max:.6g} "
+            f"over |K| <= {_GAIN_CAP} and b in {_B_RANGE}"
+        )
+    alpha_bar = 0.5 * options.alpha_fraction * two_alpha_max
+    b_bar = model.B_hat @ k_hat
+    a_tilde = model.A_bar + b_bar
+    p = solve_rate_lyapunov(a_tilde, [model.envelope / math.sqrt(b)], b + 2.0 * alpha_bar, np.eye(2))
+    if p is None or not np.linalg.eigvalsh(p)[0] > 0.0:
+        raise InfeasibleError("the planar rate Lyapunov solve is singular or indefinite")
+    p = p * (model.n / float(np.trace(p)))
+    t1 = time.perf_counter()
+    rejected = Counter({"gamma_box": 0, "verify": 0})
+    candidates, cells = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, rejected)
+    t2 = time.perf_counter()
+    for _, pt, alpha_b, g1, g2, c in reversed(candidates):
         cert = LmiCertificate(
             alpha_bar=alpha_bar, P=p, P_tilde=pt,
-            alpha_b=alpha_b, gamma1=g1, gamma2=g2, b=float(b), c=c, K_hat=k_hat,
+            alpha_b=alpha_b, gamma1=g1, gamma2=g2, b=b, c=c, K_hat=k_hat,
         )
-        outcome = verify_planar_certificate(model, cert, tol=0.0)
-        if not outcome.passed:
-            continue
-        constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
-        result = DesignResult(
-            gain=k_hat, Q=q, Y=y, certificate=cert, constants=constants,
-            bound=emulation_bound_two(constants),
-            trace={
-                "b": float(b), "c": c, "lambda_step1": gevp.lam,
-                "gain_norm": float(np.linalg.norm(k_hat)),
-            },
-        )
-        if best is None or result.bound.tau_max > best.bound.tau_max:
-            best = result
-    if best is None:
-        raise InfeasibleError("no feasible planar design over the (b, c) search box")
-    return best
+        if verify_planar_certificate(model, cert, tol=0.0).passed:
+            break
+        rejected["verify"] += 1
+    else:
+        raise InfeasibleError("no feasible planar candidate over the (l1, l2, c) box passed re-verification")
+    q = np.linalg.inv(p)
+    q = 0.5 * (q + q.T)
+    constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
+    return DesignResult(
+        gain=k_hat, Q=q, Y=k_hat @ q, certificate=cert, constants=constants,
+        bound=emulation_bound_two(constants),
+        trace={
+            "b": b, "c": c, "gain_norm": float(np.linalg.norm(k_hat)),
+            "two_alpha_max": two_alpha_max, "alpha_fraction": options.alpha_fraction,
+            "cells": float(cells),
+            "stage_s": {"rate_search": t1 - t0, "gamma_search": t2 - t1,
+                        "finish": time.perf_counter() - t2},
+            "nfev": {"rate_search": float(rate_nfev)},
+            "rejected": {k: float(v) for k, v in rejected.items()},
+        },
+    )

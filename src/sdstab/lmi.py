@@ -12,7 +12,8 @@ The feasibility solver is a projected subgradient method on
 x -> lambda_max(map(x)) with Polyak-style steps, random restarts, and a
 centering pass; its output is never trusted: the final margin is re-verified
 with the Jacobi eigensolver.  The generalized-eigenvalue minimizer bisects on
-lambda over such feasibility subproblems.
+lambda over such feasibility subproblems.  No design path calls the solver
+any more: gain synthesis takes its rate from design.ito_generator instead.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ Everything here targets the small symmetric matrices (order <= ~10) that
 appear in quadratic stability certificates: a cyclic Jacobi eigensolver and
 positive-definiteness predicate, used only for verification margins so that
 certificates are checked by an eigensolver the design search does not use;
-the LAPACK symmetric-pencil maximum eigenvalue lambda_max(B^{-1/2} A B^{-1/2}),
-for one A or a stack of them, behind every envelope constant and design search
-step; and the bracketed root finder with secant acceleration of the single-V
-bound.  All functions are pure and thread-safe.
+the LAPACK inverse square root B^{-1/2} and symmetric-pencil maximum
+eigenvalue lambda_max(B^{-1/2} A B^{-1/2}), for one matrix or a broadcast
+stack of them, behind every envelope constant and design search step; and
+the bracketed root finder with secant acceleration of the single-V bound.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -169,29 +169,38 @@ def is_pos_def(s: ArrayLike, tol: float = 0.0) -> bool:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix or of each matrix in a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def sym_inv_sqrt(b: ArrayLike, what: str = "matrix") -> np.ndarray:
+    """B^{-1/2} of the symmetric part of B, or of each matrix in a stack.
+
+    Raises DomainError, naming `what`, when any B is not positive definite
+    (NaN entries included).
+    """
+    w, v = np.linalg.eigh(_sym(np.asarray(b, dtype=float)))
+    if not (w[..., 0] > 0.0).all():
+        raise DomainError(f"{what} must be positive definite")
+    return (v / np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def pencil_max_eig(a: ArrayLike, b: ArrayLike):
     """Largest generalized eigenvalue of the symmetric pencil (A, B) with B > 0.
 
     Returns lambda_max(B^{-1/2} A B^{-1/2}), the least lam with A <= lam*B,
-    for the symmetric parts of A and B.  A may carry leading stack axes, all
-    sharing the one B: a single A gives a float, a stack an array of the stack
-    shape.  Raises DomainError when B is not positive definite (NaN entries
-    included) or any result is not finite.
+    for the symmetric parts of A and B.  A and B may each carry leading stack
+    axes, which broadcast against each other: two single matrices give a
+    float, anything stacked an array of the broadcast stack shape.  Raises
+    DomainError when any B is not positive definite (NaN entries included) or
+    any result is not finite.
     """
     am = np.asarray(getattr(a, "mat", a), dtype=float)
-    bm = np.asarray(getattr(b, "mat", b), dtype=float)
-    w, v = np.linalg.eigh(_sym(bm))
-    if not w[0] > 0.0:
-        raise DomainError("pencil denominator must be positive definite")
-    w_inv_sqrt = (v / np.sqrt(w)) @ v.T
-    if not np.all(np.isfinite(am)):  # LAPACK raises an untyped LinAlgError on inf
+    w_inv_sqrt = sym_inv_sqrt(getattr(b, "mat", b), "pencil denominator")
+    if not np.isfinite(am).all():  # LAPACK raises an untyped LinAlgError on inf
         raise DomainError("pencil numerator must be finite")
     m = w_inv_sqrt @ _sym(am) @ w_inv_sqrt
     lam = np.linalg.eigvalsh(_sym(m))[..., -1]
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise DomainError("pencil eigenvalue is not finite")
     return float(lam) if lam.ndim == 0 else lam
 

@@ -1,9 +1,13 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive every quantity from scratch (plain bisection,
-brute-force grids, sphere sampling, dense eigensolves) so they share no code
-with the implementation paths they check.
+brute-force grids, sphere sampling, dense eigensolves, a symmetric-basis
+Lyapunov solve) so they share no code with the implementation paths they
+check.  The one exception is planar_gamma_loop, which reuses the single-cell
+gamma scan to check only how the planar search stacks its cells.
 """
+
+import math
 
 import numpy as np
 
@@ -117,3 +121,77 @@ def em_second_moment(A, B_bar, G_list, x0, times, instants):
         s = m @ s @ m.T + h * sum(g @ s @ g.T for g in g_bar)
         out.append(np.trace(s[:n, :n]))
     return np.array(out)
+
+
+def rate_lyapunov_basis(F, G_list, two_alpha, R):
+    """Solve F^T P + P F + sum G^T P G + two_alpha P = -R over a symmetric basis.
+
+    Builds the operator column by column from the unit symmetric matrices
+    E_ij = e_i e_j^T + e_j e_i^T, with no Kronecker products, and solves for
+    the n(n+1)/2 free entries of P.  Returns None when that system is singular.
+    """
+    f = np.asarray(F, dtype=float)
+    n = f.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    cols = []
+    for i, j in pairs:
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0
+        le = f.T @ e + e @ f + two_alpha * e
+        for g in G_list:
+            le = le + np.asarray(g).T @ e @ np.asarray(g)
+        cols.append([le[a, b] for a, b in pairs])
+    rhs = [-np.asarray(R)[a, b] for a, b in pairs]
+    try:
+        v = np.linalg.solve(np.array(cols).T, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    p = np.zeros((n, n))
+    for (i, j), x in zip(pairs, v):
+        p[i, j] = p[j, i] = x
+    return p
+
+
+def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
+    """The planar (l1, l2, c) certificate search one cell at a time.
+
+    Same grids, refinement and first-maximum rule as the stacked search, but
+    each cell makes its own single-certificate gamma scan, so it checks only
+    the stacking; the scan itself is checked against a per-point loop in
+    test_design.  Returns (tau, P_tilde, alpha_b, gamma1, gamma2, c) of the
+    best cell, or None when no cell is feasible.
+    """
+    from sdstab.design import _C_RANGE, _GAMMA_SCAN, _INFLATE, _TINY, _best_gamma_pair, extract_alpha_b
+    from sdstab.errors import InfeasibleError
+
+    e1 = model.envelope
+    c_lo, c_hi = _C_RANGE
+    l1g = np.linspace(-4.0, 4.0, 9)
+    l2g = np.exp(np.linspace(math.log(0.02), math.log(5.0), 9))
+    cg = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), 9))
+    best = center = None
+    for _ in range(3):
+        for l1 in l1g:
+            for l2 in l2g:
+                for c in cg:
+                    pt = np.array([[1.0, l1], [l1, l1 * l1 + l2 * l2]])
+                    alpha_b = max(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
+                    try:
+                        g1, g2, tau = _best_gamma_pair(
+                            a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
+                            lhs_extra=(e1.T @ pt @ e1) / c, shift22=c, coarse=40, refine_rounds=1,
+                        )
+                    except InfeasibleError:
+                        continue
+                    if best is None or tau > best[0]:
+                        best, center = (tau, pt, alpha_b, g1, g2, float(c)), (l1, l2, c)
+        if best is None:
+            return None
+        l1c, l2c, cc = center
+        dl = l1g[1] - l1g[0]
+        l1g = np.linspace(l1c - dl, l1c + dl, 7)
+        r2 = l2g[1] / l2g[0]
+        l2g = np.exp(np.linspace(math.log(l2c / r2), math.log(l2c * r2), 7))
+        rc = cg[1] / cg[0]
+        cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
+    return best

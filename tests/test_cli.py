@@ -348,6 +348,21 @@ class TestDesignCommand:
         mp.write_text(json.dumps(doc))
         assert run(["design", "--model", str(mp)]) == 2
 
+    @pytest.mark.parametrize("a", [
+        [[1e300, 1.0], [0.0, 0.0]],  # the generator is finite, its abscissa about 2e300
+        [[50.0, 1.0], [0.0, 50.0]],  # stabilizing needs |K| > 100
+    ])
+    def test_planar_unstabilizable_exit_2_without_warnings(self, a, capsys, tmp_path):
+        doc = json.loads(open(f"{FX}/planar.json").read())
+        mp = _write(tmp_path / "planar.json", {**doc, "A": a})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["design", "--model", mp]) == 2
+        err = capsys.readouterr().err
+        assert "infeasible" in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestDtaAndCurves:
     def test_dta_bound_matches_single_v(self, capsys):
@@ -400,11 +415,24 @@ class TestPlanarCliRoundTrip:
         assert code == 0
         text = capsys.readouterr().out
         tau = float([l for l in text.splitlines() if l.startswith("tau_max")][0].split("=")[1])
-        assert tau >= 0.015
+        assert tau >= 0.027
+        # the report records where the time went and what the search decided
+        trace = json.loads((tmp_path / "rep.json").read_text())["results"]["trace"]
+        assert set(trace) == {"b", "c", "gain_norm", "two_alpha_max", "alpha_fraction", "cells",
+                              "stage_s", "nfev", "rejected"}
+        assert set(trace["stage_s"]) == {"rate_search", "gamma_search", "finish"}
+        assert set(trace["nfev"]) == {"rate_search"}
+        assert set(trace["rejected"]) == {"gamma_box", "verify"}
+        for group in ("stage_s", "nfev", "rejected"):
+            assert all(type(v) is float and v >= 0.0 for v in trace[group].values())
+        for key in ("b", "c", "gain_norm", "two_alpha_max", "alpha_fraction", "cells"):
+            assert type(trace[key]) is float and trace[key] > 0.0
+        assert trace["nfev"]["rate_search"] > 0 and trace["cells"] == 9**3 + 2 * 7**3
+        assert trace["alpha_fraction"] == 0.9 and trace["gain_norm"] < 10.0
         assert run(["verify", "--model", f"{FX}/planar.json", "--cert", str(cert)]) == 0
         capsys.readouterr()
         code = run(["simulate", "--model", f"{FX}/planar.json", "--cert", str(cert),
-                    "--schedule", f"periodic:{0.9 * tau:.6f}", "--paths", "1",
+                    "--schedule", f"periodic:{0.99 * tau:.6f}", "--paths", "1",
                     "--horizon", "5", "--seed", "0", "--store-stride", "50"])
         assert code == 0
         out = capsys.readouterr().out

@@ -20,7 +20,7 @@ from sdstab.errors import InfeasibleError, ValidationError
 from sdstab.lmi import load_certificate, verify_analysis_certificate, verify_design_certificate
 from sdstab.models import LinearSampledModel, load_model
 
-from oracles import bisect, sphere_ratio_max
+from oracles import bisect, planar_gamma_loop, rate_lyapunov_basis, sphere_ratio_max
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -237,6 +237,17 @@ class TestRateLyapunov:
         assert np.allclose(res, -np.eye(2), atol=1e-10)
         assert np.all(np.linalg.eigvalsh(p) > 0)
 
+    def test_matches_symmetric_basis_solve(self, rng):
+        # the generator solve against the hand-built basis solve, orders 2 and 3
+        for n in (2, 2, 3, 3):
+            f = rng.normal(size=(n, n)) - 2.0 * np.eye(n)
+            gs = [0.3 * rng.normal(size=(n, n)) for _ in range(2)]
+            r = random_spd(rng, n)
+            got = solve_rate_lyapunov(f, gs, 0.7, r)
+            want = rate_lyapunov_basis(f, gs, 0.7, r)
+            assert np.array_equal(got, got.T)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
 
 class TestItoGenerator:
     def test_rate_is_the_lyapunov_threshold(self, rng):
@@ -247,8 +258,8 @@ class TestItoGenerator:
             g = 0.3 * rng.normal(size=(2, 2))
             two_alpha = -np.linalg.eigvals(ito_generator(f, [g])).real.max()
             assert two_alpha > 0.0
-            below = solve_rate_lyapunov(f, [g], two_alpha * (1 - 1e-6), np.eye(2))
-            above = solve_rate_lyapunov(f, [g], two_alpha * (1 + 1e-6), np.eye(2))
+            below = rate_lyapunov_basis(f, [g], two_alpha * (1 - 1e-6), np.eye(2))
+            above = rate_lyapunov_basis(f, [g], two_alpha * (1 + 1e-6), np.eye(2))
             assert np.linalg.eigvalsh(below)[0] > 0.0
             assert np.linalg.eigvalsh(above)[0] < 0.0
 
@@ -324,6 +335,70 @@ class TestSynthesize:
         )
 
 
+def _random_planar_loops(rng, count):
+    """(model, K, b, 2*alpha) for random stabilizing planar gains with a positive exact rate."""
+    from sdstab.models import NonlinearPlanarModel
+
+    model = NonlinearPlanarModel(name="planar")
+    out = []
+    while len(out) < count:
+        k2 = rng.uniform(-10.0, -1.0)
+        k = np.array([[0.25 * k2 - rng.uniform(0.5, 10.0), k2]])
+        b = float(np.exp(rng.uniform(np.log(0.02), np.log(5.0))))
+        f = model.A_bar + model.B_hat @ k
+        two_alpha = -np.linalg.eigvals(ito_generator(f, [model.envelope / np.sqrt(b)])).real.max() - b
+        if two_alpha > 0.0:
+            out.append((model, k, b, two_alpha))
+    return out
+
+
+class TestPlanarRate:
+    def test_exact_rate_is_the_planar_lmi_threshold(self, rng):
+        # 2*alpha(K, b) = -max Re eig(L) - b: just below it the rate Lyapunov
+        # solve certifies the planar rate block, just above it no P > 0 exists
+        from sdstab.lmi import assemble_planar_rate
+
+        for model, k, b, two_alpha in _random_planar_loops(rng, 50):
+            a_tilde = model.A_bar + model.B_hat @ k
+            e1 = model.envelope
+            low = two_alpha * (1 - 1e-6)
+            p = solve_rate_lyapunov(a_tilde, [e1 / np.sqrt(b)], b + low, np.eye(2))
+            assert np.linalg.eigvalsh(p)[0] > 0.0
+            assert np.linalg.eigvalsh(assemble_planar_rate(a_tilde, e1, p, 0.5 * low, b))[-1] < 0.0
+            high = two_alpha * (1 + 1e-6)
+            above = rate_lyapunov_basis(a_tilde, [e1 / np.sqrt(b)], b + high, np.eye(2))
+            assert np.linalg.eigvalsh(above)[0] < 0.0
+
+
+class TestPlanarGammaSearch:
+    def test_stacked_search_matches_per_cell_loop(self):
+        # the (l1, l2, c) grid evaluated one stacked round at a time against
+        # the same grid one cell at a time, at two gains
+        from collections import Counter
+
+        from sdstab.design import _planar_gamma_search
+        from sdstab.models import NonlinearPlanarModel
+
+        model = NonlinearPlanarModel(name="planar")
+        for k, b, two_alpha in (([[-8.68, -4.77]], 0.78, 2.94), ([[-3.0, -2.0]], 0.5, 0.6)):
+            k = np.array(k)
+            b_bar = model.B_hat @ k
+            a_tilde = model.A_bar + b_bar
+            alpha_bar = 0.45 * two_alpha
+            p = solve_rate_lyapunov(a_tilde, [model.envelope / np.sqrt(b)], b + 2 * alpha_bar, np.eye(2))
+            p = p * (2.0 / np.trace(p))
+            assert np.linalg.eigvalsh(p)[0] > 0.0
+            rejected = Counter()
+            candidates, cells = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, rejected)
+            assert cells == 9**3 + 2 * 7**3
+            tau, pt, alpha_b, g1, g2, c = candidates[-1]
+            want = planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar)
+            assert tau == pytest.approx(want[0], rel=1e-12)
+            assert pt == pytest.approx(want[1], rel=1e-12) and c == pytest.approx(want[5], rel=1e-12)
+            assert (alpha_b, g1, g2) == pytest.approx(want[2:5], rel=1e-12)
+            assert [t for t, *_ in candidates] == sorted(t for t, *_ in candidates)
+
+
 class TestPlanarSynthesis:
     def test_default_options_beat_floor(self):
         from sdstab.design import synthesize_nonlinear_planar
@@ -331,7 +406,8 @@ class TestPlanarSynthesis:
         from sdstab.models import NonlinearPlanarModel
 
         res = synthesize_nonlinear_planar(DesignOptions())
-        assert res.bound.tau_max >= 0.015
+        assert res.bound.tau_max >= 0.027
+        assert np.linalg.norm(res.gain) < 10.0
         out = verify_planar_certificate(NonlinearPlanarModel(name="planar"), res.certificate, tol=0.0)
         assert out.passed
         # envelope holds for the synthesized closed loop on random states

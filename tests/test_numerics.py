@@ -134,6 +134,22 @@ class TestPencilMaxEig:
         with pytest.raises(DomainError):
             pencil_max_eig(bad, b)
 
+    def test_stacked_denominator_matches_single(self, rng):
+        # numerator and denominator stacks broadcast against each other
+        a = np.array([random_sym(rng, 2) for _ in range(4)]).reshape(4, 1, 2, 2)
+        b = np.array([random_sym(rng, 2) + 4.0 * np.eye(2) for _ in range(3)])
+        lam = pencil_max_eig(a, b)
+        assert lam.shape == (4, 3)
+        for i, j in np.ndindex(4, 3):
+            assert lam[i, j] == pytest.approx(pencil_max_eig(a[i, 0], b[j]), rel=1e-14, abs=1e-14)
+        shared = pencil_max_eig(a[0, 0], b)
+        assert shared.shape == (3,)
+        assert shared == pytest.approx(lam[0], rel=1e-14, abs=1e-14)
+        bad = b.copy()
+        bad[2] = np.diag([1.0, -1.0])
+        with pytest.raises(DomainError):
+            pencil_max_eig(a, bad)
+
     def test_indefinite_denominator_rejected(self):
         with pytest.raises(DomainError):
             pencil_max_eig(np.eye(2), np.diag([1.0, -1.0]))
