@@ -20,8 +20,8 @@ The planar synthesis uses the same exact rate.  Its rate block is the Ito
 rate inequality with diffusion E1/sqrt(b) and an extra shift b, so Nelder-Mead
 over (K, log b) maximizes 2*alpha(K, b), P solves the rate Lyapunov equation at
 alpha_fraction * alpha_max, and each round of the (l1, l2, c) certificate grid
-is one stacked gamma scan.  No design path calls the SDP solver in lmi.  Every
-result is re-verified from raw matrices before it is returned.
+is one stacked gamma scan.  Every result is re-verified from raw matrices
+before it is returned.
 """
 
 from __future__ import annotations
@@ -37,14 +37,8 @@ import numpy as np
 from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau
 from .errors import InfeasibleError, ValidationError
 from .lmi import (
-    AffineMatrixMap,
     LmiCertificate,
-    VariableLayout,
-    assemble_design_rate,
     assemble_lyapunov_ito,
-    build_affine_map,
-    minimize_gevp,  # unused here; perfbench/tracer.py wraps it by name in this module
-    solve_feasibility,  # unused here; perfbench/tracer.py wraps it by name in this module
     verify_design_certificate,
     verify_planar_certificate,
 )
@@ -57,6 +51,9 @@ _GAIN_CAP = 9.9  # |K| bound of the design searches (the quality floor is |K| <=
 _GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
 _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
+
+# perfbench/tracer.py looks these names up by getattr; they go with the tracer's rows (ROADMAP item 1)
+minimize_gevp = solve_feasibility = build_affine_map = None
 
 
 def extract_alpha_b(P, P_tilde, B_bar):
@@ -272,41 +269,6 @@ class DesignResult:
     trace: Dict[str, Any] = field(default_factory=dict)  # floats, or dicts of floats
 
 
-def _q_below_identity(v):
-    """Normalization block Q <= I, read as I - Q."""
-    return np.eye(len(v["Q"])) - v["Q"]
-
-
-def _design_rate_maps(model: LinearSampledModel):
-    """GEVP data for the design rate LMI: numerator diag(Q, 0), denominator the negated rate block."""
-    layout = VariableLayout()
-    layout.add_sym(model.n, "Q")
-    layout.add_full(model.B_hat.shape[1], model.n, "Y")
-    n, k = model.n, len(model.diffusion)
-
-    def num(v):
-        m = np.zeros((n * (1 + k), n * (1 + k)))
-        m[:n, :n] = v["Q"]
-        return m
-
-    def den(v):
-        return -assemble_design_rate(model.A, model.diffusion, model.B_hat, v["Q"], v["Y"], 0.0)
-
-    return (layout, build_affine_map(layout, num), build_affine_map(layout, den),
-            build_affine_map(layout, _q_below_identity))
-
-
-def _rate_feasibility_map(model: LinearSampledModel, layout: VariableLayout, alpha_bar: float):
-    """The design rate block at alpha_bar stacked with Q <= I."""
-
-    def rate(v):
-        return assemble_design_rate(model.A, model.diffusion, model.B_hat, v["Q"], v["Y"], alpha_bar)
-
-    return AffineMatrixMap.blockdiag(
-        build_affine_map(layout, rate), build_affine_map(layout, _q_below_identity)
-    )
-
-
 def solve_rate_lyapunov(F, G_list, two_alpha: float, R) -> Optional[np.ndarray]:
     """Solve F^T P + P F + sum G^T P G + two_alpha P = -R for symmetric P.
 
@@ -502,21 +464,16 @@ def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter
     return (k_hat, out[1], alpha_bar), nfev
 
 
-def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignResult]:
-    """Steps 3-4 plus re-verification for a fixed (Q, Y, alpha_bar).
+def _finish_linear_design(model, k_hat, p, alpha_bar, options) -> Optional[DesignResult]:
+    """Steps 3-4 plus re-verification for a fixed (gain, positive definite P, alpha_bar).
 
-    (Q, Y) is rescaled jointly so trace(Q^{-1}) = n; the gain and every margin
-    sign are invariant, and the certificate comes out at unit scale.
+    P is rescaled to trace n, which leaves every margin sign unchanged, so the
+    certificate comes out at unit scale; its design form is Q = P^{-1}, Y = K Q.
     """
-    p = np.linalg.inv(Q)
-    p = 0.5 * (p + p.T)
-    u = float(np.trace(p)) / model.n
-    if u <= 0.0:
-        return None
-    Q, Y, p = Q * u, Y * u, p / u
-    k_hat = Y @ np.linalg.inv(Q)
-    closed = model.with_gain(k_hat)
-    b_bar = closed.B_bar
+    p = p * (model.n / float(np.trace(p)))
+    q = np.linalg.inv(p)
+    q = 0.5 * (q + q.T)
+    b_bar = model.B_hat @ k_hat
     f = model.A + b_bar
     c_all = np.array(options.c_tilde_candidates())
     p_tilde = c_all[:, None, None] * p  # one cell per c_tilde candidate
@@ -532,7 +489,7 @@ def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignRes
     cert = LmiCertificate(
         alpha_bar=alpha_bar, P=p, P_tilde=c_tilde * p,
         alpha_b=alpha_b, gamma1=g1, gamma2=g2, c_tilde=c_tilde,
-        Q=Q, Y=Y, K_hat=k_hat,
+        Q=q, Y=k_hat @ q, K_hat=k_hat,
     )
     outcome = verify_design_certificate(model, cert, tol=0.0)
     if not outcome.passed:
@@ -540,7 +497,7 @@ def _finish_linear_design(model, Q, Y, alpha_bar, options) -> Optional[DesignRes
     constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
     bound = emulation_bound_two(constants)
     return DesignResult(
-        gain=k_hat, Q=Q, Y=Y, certificate=cert, constants=constants, bound=bound,
+        gain=k_hat, Q=cert.Q, Y=cert.Y, certificate=cert, constants=constants, bound=bound,
         trace={"c_tilde": c_tilde, "gain_norm": float(np.linalg.norm(k_hat))},
     )
 
@@ -568,17 +525,12 @@ def synthesize_feedback(
         )
     alpha_max = 0.5 * two_alpha_max
 
-    def finish(k_hat, p, alpha_bar):
-        q = np.linalg.inv(p)
-        q = 0.5 * (q + q.T)
-        return _finish_linear_design(model, q, k_hat @ q, alpha_bar, options)
-
     t1 = time.perf_counter()
     # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
     point, refine_nfev = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected)
     t2 = time.perf_counter()
-    result = None if point is None else finish(*point)
+    result = None if point is None else _finish_linear_design(model, *point, options)
     fallback = result is None
     if fallback:
         # closed-form candidate: the rate Lyapunov solve at K* with R = I
@@ -586,7 +538,7 @@ def synthesize_feedback(
         p = solve_rate_lyapunov(model.A + model.B_hat @ k_star, model.diffusion, 2.0 * alpha_bar,
                                 np.eye(model.n))
         if p is not None and np.linalg.eigvalsh(p)[0] > 0.0:
-            result = finish(k_star, p, alpha_bar)
+            result = _finish_linear_design(model, k_star, p, alpha_bar, options)
     if result is None:
         raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
     result.trace.update({

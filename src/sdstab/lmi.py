@@ -1,31 +1,24 @@
-"""Affine LMI maps, certificate verification, and a small dense feasibility solver.
+"""Certificate schema, assembled LMI blocks, and certificate verification.
 
 Every verification margin here is literally the largest eigenvalue of an
 explicitly assembled symmetric block matrix, so "margin <= 0" is the matrix
 inequality itself.  Certificates read from files were typically printed to
 4-5 significant digits, so the certificate-level PASS test compares the margin
-against tol * (1 + ||M||_F) with a relative tol (default 1e-2); freshly solved
-points are held to an absolute strictness instead.  Each verify_*_certificate
-assembles its named blocks and hands them to one margin loop, `_outcome`.
-
-The feasibility solver is a projected subgradient method on
-x -> lambda_max(map(x)) with Polyak-style steps, random restarts, and a
-centering pass; its output is never trusted: the final margin is re-verified
-with the Jacobi eigensolver.  The generalized-eigenvalue minimizer bisects on
-lambda over such feasibility subproblems.  No design path calls the solver
-any more: gain synthesis takes its rate from design.ito_generator instead.
+against tol * (1 + ||M||_F) with a relative tol (default 1e-2).  Each
+verify_*_certificate assembles its named blocks and hands them to one margin
+loop, `_outcome`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .bounds import TwoFunctionConstants, emulation_bound_two
-from .errors import DomainError, FormatError, InfeasibleError, ValidationError
+from .errors import DomainError, FormatError, ValidationError
 from .models import LinearSampledModel, Model, NonlinearPlanarModel
 from .numerics import SymMatrix, is_pos_def, lam_max
 
@@ -33,130 +26,6 @@ _CERT_KEYS = {
     "P", "P_tilde", "alpha_bar", "alpha_b", "gamma1", "gamma2",
     "c_tilde", "Q", "Y", "K_hat", "b", "c",
 }
-
-
-# ---------------------------------------------------------------------------
-# affine matrix maps and variable layouts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AffineMatrixMap:
-    """x -> base + sum_i x[i] * coeff_i over symmetric blocks of one order."""
-
-    base: np.ndarray
-    coeffs: Tuple[Tuple[int, np.ndarray], ...]
-    nvars: int
-
-    def __post_init__(self):
-        k = self.base.shape[0]
-        if self.base.shape != (k, k):
-            raise DomainError("map base must be square")
-        for i, c in self.coeffs:
-            if not 0 <= i < self.nvars:
-                raise DomainError(f"coefficient index {i} out of range")
-            if c.shape != (k, k):
-                raise DomainError("all coefficient blocks must share the base order")
-
-    @property
-    def order(self) -> int:
-        return self.base.shape[0]
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        m = self.base.copy()
-        for i, c in self.coeffs:
-            m += x[i] * c
-        return m
-
-    @staticmethod
-    def blockdiag(*maps: "AffineMatrixMap") -> "AffineMatrixMap":
-        """Stack maps sharing one variable space into a block-diagonal map."""
-        nvars = maps[0].nvars
-        if any(m.nvars != nvars for m in maps):
-            raise DomainError("blockdiag requires maps over the same variables")
-        orders = [m.order for m in maps]
-        total = sum(orders)
-        base = np.zeros((total, total))
-        per_var: Dict[int, np.ndarray] = {}
-        off = 0
-        for m, k in zip(maps, orders):
-            base[off:off + k, off:off + k] = m.base
-            for i, c in m.coeffs:
-                blk = per_var.setdefault(i, np.zeros((total, total)))
-                blk[off:off + k, off:off + k] += c
-            off += k
-        coeffs = tuple((i, per_var[i]) for i in sorted(per_var))
-        return AffineMatrixMap(base, coeffs, nvars)
-
-    @staticmethod
-    def combine(a: float, m1: "AffineMatrixMap", b: float, m2: "AffineMatrixMap") -> "AffineMatrixMap":
-        """Entrywise a*m1 + b*m2 (same order, same variable space)."""
-        if m1.order != m2.order or m1.nvars != m2.nvars:
-            raise DomainError("combine requires matching order and variable count")
-        per_var: Dict[int, np.ndarray] = {}
-        for w, m in ((a, m1), (b, m2)):
-            for i, c in m.coeffs:
-                per_var[i] = per_var.get(i, 0.0) + w * c
-        coeffs = tuple((i, np.asarray(c)) for i, c in sorted(per_var.items()))
-        return AffineMatrixMap(a * m1.base + b * m2.base, coeffs, m1.nvars)
-
-
-class VariableLayout:
-    """Registry mapping named symmetric and full matrix variables onto one flat vector."""
-
-    def __init__(self):
-        self._specs = []
-        self._size = 0
-
-    @property
-    def nvars(self) -> int:
-        return self._size
-
-    def add_sym(self, n: int, name: str) -> str:
-        idx = [(i, j) for i in range(n) for j in range(i, n)]
-        self._specs.append(("sym", name, n, self._size, len(idx), idx))
-        self._size += len(idx)
-        return name
-
-    def add_full(self, rows: int, cols: int, name: str) -> str:
-        self._specs.append(("full", name, (rows, cols), self._size, rows * cols, None))
-        self._size += rows * cols
-        return name
-
-    def unpack(self, x: np.ndarray) -> Dict[str, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        out: Dict[str, np.ndarray] = {}
-        for kind, name, shape, off, count, idx in self._specs:
-            chunk = x[off:off + count]
-            if kind == "sym":
-                m = np.zeros((shape, shape))
-                for v, (i, j) in zip(chunk, idx):
-                    m[i, j] = v
-                    m[j, i] = v
-                out[name] = m
-            else:
-                out[name] = chunk.reshape(shape)
-        return out
-
-
-def build_affine_map(layout: VariableLayout, assemble: Callable[[Dict], np.ndarray]) -> AffineMatrixMap:
-    """Turn a numpy block assembler (affine in the variables) into an AffineMatrixMap.
-
-    The assembler is probed at the origin and at unit vectors; the probes pin
-    the base and coefficient blocks exactly since the assembly is affine.
-    """
-    zero = np.zeros(layout.nvars)
-    base = np.asarray(assemble(layout.unpack(zero)), dtype=float)
-    base = 0.5 * (base + base.T)
-    coeffs = []
-    for i in range(layout.nvars):
-        e = zero.copy()
-        e[i] = 1.0
-        c = np.asarray(assemble(layout.unpack(e)), dtype=float) - base
-        c = 0.5 * (c + c.T)
-        if np.abs(c).max(initial=0.0) > 0.0:
-            coeffs.append((i, c))
-    return AffineMatrixMap(base, tuple(coeffs), layout.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +211,6 @@ def assemble_cross_block(F, G_list, B_bar, P, P_tilde, gamma1: float, gamma2: fl
     return 0.5 * (m + m.T)
 
 
-def assemble_cross_schur(F, G_list, B_bar, P, P_tilde, gamma1: float, gamma2: float) -> np.ndarray:
-    """Schur reduction of the cross block over its (2,2) corner.
-
-    Valid (same negativity) when S = B_bar^T P_tilde + P_tilde B_bar + gamma2 P_tilde > 0.
-    """
-    n = np.asarray(P).shape[0]
-    F = _check_square(F, n, "F")
-    B = _check_square(B_bar, n, "B_bar")
-    pt = np.asarray(P_tilde)
-    s = B.T @ pt + pt @ B + gamma2 * pt
-    s = 0.5 * (s + s.T)
-    if not is_pos_def(SymMatrix(s, sym_tol=1e-8)):
-        raise DomainError("Schur corner is not positive definite; use the full block form")
-    gsum = np.zeros((n, n))
-    for G in G_list:
-        gsum = gsum + np.asarray(G).T @ pt @ np.asarray(G)
-    m = gsum - gamma1 * np.asarray(P) + F.T @ pt @ np.linalg.solve(s, pt @ F)
-    return 0.5 * (m + m.T)
-
-
 def assemble_design_rate(A, G_list, B_hat, Q, Y, alpha_bar: float) -> np.ndarray:
     n = np.asarray(Q).shape[0]
     A = _check_square(A, n, "A")
@@ -491,6 +340,28 @@ def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFu
     )
 
 
+def _run_gain(model: Model, cert: LmiCertificate, certified=None) -> Optional[np.ndarray]:
+    """The feedback gain simulate runs for this model and certificate, or None.
+
+    simulate runs the model's K_hat if it has one, else the certificate's
+    K_hat, else the design form's Y Q^{-1} (passed as certified).  Margins for
+    any other gain would certify a loop that is never run, so every gain
+    present must agree with that one to 1e-6 relative.
+    """
+    gains = [(what, k) for what, k in (
+        ("model K_hat", model.K_hat), ("certificate K_hat", cert.K_hat), ("design gain Y Q^{-1}", certified),
+    ) if k is not None]
+    if not gains:
+        return None
+    if model.B_hat is None:
+        raise ValidationError("a certificate K_hat needs a model with an input map B_hat")
+    run_what, run = gains[0]
+    for what, k in gains[1:]:
+        if k.shape != run.shape or np.linalg.norm(k - run) > 1e-6 * (1.0 + np.linalg.norm(run)):
+            raise ValidationError(f"the {what} is not the {run_what} that simulate runs")
+    return run
+
+
 def verify_analysis_certificate(
     model: LinearSampledModel, cert: LmiCertificate, tol: float = 1e-2
 ) -> VerificationOutcome:
@@ -500,7 +371,8 @@ def verify_analysis_certificate(
     B^T P B <= alpha_b P_tilde, and the cross block against diag(g1 P, g2 P_tilde).
     """
     cert = cert.analysis_form()
-    b_bar = model.B_bar if cert.K_hat is None else model.B_hat @ cert.K_hat
+    gain = _run_gain(model, cert)
+    b_bar = model.B_bar if gain is None else model.B_hat @ gain
     if b_bar is None:
         raise ValidationError("model gain is unresolved and the certificate carries no K_hat")
     f = model.A + b_bar
@@ -529,6 +401,7 @@ def verify_design_certificate(
     if cert.Y.shape != (model.B_hat.shape[1], model.n):
         raise DomainError("Y has the wrong shape for this input map")
     a, gs, b, q, y = model.A, model.diffusion, model.B_hat, cert.Q, cert.Y
+    _run_gain(model, cert, certified=np.linalg.solve(q.T, y.T).T)  # the blocks certify Y Q^{-1}
     blocks = {
         "rate": assemble_design_rate(a, gs, b, q, y, cert.alpha_bar),
         "feedback_energy": assemble_design_energy(b, q, y, cert.alpha_b, cert.c_tilde),
@@ -544,7 +417,7 @@ def verify_planar_certificate(
     for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c"):
         if getattr(cert, name) is None:
             raise ValidationError(f"planar certificate is missing {name}")
-    gain = cert.K_hat if cert.K_hat is not None else model.K_hat
+    gain = _run_gain(model, cert)
     if gain is None:
         raise ValidationError("planar certificate needs a gain (K_hat)")
     work = model.with_gain(gain)
@@ -570,180 +443,5 @@ def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) ->
     return verify_analysis_certificate(model, cert, tol)
 
 
-# ---------------------------------------------------------------------------
-# feasibility solver and generalized eigenvalue minimization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SolveReport:
-    status: str  # feasible | infeasible_judged | failed
-    point: np.ndarray
-    margin: float
-    iterations: int
-
-
-def _subgradient_run(base, tensor, idx, x0, iters, strictness):
-    """Minimize lambda_max(base + sum x_i C_i) from x0; returns (best_x, best_f, its)."""
-    x = np.asarray(x0, dtype=float).copy()
-    best_x, best_f = x.copy(), np.inf
-    m0 = base + np.tensordot(x[idx], tensor, axes=(0, 0))
-    w = np.linalg.eigvalsh(m0)
-    delta = 0.25 * (1.0 + abs(float(w[-1])))
-    stall = 0
-    it = 0
-    for it in range(1, iters + 1):
-        m = base + np.tensordot(x[idx], tensor, axes=(0, 0))
-        w, v = np.linalg.eigh(m)
-        f = float(w[-1])
-        if not np.isfinite(f):
-            break
-        if f < best_f - 1e-15:
-            best_f, best_x = f, x.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 20:
-                delta = max(0.5 * delta, 1e-12)
-                stall = 0
-        if best_f <= -1e3 * strictness:
-            break
-        top = v[:, -1]
-        g = np.zeros_like(x)
-        g[idx] = tensor @ top @ top
-        gn = float(g @ g)
-        if gn < 1e-30:
-            break
-        target = min(-2.0 * strictness, best_f - delta)
-        x = x - ((f - target) / gn) * g
-    return best_x, best_f, it
-
-
-def solve_feasibility(
-    amap: AffineMatrixMap,
-    strictness: float = 1e-8,
-    seed: int = 0,
-    restarts: int = 6,
-    iters: int = 400,
-    center_iters: int = 200,
-    initial: Sequence[np.ndarray] = (),
-) -> SolveReport:
-    """Search for x with lambda_max(map(x)) <= -strictness.
-
-    Projected subgradient descent with Polyak-style steps and random restarts,
-    then a centering pass that keeps pushing the margin down from the best
-    point found.  The reported margin is re-verified with the Jacobi
-    eigensolver; solver internals are never trusted.  If no strictly feasible
-    point is found the report says infeasible_judged (best effort, no dual
-    certificate); numerical breakdown yields status "failed".
-    """
-    if amap.nvars < 1:
-        raise DomainError("feasibility search needs at least one variable")
-    idx = np.array([i for i, _ in amap.coeffs], dtype=int)
-    tensor = np.stack([c for _, c in amap.coeffs]) if amap.coeffs else np.zeros((0, amap.order, amap.order))
-    rng = np.random.default_rng(seed)
-    coeff_scale = max(float(np.abs(tensor).max(initial=0.0)), 1e-12)
-    x_scale = (1.0 + float(np.abs(amap.base).max())) / coeff_scale
-
-    starts = [np.asarray(v, dtype=float) for v in initial]
-    starts.append(np.zeros(amap.nvars))
-    while len(starts) < max(restarts, 1):
-        starts.append(rng.normal(scale=x_scale, size=amap.nvars))
-
-    best_x, best_f = starts[0], np.inf
-    total = 0
-    saw_finite = False
-    for x0 in starts:
-        bx, bf, it = _subgradient_run(amap.base, tensor, idx, x0, iters, strictness)
-        total += it
-        if np.isfinite(bf):
-            saw_finite = True
-            if bf < best_f:
-                best_f, best_x = bf, bx
-        if best_f <= -1e3 * strictness:
-            break
-    if not saw_finite:
-        return SolveReport(status="failed", point=best_x, margin=np.inf, iterations=total)
-
-    bx, bf, it = _subgradient_run(amap.base, tensor, idx, best_x, center_iters, strictness)
-    total += it
-    if bf < best_f:
-        best_f, best_x = bf, bx
-
-    margin = lam_max(SymMatrix(amap.value(best_x), sym_tol=1e-8))
-    status = "feasible" if margin <= -strictness else "infeasible_judged"
-    return SolveReport(status=status, point=best_x, margin=margin, iterations=total)
-
-
-@dataclass(frozen=True)
-class GevpResult:
-    lam: float
-    point: np.ndarray
-    feasibility_margin: float
-
-
-def minimize_gevp(
-    numerator: AffineMatrixMap,
-    denominator: AffineMatrixMap,
-    extra: Optional[AffineMatrixMap] = None,
-    lam_lo: float = 1e-6,
-    lam_hi: float = 1e6,
-    iters: int = 60,
-    strictness: float = 1e-8,
-    seed: int = 0,
-    denominator_floor: float = 1e-6,
-) -> GevpResult:
-    """Smallest lambda with numerator(x) <= lambda * denominator(x), denominator(x) > 0.
-
-    Log-scale bisection on lambda over feasibility subproblems; candidate
-    points with an indefinite denominator are rejected by the floor block
-    denominator >= floor * I, so the bisection simply continues past them.
-    ``extra`` appends normalization blocks (e.g. Q >= I) to every subproblem.
-    """
-    if numerator.nvars != denominator.nvars:
-        raise DomainError("numerator and denominator must share one variable space")
-    fixed = numerator.nvars == 0
-
-    last_point: Optional[np.ndarray] = None
-    last_margin = np.inf
-
-    def feasible(lam: float) -> bool:
-        nonlocal last_point, last_margin
-        shifted = AffineMatrixMap.combine(1.0, numerator, -lam, denominator)
-        if fixed:
-            dmin = float(np.linalg.eigvalsh(denominator.base).min())
-            if dmin <= 0.0:
-                return False
-            ok = lam_max(SymMatrix(shifted.value(np.zeros(0)), sym_tol=1e-8)) <= 0.0
-            if ok:
-                last_point = np.zeros(0)
-                last_margin = 0.0
-            return ok
-        floor = AffineMatrixMap.combine(
-            -1.0, denominator, 0.0, denominator
-        )
-        floor = AffineMatrixMap(
-            floor.base + denominator_floor * np.eye(denominator.order), floor.coeffs, floor.nvars
-        )
-        blocks = [shifted, floor] + ([extra] if extra is not None else [])
-        prob = AffineMatrixMap.blockdiag(*blocks)
-        warm = [last_point] if last_point is not None else []
-        rep = solve_feasibility(prob, strictness=strictness, seed=seed, initial=warm)
-        if rep.status == "feasible":
-            last_point, last_margin = rep.point, rep.margin
-            return True
-        return False
-
-    if not feasible(lam_hi):
-        raise InfeasibleError(f"no feasible lambda in [{lam_lo:g}, {lam_hi:g}]")
-    if feasible(lam_lo):
-        return GevpResult(lam=lam_lo, point=last_point, feasibility_margin=last_margin)
-
-    lo, hi = lam_lo, lam_hi
-    hi_point, hi_margin = last_point, last_margin
-    for _ in range(iters):
-        mid = float(np.sqrt(lo * hi))
-        if feasible(mid):
-            hi, hi_point, hi_margin = mid, last_point, last_margin
-        else:
-            lo = mid
-    return GevpResult(lam=hi, point=hi_point, feasibility_margin=hi_margin)
+# perfbench/tracer.py looks this name up by getattr; it goes with the tracer's rows (ROADMAP item 1)
+solve_feasibility = None

@@ -190,7 +190,8 @@ class TestExitCodes:
         "traj_out_unwritable", "stats_out_unwritable",
         "report_out_unwritable", "curve_out_unwritable",
         "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
-        "report_generic_overflow",
+        "report_generic_overflow", "cert_k_hat_not_certified", "model_k_hat_not_certified",
+        "cert_k_hat_without_input_map",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -226,6 +227,14 @@ class TestExitCodes:
             "c_tilde_sweep": lambda: design + ["--c-tilde", "sweep:1,x"],
             "cert_scalar": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json",
                                     "--cert", patched("cert_ex1_sub1_analysis", alpha_b="x")],
+            # simulate runs the model's K_hat, else the certificate's, else Y Q^{-1}:
+            # verify refuses a pair whose gains disagree, or a gain the model cannot run
+            "cert_k_hat_not_certified": lambda: ["verify", "--model", f"{FX}/ex1_sub1_control.json", "--cert",
+                                                 patched("cert_ex1_sub1_design", K_hat=[[0.0, 0.0]])],
+            "cert_k_hat_without_input_map": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json", "--cert",
+                                                     patched("cert_ex1_sub1_analysis", K_hat=[[0.0, 0.0]])],
+            "model_k_hat_not_certified": lambda: ["verify", "--model", patched("ex1_sub1_control", K_hat=[[0.0, 0.0]]),
+                                                  "--cert", f"{FX}/cert_ex1_sub1_design.json"],
             "model_A": lambda: verify(A="zz"),
             "model_x0": lambda: verify(x0=["a", 1]),
             "model_diffusion": lambda: verify(diffusion=5),

@@ -283,6 +283,21 @@ class TestExactRateDesign:
             assert np.linalg.norm(res.gain) <= 10.0
             assert verify_design_certificate(model, res.certificate, tol=0.0).passed
 
+    def test_fallback_certificate_at_unit_scale(self, monkeypatch):
+        # with no refined point, the design falls back to the R = I Lyapunov
+        # solve at K*, whose P is rescaled to trace n like the refined one
+        import sdstab.design as design
+
+        monkeypatch.setattr(design, "_refine_gain", lambda *args: (None, 0))
+        model = load_model(FIXTURES / "ex1_sub1_control.json")
+        res = synthesize_feedback(model)
+        cert = res.certificate
+        assert res.trace["fallback"] == 1.0
+        assert np.trace(cert.P) == pytest.approx(model.n, rel=1e-12)
+        assert cert.Q @ cert.P == pytest.approx(np.eye(model.n), abs=1e-12)
+        assert cert.K_hat is res.gain and cert.Y == pytest.approx(res.gain @ cert.Q, rel=1e-15)
+        assert verify_design_certificate(model, cert, tol=0.0).passed
+
     def test_alpha_fraction_outside_unit_interval_rejected(self):
         for bad in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValidationError):

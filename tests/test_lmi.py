@@ -3,18 +3,11 @@ import pytest
 import scipy.linalg
 
 from sdstab.design import extract_alpha_u
-from sdstab.errors import DomainError, InfeasibleError, ValidationError
+from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
-    AffineMatrixMap,
     LmiCertificate,
-    VariableLayout,
-    assemble_cross_block,
-    assemble_cross_schur,
     assemble_design_rate,
-    build_affine_map,
     load_certificate,
-    minimize_gevp,
-    solve_feasibility,
     verify_analysis_certificate,
     verify_certificate,
     verify_design_certificate,
@@ -23,7 +16,7 @@ from sdstab.lmi import (
     verify_planar_certificate,
 )
 from sdstab.models import load_model
-from sdstab.numerics import lam_max, sym_eig
+from sdstab.numerics import lam_max
 
 
 def random_hurwitz(rng, n):
@@ -105,6 +98,31 @@ class TestReportedCertificates:
         )
         assert out2.passed
         assert np.linalg.norm(k_hat) == pytest.approx(5.5106, abs=1e-3)
+
+    def test_every_gain_on_hand_is_the_one_simulate_runs(self, fixtures):
+        # simulate runs the model's K_hat, else the certificate's, else Y Q^{-1};
+        # verify must check that gain, or refuse the pair when two gains differ
+        import dataclasses
+
+        ctl = load_model(fixtures / "ex1_sub1_control.json")
+        design = load_certificate(fixtures / "cert_ex1_sub1_design.json")
+        k = design.Y @ np.linalg.inv(design.Q)
+        assert verify_certificate(ctl, dataclasses.replace(design, K_hat=k * (1 + 1e-9))).passed
+        assert verify_certificate(ctl.with_gain(k * (1 + 1e-9)), design).passed
+        analysis = dataclasses.replace(design.analysis_form(), Q=None, Y=None)
+        planar = load_certificate(fixtures / "cert_planar.json")
+        refused = [
+            (ctl, dataclasses.replace(design, K_hat=np.zeros((1, 2)))),
+            (ctl, dataclasses.replace(design, K_hat=k * (1 + 1e-5))),
+            (ctl, dataclasses.replace(design, K_hat=np.zeros((2, 2)))),
+            (ctl.with_gain(np.zeros((1, 2))), design),
+            (ctl.with_gain(np.zeros((1, 2))), dataclasses.replace(analysis, K_hat=k)),
+            (load_model(fixtures / "ex1_sub1.json"), dataclasses.replace(analysis, K_hat=k)),
+            (load_model(fixtures / "planar.json").with_gain(np.zeros((1, 2))), planar),
+        ]
+        for model, cert in refused:
+            with pytest.raises(ValidationError):
+                verify_certificate(model, cert)
 
     def test_planar_pass(self, fixtures):
         model = load_model(fixtures / "planar.json")
@@ -199,92 +217,6 @@ class TestReportedCertificates:
         # d margin / d b is bounded by ||P|| + ||E1' P E1|| / b^2 on this range
         lip = np.linalg.norm(p, 2) + np.linalg.norm(model.envelope.T @ p @ model.envelope, 2) / 0.3**2
         assert np.abs(np.diff(vals)).max() <= lip * (bs[1] - bs[0]) * 1.01
-
-
-class TestSchurVsBlock:
-    def test_sign_agreement_on_fixtures(self, fixtures):
-        for mname, cname in (
-            ("ex1_sub1", "cert_ex1_sub1_analysis"),
-            ("ex1_sub2", "cert_ex1_sub2_analysis"),
-        ):
-            model = load_model(fixtures / f"{mname}.json")
-            cert = load_certificate(fixtures / f"{cname}.json")
-            f = model.A + model.B_bar
-            block = assemble_cross_block(
-                f, model.diffusion, model.B_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
-            )
-            schur = assemble_cross_schur(
-                f, model.diffusion, model.B_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
-            )
-            assert (lam_max(block) <= 0) == (lam_max(schur) <= 0)
-
-
-class TestSolveFeasibility:
-    def test_one_variable(self):
-        amap = AffineMatrixMap(np.diag([1.0, -1.0]), ((0, -np.eye(2)),), 1)
-        rep = solve_feasibility(amap, strictness=1e-8, seed=0)
-        assert rep.status == "feasible"
-        assert rep.point[0] >= 1.0 + 1e-8
-        assert rep.margin == pytest.approx(1.0 - rep.point[0], abs=1e-12)
-
-    def test_lyapunov_feasibility(self):
-        layout = VariableLayout()
-        layout.add_sym(2, "P")
-        a = -np.eye(2)
-        main = build_affine_map(layout, lambda v: a.T @ v["P"] + v["P"] @ a + v["P"])
-        floor = build_affine_map(layout, lambda v: 1e-6 * np.eye(2) - v["P"])
-        rep = solve_feasibility(AffineMatrixMap.blockdiag(main, floor), strictness=1e-8)
-        assert rep.status == "feasible"
-        p = layout.unpack(rep.point)["P"]
-        assert np.all(np.linalg.eigvalsh(p) > 0)
-
-    def test_contradictory_judged_infeasible(self):
-        layout = VariableLayout()
-        layout.add_sym(2, "P")
-        m1 = build_affine_map(layout, lambda v: np.eye(2) - v["P"])
-        m2 = build_affine_map(layout, lambda v: np.eye(2) + v["P"])
-        rep = solve_feasibility(AffineMatrixMap.blockdiag(m1, m2), strictness=1e-8)
-        assert rep.status == "infeasible_judged"
-
-    def test_margin_reverified_by_jacobi(self):
-        amap = AffineMatrixMap(np.diag([1.0, -1.0]), ((0, -np.eye(2)),), 1)
-        rep = solve_feasibility(amap, strictness=1e-8, seed=3)
-        direct = float(sym_eig(amap.value(rep.point)).eigenvalues[-1])
-        assert rep.margin == direct
-
-
-class TestMinimizeGevp:
-    def test_fixed_pencil(self):
-        num = AffineMatrixMap(np.diag([2.0, 8.0]), (), 0)
-        den = AffineMatrixMap(np.diag([1.0, 4.0]), (), 0)
-        res = minimize_gevp(num, den)
-        assert res.lam == pytest.approx(2.0, abs=1e-8)
-
-    def test_scaling(self):
-        den = AffineMatrixMap(np.diag([1.0, 4.0]), (), 0)
-        base = minimize_gevp(AffineMatrixMap(np.diag([2.0, 8.0]), (), 0), den).lam
-        for alpha in (0.5, 2.0):
-            scaled = minimize_gevp(AffineMatrixMap(alpha * np.diag([2.0, 8.0]), (), 0), den).lam
-            assert scaled == pytest.approx(alpha * base, abs=1e-8)
-
-    def test_indefinite_denominator_rejected(self):
-        num = AffineMatrixMap(np.eye(2), (), 0)
-        den = AffineMatrixMap(np.diag([1.0, -1.0]), (), 0)
-        with pytest.raises(InfeasibleError):
-            minimize_gevp(num, den, lam_hi=10.0)
-
-    def test_step1_consistency(self, fixtures):
-        # the returned rate is usable: a solve at 90% of the implied maximum
-        # decay stays feasible
-        from sdstab.design import _design_rate_maps, _rate_feasibility_map
-
-        model = load_model(fixtures / "ex1_sub1_control.json")
-        layout, num, den, norm = _design_rate_maps(model)
-        res = minimize_gevp(num, den, extra=norm, seed=0)
-        alpha_bar = 0.45 / res.lam  # 0.9 * (1/lam) / 2
-        prob = _rate_feasibility_map(model, layout, alpha_bar)
-        rep = solve_feasibility(prob, strictness=1e-8, seed=0, initial=[res.point])
-        assert rep.status == "feasible"
 
 
 class TestCertificateSchema:
