@@ -28,11 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
-from .numerics import bracket_root, find_root
+from .errors import DomainError, InfeasibleError, NumericalFailure
 
 _Q_FLOOR = 1e-300  # open-left brackets are closed at a representable positive value
 _ROOT_TOL = 1e-14
+
+# perfbench/tracer.py looks this name up by getattr; it goes with the tracer's rows (ROADMAP item 1)
+find_root = None
 
 
 def _require_positive(**kwargs) -> None:
@@ -152,7 +154,7 @@ def htau_generic(q: float, g: GainConstants) -> float:
     """Generic interval bound tau(q) = -ln q / ((alpha1 q)^{-1} alpha2 alphat1 + alphat2)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return -math.log(q) / (g.alpha2 * g.alphat1 / (g.alpha1 * q) + g.alphat2)
+    return -math.log(q) / (g.alpha2 * g.alphat1 / g.alpha1 / q + g.alphat2)  # alpha1 * q may underflow
 
 
 def solve_qhat_star(g: GainConstants, q_hat: Optional[float] = None) -> SamplingBoundResult:
@@ -249,10 +251,22 @@ def emulation_bound_single(c: EmulationConstants) -> SamplingBoundResult:
     """Single-V bound: solve the stationarity equation, apply the KKT closed form.
 
     b1* = sqrt(ab af) / (a sqrt(q*) + sqrt(ab)), b2* = sqrt(ab) / (a sqrt(q*)),
-    and tau_max = tau(q*, b1*, b2*), the maximum of the full surface.
+    and tau_max = tau(q*, b1*, b2*), the maximum of the full surface.  q* is
+    found by Brent's method on [_Q_FLOOR, 1/e]; DomainError when an endpoint
+    value is not finite or the endpoints do not straddle a sign change.
     """
+    from scipy.optimize import brentq  # imported here so `import sdstab.cli` loads no scipy
+
     f = lambda q: single_v_stationarity(q, c)
-    q_star = find_root(f, bracket_root(f, _Q_FLOOR, math.exp(-1.0)), tol=_ROOT_TOL)
+    lo, hi = _Q_FLOOR, math.exp(-1.0)
+    f_lo, f_hi = f(lo), f(hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise DomainError(f"stationarity condition is not finite at the bracket ends ({f_lo:g}, {f_hi:g})")
+    if f_lo * f_hi > 0.0:
+        raise DomainError("stationarity condition does not change sign on (0, 1/e)")
+    q_star, info = brentq(f, lo, hi, xtol=_ROOT_TOL, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalFailure(f"stationarity root not found: {info.flag}")
     a, ab, af = c.alpha_bar, c.alpha_b, c.alpha_f
     r = a * math.sqrt(q_star)
     b1 = math.sqrt(ab * af) / (r + math.sqrt(ab))

@@ -166,6 +166,8 @@ def cmd_bound(args, argv) -> int:
             cond = check_condition_iii(g)
             if not cond.ok:
                 raise InfeasibleError(f"condition value {cond.value:.6g} >= 1")
+            if not cond.value < args.q < 1.0:  # NaN fails too
+                raise DomainError(f"q must lie in ({cond.value:.6g}, 1), got {args.q}")
             res_tau = htau_generic(args.q, g)
             result = {"tau_max": res_tau, "q_star": args.q, "provenance": "generic-at-q"}
         else:
@@ -290,20 +292,6 @@ def reverify_report(report: dict) -> dict:
 # design
 # ---------------------------------------------------------------------------
 
-def _parse_c_tilde(text: str):
-    """--c-tilde: a number, 'free' (None: automatic sweep) or 'sweep:v1,v2,...'."""
-    if text == "free":
-        return None
-    sweep = text.startswith("sweep:")
-    try:
-        values = [float(v) for v in text[len("sweep:"):].split(",") if v] if sweep else [float(text)]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected a number, 'free' or 'sweep:v1,v2,...', got {text!r}")
-    return values if sweep else values[0]
-
-
 def _parse_fraction(text: str) -> float:
     """--alpha-fraction: a number strictly between 0 and 1."""
     try:
@@ -326,7 +314,7 @@ def cmd_design(args, argv) -> int:
     report = _report_skeleton("design", argv)
     model = load_model(args.model)
     report["inputs"] = {"model": {"path": str(args.model), "sha256": _sha256(args.model)}}
-    options = DesignOptions(c_tilde=args.c_tilde, alpha_fraction=args.alpha_fraction)
+    options = DesignOptions(alpha_fraction=args.alpha_fraction)
     t0 = time.perf_counter()
     if isinstance(model, NonlinearPlanarModel):
         result = synthesize_nonlinear_planar(options, model=model)
@@ -351,8 +339,6 @@ def cmd_design(args, argv) -> int:
     _print_kv("tau_max", result.bound.tau_max)
     _print_kv("gain_norm", float(np.linalg.norm(result.gain)))
     print(f"K_hat = {result.gain.tolist()}")
-    if "c_tilde" in result.trace:
-        _print_kv("c_tilde", result.trace["c_tilde"])
     if args.cert_out:
         _save(args.cert_out, partial(save_certificate, result.certificate))
         print(f"certificate written to {args.cert_out}")
@@ -611,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="synthesize a state-feedback gain")
     p.add_argument("--model", required=True)
-    p.add_argument("--c-tilde", dest="c_tilde", type=_parse_c_tilde, default=1.0,
-                   help="number, 'free', or 'sweep:v1,v2,...'")
     p.add_argument("--alpha-fraction", dest="alpha_fraction", type=_parse_fraction, default=0.9,
                    help="share of the largest certifiable rate, in (0, 1): the starting point "
                         "of the linear rate search, the fixed share for the planar plant")

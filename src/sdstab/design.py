@@ -30,7 +30,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -125,16 +125,6 @@ def _gamma1_at(terms, gamma2) -> np.ndarray:
     return np.where(ok, np.linalg.eigvalsh(lhs)[..., -1], np.nan).reshape(g2.shape)
 
 
-def _gamma1_min(F, G_list, B_bar, P, P_tilde, gamma2, lhs_extra=None, shift22=0.0) -> np.ndarray:
-    """Least gamma1 making the cross block feasible at each gamma2 (NaN where none).
-
-    The Schur complement over the (2,2) corner
-    S = B^T Pt + Pt B + (gamma2 - shift22) Pt, which must be positive
-    definite, evaluated through _schur_terms; see _gamma1_at for the shapes.
-    """
-    return _gamma1_at(_schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra, shift22)[1:], gamma2)
-
-
 def _log_grid(lo, hi, num: int) -> np.ndarray:
     """num log-spaced points from lo to hi, one row per element of lo (hi broadcasts)."""
     return lo[:, None] * (hi / lo)[:, None] ** (np.arange(num) / (num - 1))
@@ -204,56 +194,22 @@ def _best_gamma_pair(
     return tuple(out)
 
 
-def fit_gamma(
-    model: LinearSampledModel,
-    P,
-    P_tilde,
-    alpha_bar: Optional[float] = None,
-    alpha_b: Optional[float] = None,
-    scan: Tuple[float, float] = _GAMMA_SCAN,
-) -> Tuple[float, float]:
-    """Feasible cross-gain pair for the two-function cross block.
-
-    The pair maximizes the resulting sampling bound over the scan box.
-    alpha_bar defaults to the largest rate this P certifies, alpha_b to its
-    exact pencil extraction.
-    """
-    b_bar = model.B_bar
-    if b_bar is None:
-        raise ValidationError("fit_gamma needs a resolved feedback matrix")
-    f = model.A + b_bar
-    if alpha_bar is None:
-        cap = -0.5 * pencil_max_eig(assemble_lyapunov_ito(f, model.diffusion, P, 0.0), P)
-        if cap <= 0:
-            raise InfeasibleError("P certifies no positive decay rate for this loop")
-        alpha_bar = 0.999 * cap
-    if alpha_b is None:
-        alpha_b = max(extract_alpha_b(P, P_tilde, b_bar) * (1 + _INFLATE), _TINY)
-    g1, g2, _ = _best_gamma_pair(f, model.diffusion, b_bar, P, P_tilde, alpha_bar, alpha_b, scan)
-    return g1, g2
-
-
 @dataclass(frozen=True)
 class DesignOptions:
-    """Knobs for gain synthesis.
+    """Settings for gain synthesis.
 
-    c_tilde: a number, a sweep of numbers, or None for an automatic log sweep
-    (the cyber/physical certificate ratio; free for deterministic plants).
+    alpha_fraction, in (0, 1), is the share of the largest certifiable rate:
+    the starting point of the linear rate search, and the fixed share of the
+    planar design.  The cyber certificate of a linear design is P_tilde = P;
+    the bound depends on it only through alpha_b * gamma1 and gamma2, which a
+    rescaling P_tilde = c P leaves unchanged.
     """
 
-    c_tilde: Union[float, Sequence[float], None] = 1.0
     alpha_fraction: float = 0.9
 
     def __post_init__(self):
         if not 0.0 < self.alpha_fraction < 1.0:  # NaN fails too
             raise ValidationError(f"alpha_fraction must lie in (0, 1), got {self.alpha_fraction!r}")
-
-    def c_tilde_candidates(self) -> Tuple[float, ...]:
-        if self.c_tilde is None:
-            return tuple(np.exp(np.linspace(math.log(0.05), math.log(50.0), 13)))
-        if np.isscalar(self.c_tilde):
-            return (float(self.c_tilde),)
-        return tuple(float(v) for v in self.c_tilde)
 
 
 @dataclass(frozen=True)
@@ -261,8 +217,6 @@ class DesignResult:
     """Synthesized gain with its re-verified certificate and sampling bound."""
 
     gain: np.ndarray
-    Q: np.ndarray
-    Y: np.ndarray
     certificate: LmiCertificate
     constants: TwoFunctionConstants
     bound: SamplingBoundResult
@@ -464,41 +418,35 @@ def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter
     return (k_hat, out[1], alpha_bar), nfev
 
 
-def _finish_linear_design(model, k_hat, p, alpha_bar, options) -> Optional[DesignResult]:
+def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
     """Steps 3-4 plus re-verification for a fixed (gain, positive definite P, alpha_bar).
 
     P is rescaled to trace n, which leaves every margin sign unchanged, so the
-    certificate comes out at unit scale; its design form is Q = P^{-1}, Y = K Q.
+    certificate comes out at unit scale; its design form is Q = P^{-1}, Y = K Q,
+    with c_tilde = 1 (P_tilde = P).
     """
     p = p * (model.n / float(np.trace(p)))
     q = np.linalg.inv(p)
     q = 0.5 * (q + q.T)
     b_bar = model.B_hat @ k_hat
     f = model.A + b_bar
-    c_all = np.array(options.c_tilde_candidates())
-    p_tilde = c_all[:, None, None] * p  # one cell per c_tilde candidate
-    alpha_b = np.maximum(extract_alpha_b(p, p_tilde, b_bar) * (1 + _INFLATE), _TINY)
+    alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
     try:
-        g1, g2, tau = _best_gamma_pair(
-            f, model.diffusion, b_bar, p, p_tilde, alpha_bar, alpha_b, _GAMMA_SCAN
-        )
+        g1, g2, _ = _best_gamma_pair(f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b, _GAMMA_SCAN)
     except InfeasibleError:
         return None
-    i = int(np.argmax(tau))
-    c_tilde, alpha_b, g1, g2 = float(c_all[i]), float(alpha_b[i]), float(g1[i]), float(g2[i])
     cert = LmiCertificate(
-        alpha_bar=alpha_bar, P=p, P_tilde=c_tilde * p,
-        alpha_b=alpha_b, gamma1=g1, gamma2=g2, c_tilde=c_tilde,
+        alpha_bar=alpha_bar, P=p, P_tilde=p,
+        alpha_b=alpha_b, gamma1=g1, gamma2=g2, c_tilde=1.0,
         Q=q, Y=k_hat @ q, K_hat=k_hat,
     )
     outcome = verify_design_certificate(model, cert, tol=0.0)
     if not outcome.passed:
         return None
     constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
-    bound = emulation_bound_two(constants)
     return DesignResult(
-        gain=k_hat, Q=cert.Q, Y=cert.Y, certificate=cert, constants=constants, bound=bound,
-        trace={"c_tilde": c_tilde, "gain_norm": float(np.linalg.norm(k_hat))},
+        gain=k_hat, certificate=cert, constants=constants, bound=emulation_bound_two(constants),
+        trace={"gain_norm": float(np.linalg.norm(k_hat))},
     )
 
 
@@ -530,7 +478,7 @@ def synthesize_feedback(
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
     point, refine_nfev = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected)
     t2 = time.perf_counter()
-    result = None if point is None else _finish_linear_design(model, *point, options)
+    result = None if point is None else _finish_linear_design(model, *point)
     fallback = result is None
     if fallback:
         # closed-form candidate: the rate Lyapunov solve at K* with R = I
@@ -538,7 +486,7 @@ def synthesize_feedback(
         p = solve_rate_lyapunov(model.A + model.B_hat @ k_star, model.diffusion, 2.0 * alpha_bar,
                                 np.eye(model.n))
         if p is not None and np.linalg.eigvalsh(p)[0] > 0.0:
-            result = _finish_linear_design(model, k_star, p, alpha_bar, options)
+            result = _finish_linear_design(model, k_star, p, alpha_bar)
     if result is None:
         raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
     result.trace.update({
@@ -655,11 +603,9 @@ def synthesize_nonlinear_planar(
         rejected["verify"] += 1
     else:
         raise InfeasibleError("no feasible planar candidate over the (l1, l2, c) box passed re-verification")
-    q = np.linalg.inv(p)
-    q = 0.5 * (q + q.T)
     constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
     return DesignResult(
-        gain=k_hat, Q=q, Y=k_hat @ q, certificate=cert, constants=constants,
+        gain=k_hat, certificate=cert, constants=constants,
         bound=emulation_bound_two(constants),
         trace={
             "b": b, "c": c, "gain_norm": float(np.linalg.norm(k_hat)),

@@ -1,19 +1,19 @@
-"""Dense small-matrix linear algebra and scalar root finding.
+"""Dense small-matrix linear algebra.
 
 Everything here targets the small symmetric matrices (order <= ~10) that
 appear in quadratic stability certificates: a cyclic Jacobi eigensolver and
 positive-definiteness predicate, used only for verification margins so that
 certificates are checked by an eigensolver the design search does not use;
-the LAPACK inverse square root B^{-1/2} and symmetric-pencil maximum
+and the LAPACK inverse square root B^{-1/2} and symmetric-pencil maximum
 eigenvalue lambda_max(B^{-1/2} A B^{-1/2}), for one matrix or a broadcast
-stack of them, behind every envelope constant and design search step; and
-the bracketed root finder with secant acceleration of the single-V bound.  All functions are pure and thread-safe.
+stack of them, behind every envelope constant and design search step.  All
+functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .errors import DomainError, NumericalFailure
 ArrayLike = Union[np.ndarray, "SymMatrix", list, tuple]
 
 _JACOBI_MAX_SWEEPS = 100
-_DEFAULT_ROOT_TOL = 1e-12
-_ROOT_MAX_ITER = 256
-_EPS = float(np.finfo(float).eps)
 
 
 class SymMatrix:
@@ -67,29 +64,6 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-changing interval [lo, hi] with cached endpoint values."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or not self.lo < self.hi:
-            raise DomainError(f"invalid bracket endpoints [{self.lo}, {self.hi}]")
-        if not (np.isfinite(self.f_lo) and np.isfinite(self.f_hi)):
-            raise DomainError("bracket endpoint values must be finite")
-        if self.f_lo * self.f_hi > 0.0:
-            raise DomainError("bracket endpoints do not straddle a sign change")
-
-
-def bracket_root(f: Callable[[float], float], lo: float, hi: float) -> Bracket:
-    """Evaluate f at the endpoints and build a Bracket (validating the sign change)."""
-    return Bracket(lo, hi, float(f(lo)), float(f(hi)))
 
 
 def _as_sym_array(s: ArrayLike, sym_tol: float = 1e-9) -> np.ndarray:
@@ -203,55 +177,3 @@ def pencil_max_eig(a: ArrayLike, b: ArrayLike):
     if not np.isfinite(lam).all():
         raise DomainError("pencil eigenvalue is not finite")
     return float(lam) if lam.ndim == 0 else lam
-
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = _DEFAULT_ROOT_TOL,
-    max_iter: int = _ROOT_MAX_ITER,
-) -> float:
-    """Root of f inside a sign-changing bracket.
-
-    Bisection with a secant acceleration step; terminates when the bracket
-    width falls below ``tol`` (absolute, on the argument) or an exact zero is
-    hit.  The returned root never leaves the initial bracket.
-    """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-
-    for _ in range(max_iter):
-        # stop at tol, or at the floating-point spacing of the endpoints
-        if hi - lo <= max(tol, 4.0 * _EPS * max(abs(lo), abs(hi))):
-            return 0.5 * (lo + hi)
-        width = hi - lo
-        x = 0.5 * (lo + hi)
-        if fhi != flo:
-            sec = (lo * fhi - hi * flo) / (fhi - flo)
-            # accept the secant point only if it is safely interior
-            gap = 0.01 * width
-            if lo + gap < sec < hi - gap:
-                x = sec
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo > 0.5 * width:
-            # secant made poor progress; force a bisection step
-            mid = 0.5 * (lo + hi)
-            fm = float(f(mid))
-            if fm == 0.0:
-                return mid
-            if flo * fm < 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-    raise NumericalFailure(f"root finder exceeded {max_iter} iterations (width {hi - lo:g})")

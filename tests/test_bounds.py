@@ -56,6 +56,9 @@ class TestHtauGeneric:
     def test_no_coupling_branch(self):
         g = GainConstants(1, 0, 0, 2)
         assert htau_generic(1 / E, g) == pytest.approx(0.5, rel=1e-12)
+        # alpha1 * q underflows to 0 here; the uncoupled bound is still -ln q / alphat2
+        g = GainConstants(1e-300, 0, 0, 2)
+        assert htau_generic(1e-300, g) == pytest.approx(-math.log(1e-300) / 2, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -146,6 +149,20 @@ class TestEmulationBoundSingle:
             a, ab, af = np.exp(rng.uniform(np.log(0.1), np.log(10), size=3))
             res = emulation_bound_single(EmulationConstants(a, ab, af))
             assert 0.0 < res.q_star < 1 / E
+
+    def test_root_matches_bisection_oracle(self, rng):
+        # the stationarity root over wide lognormal constants, against plain bisection
+        for _ in range(50):
+            c = EmulationConstants(*np.exp(rng.normal(0.0, 3.0, size=3)))
+            f = lambda q: single_v_stationarity(q, c)
+            oracle = bisect(f, 1e-300, 1 / E)
+            assert emulation_bound_single(c).q_star == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+    def test_unrepresentable_constants_raise(self):
+        # sqrt(alpha_b * alpha_f) overflows, so the stationarity condition is
+        # NaN at q = 1/e: a typed DomainError, not an untyped root-finder error
+        with pytest.raises(DomainError):
+            emulation_bound_single(EmulationConstants(1.0, 1e300, 1e300))
 
     def test_curve_maximality(self):
         c = EmulationConstants(1.7, 0.4, 2.2)

@@ -183,7 +183,7 @@ class TestExitCodes:
                     "--cert", f"{FX}/cert_ex1_sub1_analysis.json"]) == 3
 
     @pytest.mark.parametrize("case", [
-        "x0_flag", "x0_nan", "c_tilde_flag", "c_tilde_sweep", "cert_scalar", "model_A",
+        "x0_flag", "x0_nan", "c_tilde_flag", "cert_scalar", "model_A",
         "model_x0", "model_diffusion", "report_list", "report_no_constants",
         "constants_file", "verify_tol_nan", "report_decay_number", "report_command_number",
         "report_tau_text", "report_name_number", "bound_out_unwritable", "verify_out_unwritable",
@@ -191,7 +191,7 @@ class TestExitCodes:
         "report_out_unwritable", "curve_out_unwritable",
         "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
         "report_generic_overflow", "cert_k_hat_not_certified", "model_k_hat_not_certified",
-        "cert_k_hat_without_input_map",
+        "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -223,8 +223,8 @@ class TestExitCodes:
         argv = {
             "x0_flag": lambda: simulate + ["--x0", "a,b"],
             "x0_nan": lambda: simulate + ["--x0", "nan,1"],
-            "c_tilde_flag": lambda: design + ["--c-tilde", "abc"],
-            "c_tilde_sweep": lambda: design + ["--c-tilde", "sweep:1,x"],
+            # c_tilde cannot change tau, so design has no such flag
+            "c_tilde_flag": lambda: design + ["--c-tilde", "1"],
             "cert_scalar": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json",
                                     "--cert", patched("cert_ex1_sub1_analysis", alpha_b="x")],
             # simulate runs the model's K_hat, else the certificate's, else Y Q^{-1}:
@@ -261,6 +261,12 @@ class TestExitCodes:
             "alpha_fraction_zero": lambda: design + ["--alpha-fraction", "0"],
             "alpha_fraction_one": lambda: design + ["--alpha-fraction", "1"],
             "alpha_fraction_above_one": lambda: design + ["--alpha-fraction", "1.5"],
+            # the condition value is 0.5, so q must lie in (0.5, 1) as in solve_qhat_star
+            "generic_q_below_condition": lambda: ["bound", "--generic", "--alpha1", "1", "--alpha2", "0",
+                                                  "--alphat2", "1", "--beta2", "0.5", "--q", "0.1"],
+            # sqrt(alpha_b alpha_f) overflows: the stationarity condition is not finite
+            "single_v_overflow": lambda: ["bound", "--single-v", "--alpha", "1",
+                                          "--alpha-b", "1e300", "--alpha-f", "1e300"],
             # the condition value overflows to inf: no admissible q for the curve
             "report_generic_overflow": lambda: report(command=["bound"], results={
                 "mode": "generic",
@@ -273,7 +279,7 @@ class TestExitCodes:
             assert run(argv) == 3
         err = capsys.readouterr().err
         assert "error" in err
-        assert "RuntimeWarning" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -325,17 +331,17 @@ class TestReportGenerated:
 
 
 class TestDesignCommand:
-    def test_sweep_echoes_choice(self, capsys, tmp_path):
+    def test_trace_records_stages(self, capsys, tmp_path):
         doc = {"name": "easy", "n": 2, "A": [[-1.0, 0.0], [0.0, -1.0]],
                "diffusion": [], "B_hat": [[1.0, 0.0], [0.0, 1.0]]}
         mp = tmp_path / "m.json"
         mp.write_text(json.dumps(doc))
         cert = tmp_path / "cert.json"
-        code = run(["design", "--model", str(mp), "--c-tilde", "sweep:0.5,1,2,5,10",
+        code = run(["design", "--model", str(mp),
                     "--cert-out", str(cert), "--out", str(tmp_path / "rep.json")])
         assert code == 0
         text = capsys.readouterr().out
-        assert "c_tilde =" in text and "tau_max =" in text
+        assert "tau_max =" in text and "K_hat =" in text
         # the report records where the time went and what the search decided
         trace = json.loads((tmp_path / "rep.json").read_text())["results"]["trace"]
         assert set(trace["stage_s"]) == {"rate_search", "refine", "finish"}

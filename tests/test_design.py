@@ -7,11 +7,14 @@ import pytest
 
 from sdstab.bounds import emulation_bound_two
 from sdstab.design import (
+    _GAMMA_SCAN,
     DesignOptions,
+    _best_gamma_pair,
+    _gamma1_at,
+    _schur_terms,
     extract_alpha_b,
     extract_alpha_f,
     extract_alpha_u,
-    fit_gamma,
     ito_generator,
     solve_rate_lyapunov,
     synthesize_feedback,
@@ -101,13 +104,15 @@ class TestFitGamma:
         # well as the reported bound (the reported pair is in the scan box)
         model = load_model(fixtures / "ex1_sub1.json")
         cert = load_certificate(fixtures / "cert_ex1_sub1_analysis.json")
-        g1, g2 = fit_gamma(model, cert.P, cert.P_tilde,
-                           alpha_bar=cert.alpha_bar, alpha_b=cert.alpha_b)
+        b_bar = model.B_bar
+        g1, g2, tau_scan = _best_gamma_pair(model.A + b_bar, model.diffusion, b_bar, cert.P, cert.P_tilde,
+                                            cert.alpha_bar, cert.alpha_b, _GAMMA_SCAN)
         from sdstab.bounds import TwoFunctionConstants
         tau = emulation_bound_two(
             TwoFunctionConstants(cert.alpha_bar, cert.alpha_b, g1, g2)
         ).tau_max
         assert tau >= 0.0116 - 1e-4
+        assert tau_scan == pytest.approx(tau, rel=1e-12)
         # the returned pair is feasible
         import dataclasses
         refit = dataclasses.replace(cert, gamma1=g1, gamma2=g2)
@@ -117,13 +122,12 @@ class TestFitGamma:
     def test_zero_feedback_feasible_at_gamma2_of_two(self):
         # at B = 0 the proof-chain cap on gamma2 degenerates to exactly 2;
         # the cross block is feasible there with the Schur-minimal gamma1
-        from sdstab.design import _gamma1_min
         from sdstab.lmi import assemble_cross_block
         from sdstab.numerics import lam_max
 
         f = -np.eye(2) * 2.0
         p = np.eye(2)
-        g1 = _gamma1_min(f, (), np.zeros((2, 2)), p, p, gamma2=2.0)
+        g1 = _gamma1_at(_schur_terms(f, (), np.zeros((2, 2)), p, p)[1:], 2.0)
         assert g1 is not None and g1 == pytest.approx(2.0, rel=1e-9)
         block = assemble_cross_block(f, (), np.zeros((2, 2)), p, p, g1 * (1 + 1e-9), 2.0)
         assert lam_max(block) <= 1e-12
@@ -131,7 +135,6 @@ class TestFitGamma:
     def test_batched_gamma1_matches_bisection_oracle(self, rng):
         # the stacked Schur/pencil gamma1 against plain bisection on the full
         # cross block, at gamma2 on both sides of the Schur corner's floor
-        from sdstab.design import _gamma1_min
         from sdstab.lmi import assemble_cross_block
         from sdstab.numerics import lam_max
 
@@ -143,7 +146,7 @@ class TestFitGamma:
             floor = np.linalg.eigvals(np.linalg.solve(pt, -(b_bar.T @ pt + pt @ b_bar))).real.max()
             offsets = np.geomspace(1e-3, 10.0, 20) * max(1.0, abs(floor))
             g2 = np.concatenate([floor - offsets[::-1], floor + offsets])
-            got = _gamma1_min(f, g_list, b_bar, p, pt, g2)
+            got = _gamma1_at(_schur_terms(f, g_list, b_bar, p, pt)[1:], g2)
             assert got.shape == g2.shape
             for g2_i, g1_i in zip(g2, got):
                 def top(log_g1):
@@ -159,23 +162,15 @@ class TestFitGamma:
     def test_adversarial_infeasible(self):
         # unstable uncontrolled pair: the required gamma1 outgrows any
         # gamma2 the box offers, so the scan exhausts
-        model = LinearSampledModel(
-            name="bad", n=2, A=100.0 * np.eye(2), diffusion=(),
-            B_bar_explicit=np.zeros((2, 2)),
-        )
+        f, b_bar = 100.0 * np.eye(2), np.zeros((2, 2))
         with pytest.raises(InfeasibleError):
-            fit_gamma(model, np.eye(2), np.eye(2), alpha_bar=1.0,
-                      alpha_b=1.0, scan=(1e-4, 0.5))
+            _best_gamma_pair(f, (), b_bar, np.eye(2), np.eye(2), 1.0, 1.0, (1e-4, 0.5))
 
     def test_gamma2_floor_outside_box(self):
         # positive feedback pushes the gamma2 feasibility floor above the box
-        model = LinearSampledModel(
-            name="floor", n=2, A=-np.eye(2), diffusion=(),
-            B_bar_explicit=-np.eye(2),
-        )
+        f, b_bar = -2.0 * np.eye(2), -np.eye(2)  # A = -I plus the feedback
         with pytest.raises(InfeasibleError):
-            fit_gamma(model, np.eye(2), np.eye(2), alpha_bar=1.0,
-                      alpha_b=1.0, scan=(1e-4, 1.0))
+            _best_gamma_pair(f, (), b_bar, np.eye(2), np.eye(2), 1.0, 1.0, (1e-4, 1.0))
 
 
 def _per_point_scan(f, g_list, b_bar, p, pt, alpha_bar, alpha_b, scan,
@@ -217,8 +212,6 @@ class TestBatchedScan:
     @pytest.mark.parametrize("planar", [False, True])
     def test_matches_per_point_scan(self, rng, planar):
         # same grids, refine rule, inflation, clamp and first-max choice
-        from sdstab.design import _best_gamma_pair
-
         for _ in range(4):
             f, b_bar = random_stable_loop(rng)
             g_list = [] if planar else [0.3 * rng.normal(size=(2, 2))]
@@ -283,6 +276,24 @@ class TestExactRateDesign:
             assert np.linalg.norm(res.gain) <= 10.0
             assert verify_design_certificate(model, res.certificate, tol=0.0).passed
 
+    def test_cyber_certificate_scale_leaves_tau_unchanged(self, linear_designs):
+        # P_tilde = c P scales alpha_b by 1/c and gamma1 by c (a congruence of
+        # the cross block) and leaves gamma2 alone, so the bound, which reads
+        # only alpha_b gamma1 and gamma2, cannot depend on c
+        from sdstab.bounds import TwoFunctionConstants
+        from sdstab.lmi import LmiCertificate
+
+        model, res = linear_designs[0]
+        cert, k = res.certificate, res.constants
+        for c in (1e-2, 1.0, 1e2):
+            scaled = LmiCertificate(
+                alpha_bar=k.alpha_bar, P=cert.P, P_tilde=c * cert.P,
+                alpha_b=k.alpha_b / c, gamma1=c * k.gamma1, gamma2=k.gamma2, K_hat=res.gain,
+            )
+            assert verify_analysis_certificate(model, scaled, tol=0.0).passed
+            tau = emulation_bound_two(TwoFunctionConstants(k.alpha_bar, k.alpha_b / c, c * k.gamma1, k.gamma2))
+            assert tau.tau_max == pytest.approx(res.bound.tau_max, rel=1e-12)
+
     def test_fallback_certificate_at_unit_scale(self, monkeypatch):
         # with no refined point, the design falls back to the R = I Lyapunov
         # solve at K*, whose P is rescaled to trace n like the refined one
@@ -325,7 +336,7 @@ class TestSynthesize:
             name="easy", n=2, A=-np.eye(2), diffusion=(),
             B_hat=np.eye(2), K_hat=None,
         )
-        res = synthesize_feedback(model, DesignOptions(c_tilde=1.0))
+        res = synthesize_feedback(model)
         assert res.bound.tau_max > 0
         out = verify_analysis_certificate(model.with_gain(res.gain), res.certificate, tol=0.0)
         assert out.passed
@@ -341,8 +352,8 @@ class TestSynthesize:
             name="easy2", n=2, A=np.array([[0.2, 1.0], [0.0, -1.0]]), diffusion=(),
             B_hat=np.array([[0.0], [1.0]]), K_hat=None,
         )
-        res = synthesize_feedback(model, DesignOptions(c_tilde=1.0))
-        k_back = res.Y @ np.linalg.inv(res.Q)
+        res = synthesize_feedback(model)
+        k_back = res.certificate.Y @ np.linalg.inv(res.certificate.Q)
         assert np.abs(k_back - res.gain).max() <= 1e-10 * max(1.0, np.abs(res.gain).max())
         # bound equals the two-function formula on the stored constants
         assert res.bound.tau_max == pytest.approx(

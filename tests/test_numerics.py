@@ -3,17 +3,12 @@ import pytest
 
 from sdstab.errors import DomainError
 from sdstab.numerics import (
-    Bracket,
     SymMatrix,
-    bracket_root,
-    find_root,
     is_pos_def,
     lam_max,
     pencil_max_eig,
     sym_eig,
 )
-
-from oracles import bisect
 
 
 def random_sym(rng, n, scale=1.0):
@@ -162,48 +157,3 @@ class TestPencilMaxEig:
                 pencil_max_eig(bad, np.eye(2))
             with pytest.raises(DomainError):
                 pencil_max_eig(np.eye(2), bad)
-
-
-class TestFindRoot:
-    def test_linear(self):
-        root = find_root(lambda q: q - 0.5, bracket_root(lambda q: q - 0.5, 0.0, 1.0))
-        assert root == pytest.approx(0.5, abs=1e-12)
-
-    def test_log_plus_linear(self):
-        f = lambda q: np.log(q) + 1 + q
-        expected = bisect(f, np.exp(-2), 1.0)  # ~0.2784645427610738
-        root = find_root(f, bracket_root(f, np.exp(-2), 1.0))
-        assert root == pytest.approx(expected, abs=1e-10)
-        assert root == pytest.approx(0.2785, abs=1e-4)
-
-    def test_reported_constants_equation(self):
-        # coefficients arising from the first reported analysis certificate
-        f = lambda q: 1169.0 * q + 302.2 * (np.log(q) + 1.0)
-        expected = bisect(f, 1e-12, 1.0)  # ~0.18196989814041897
-        root = find_root(f, bracket_root(f, 1e-12, 1.0))
-        assert root == pytest.approx(expected, abs=1e-10)
-        assert root == pytest.approx(0.1821, abs=2e-4)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(DomainError):
-            Bracket(0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            Bracket(1.0, 0.0, -1.0, 2.0)
-
-    def test_root_stays_in_bracket(self, rng):
-        for _ in range(50):
-            c = rng.uniform(0.1, 0.9)
-            p = rng.uniform(1, 3)
-            f = lambda q: (q - c) * (1 + abs(np.sin(p * q)))
-            root = find_root(f, bracket_root(f, 0.0, 1.0), tol=1e-13)
-            assert 0.0 <= root <= 1.0
-            assert root == pytest.approx(c, abs=1e-10)
-
-
-class TestIterationCap:
-    def test_find_root_cap_raises(self):
-        from sdstab.errors import NumericalFailure
-
-        f = lambda q: q**3 - 0.1
-        with pytest.raises(NumericalFailure):
-            find_root(f, bracket_root(f, 0.0, 1.0), tol=1e-300, max_iter=2)
