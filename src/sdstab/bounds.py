@@ -253,7 +253,7 @@ def emulation_bound_single(c: EmulationConstants) -> SamplingBoundResult:
     b1* = sqrt(ab af) / (a sqrt(q*) + sqrt(ab)), b2* = sqrt(ab) / (a sqrt(q*)),
     and tau_max = tau(q*, b1*, b2*), the maximum of the full surface.  q* is
     found by Brent's method on [_Q_FLOOR, 1/e]; DomainError when an endpoint
-    value is not finite or the endpoints do not straddle a sign change.
+    value, tau_max, b1* or b2* is not finite or there is no sign change.
     """
     from scipy.optimize import brentq  # imported here so `import sdstab.cli` loads no scipy
 
@@ -271,7 +271,10 @@ def emulation_bound_single(c: EmulationConstants) -> SamplingBoundResult:
     r = a * math.sqrt(q_star)
     b1 = math.sqrt(ab * af) / (r + math.sqrt(ab))
     b2 = math.sqrt(ab) / r
-    tau = float(single_v_objective(q_star, b1, b2, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = float(single_v_objective(q_star, b1, b2, c))
+    if not all(map(math.isfinite, (tau, b1, b2))):
+        raise DomainError(f"single-V bound is not finite (tau={tau:g}, b1*={b1:g}, b2*={b2:g})")
     return SamplingBoundResult(
         q_star=q_star,
         tau_max=tau,

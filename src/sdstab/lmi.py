@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import TwoFunctionConstants, emulation_bound_two
 from .errors import DomainError, FormatError, ValidationError
 from .models import LinearSampledModel, Model, NonlinearPlanarModel
-from .numerics import SymMatrix, is_pos_def, lam_max
+from .numerics import is_pos_def, lam_max
 
 _CERT_KEYS = {
     "P", "P_tilde", "alpha_bar", "alpha_b", "gamma1", "gamma2",
@@ -56,6 +56,16 @@ def _opt_scalar(doc, key) -> Optional[float]:
     return v
 
 
+def _symmetric_pos_def(m) -> bool:
+    """is_pos_def of a certificate matrix; DomainError when it is not symmetric to 1e-6."""
+    pos_def = is_pos_def(m)
+    m = np.asarray(m, dtype=float)
+    skew = np.abs(m - m.T).max()
+    if skew > 1e-6 * (1.0 + np.abs(m).max()):
+        raise DomainError(f"matrix is not symmetric (max asymmetry {skew:g})")
+    return pos_def
+
+
 @dataclass(frozen=True)
 class LmiCertificate:
     """Quadratic stability certificate, in analysis (P) and/or design (Q, Y) form."""
@@ -80,7 +90,7 @@ class LmiCertificate:
             raise ValidationError("certificate needs P or Q")
         for name in ("P", "P_tilde", "Q"):
             m = getattr(self, name)
-            if m is not None and not is_pos_def(SymMatrix(m, sym_tol=1e-6)):
+            if m is not None and not _symmetric_pos_def(m):
                 raise ValidationError(f"{name} must be symmetric positive definite")
         if self.Q is not None and self.Y is None:
             raise ValidationError("design-form certificate needs Y alongside Q")
@@ -275,16 +285,11 @@ def assemble_planar_cross(
 # margin-level verification
 # ---------------------------------------------------------------------------
 
-def _margin(m: np.ndarray) -> Tuple[float, float]:
-    """(lambda_max, relative scale 1 + ||M||_F) of an assembled block."""
-    return lam_max(SymMatrix(m, sym_tol=1e-8)), 1.0 + float(np.linalg.norm(m))
-
-
 def verify_lyapunov_ito(F, G_list, P, alpha_bar: float) -> float:
     """Margin of F^T P + P F + sum G^T P G <= -2 alpha_bar P; passes iff <= tol."""
-    if not is_pos_def(SymMatrix(P, sym_tol=1e-6)):
+    if not _symmetric_pos_def(P):
         raise DomainError("P must be positive definite")
-    return _margin(assemble_lyapunov_ito(F, G_list, P, alpha_bar))[0]
+    return lam_max(assemble_lyapunov_ito(F, G_list, P, alpha_bar))
 
 
 def verify_em_lmi(F, G_list, P, h: float, c_bar: float) -> float:
@@ -293,9 +298,9 @@ def verify_em_lmi(F, G_list, P, h: float, c_bar: float) -> float:
         raise DomainError("stepsize h must be positive")
     if not 0.0 < c_bar < 1.0:
         raise DomainError(f"c_bar must lie in (0, 1), got {c_bar}")
-    if not is_pos_def(SymMatrix(P, sym_tol=1e-6)):
+    if not _symmetric_pos_def(P):
         raise DomainError("P must be positive definite")
-    return _margin(assemble_em_step(F, G_list, P, h, c_bar))[0]
+    return lam_max(assemble_em_step(F, G_list, P, h, c_bar))
 
 
 @dataclass(frozen=True)
@@ -324,11 +329,13 @@ class VerificationOutcome:
 
 def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFunctionConstants]):
     """Margins of the named assembled blocks; PASS iff each is <= tol * its scale."""
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be a nonnegative number, got {tol}")
-    margins, scales = {}, {}
-    for name, m in blocks.items():
-        margins[name], scales[name] = _margin(m)
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tol must be a nonnegative finite number, got {tol}")
+    margins = {name: lam_max(m) for name, m in blocks.items()}
+    with np.errstate(over="ignore"):
+        scales = {name: 1.0 + float(np.linalg.norm(m)) for name, m in blocks.items()}
+    if not all(map(np.isfinite, scales.values())):  # an infinite scale would pass any margin
+        raise DomainError("block norm is not finite")
     passed = all(margins[k] <= tol * scales[k] for k in margins)
     tau_max = q_star = None
     if passed and constants is not None:
@@ -436,11 +443,12 @@ def verify_planar_certificate(
 
 def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
     """Dispatch on model type and certificate form."""
-    if isinstance(model, NonlinearPlanarModel):
-        return verify_planar_certificate(model, cert, tol)
-    if cert.Q is not None:
-        return verify_design_certificate(model, cert, tol)
-    return verify_analysis_certificate(model, cert, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed block or norm raises DomainError
+        if isinstance(model, NonlinearPlanarModel):
+            return verify_planar_certificate(model, cert, tol)
+        if cert.Q is not None:
+            return verify_design_certificate(model, cert, tol)
+        return verify_analysis_certificate(model, cert, tol)
 
 
 # perfbench/tracer.py looks this name up by getattr; it goes with the tracer's rows (ROADMAP item 1)

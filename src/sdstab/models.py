@@ -264,8 +264,8 @@ def schedule_instants(
     Gaps stay within [underline_dt, overline_dt]; uniform_random draws gaps
     i.i.d. uniform and is deterministic given the generator state.
     """
-    if not horizon > 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise DomainError("horizon must be positive and finite")
     if schedule.kind == "periodic":
         k = int(math.floor(horizon / schedule.dt * (1 + 1e-12)))
         return schedule.dt * np.arange(k + 1, dtype=float)

@@ -125,8 +125,8 @@ class SimConfig:
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValidationError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValidationError("horizon must be positive and finite")
         if not self.dt_sim > 0:
             raise ValidationError("dt_sim must be positive")
         if self.n_paths < 1 or self.store_stride < 1:

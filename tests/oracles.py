@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive every quantity from scratch (plain bisection,
-brute-force grids, sphere sampling, dense eigensolves, a symmetric-basis
-Lyapunov solve) so they share no code with the implementation paths they
-check.  The one exception is planar_gamma_loop, which reuses the single-cell
+brute-force grids, sphere sampling, cyclic Jacobi rotations in place of
+LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
+implementation paths they check.  The one exception is planar_gamma_loop, which reuses the single-cell
 gamma scan to check only how the planar search stacks its cells.
 """
 
@@ -24,6 +24,49 @@ def bisect(f, lo, hi, iters=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def jacobi_eigh(s, max_sweeps=100):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix
+    by cyclic Jacobi rotations in plain Python loops: no LAPACK call.
+
+    S = V diag(w) V^T to ~1e-14 relative accuracy; fails an assertion when the
+    off-diagonal mass has not annihilated after max_sweeps sweeps.
+    """
+    a = np.array(s, dtype=float)
+    assert a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.T)
+    n = a.shape[0]
+    v = np.eye(n)
+    scale = np.abs(a).max() or 1.0
+    stop = 1e-16 * scale
+    for _ in range(max_sweeps):
+        if np.sqrt(np.sum(np.tril(a, -1) ** 2)) <= stop * n:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-20 * scale:
+                    continue
+                # stable rotation: t = sign(theta)/(|theta| + sqrt(theta^2+1))
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                t = 1.0 if theta == 0.0 else np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                sn = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - sn * rq
+                a[q, :] = sn * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - sn * cq
+                a[:, q] = sn * cp + c * cq
+                a[p, q] = a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - sn * vq
+                v[:, q] = sn * vp + c * vq
+    else:
+        raise AssertionError("Jacobi oracle did not converge within the sweep cap")
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
 
 
 def single_v_surface(q, b1, b2, alpha, alpha_b, alpha_f):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,12 @@ class TestEmulationBoundSingle:
         # NaN at q = 1/e: a typed DomainError, not an untyped root-finder error
         with pytest.raises(DomainError):
             emulation_bound_single(EmulationConstants(1.0, 1e300, 1e300))
+        # the root is fine but b2* or tau_max is not finite
+        for c in (EmulationConstants(1e-300, 1.0, 1e300), EmulationConstants(5e-324, 1.0, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="not finite"):
+                    emulation_bound_single(c)
 
     def test_curve_maximality(self):
         c = EmulationConstants(1.7, 0.4, 2.2)

@@ -192,6 +192,7 @@ class TestExitCodes:
         "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
         "report_generic_overflow", "cert_k_hat_not_certified", "model_k_hat_not_certified",
         "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
+        "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -241,6 +242,15 @@ class TestExitCodes:
             "constants_file": lambda: ["bound", "--single-v", "--constants", _write(
                 tmp_path / "c.json", {"alpha": "x", "alpha_b": 1.0, "alpha_f": 1.0})],
             "verify_tol_nan": lambda: verify() + ["--tol", "nan"],
+            # an infinite tol would pass any margin
+            "verify_tol_inf": lambda: verify() + ["--tol", "inf"],
+            # the blocks overflow to inf, or their norm does (an infinite scale passes any margin)
+            "cert_p_overflow": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json", "--cert",
+                                        patched("cert_ex1_sub1_analysis", P=[[1e307, 0.0], [0.0, 1e307]])],
+            "cert_norm_overflow": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json", "--cert", patched(
+                "cert_ex1_sub1_analysis", alpha_bar=10.0, P=[[1e160, 0.0], [0.0, 1e160]],
+                P_tilde=[[1e160, 0.0], [0.0, 1e160]])],
+            "horizon_inf": lambda: simulate[:-1] + ["inf"],
             "report_list": lambda: ["report", _write(tmp_path / "list.json", [1, 2])],
             "report_no_constants": lambda: ["report", _write(
                 tmp_path / "bound.json",
@@ -267,6 +277,9 @@ class TestExitCodes:
             # sqrt(alpha_b alpha_f) overflows: the stationarity condition is not finite
             "single_v_overflow": lambda: ["bound", "--single-v", "--alpha", "1",
                                           "--alpha-b", "1e300", "--alpha-f", "1e300"],
+            # q* is fine, but b2* is 1.6e300 and tau_max is NaN
+            "single_v_tau_not_finite": lambda: ["bound", "--single-v", "--alpha", "1e-300",
+                                                "--alpha-b", "1", "--alpha-f", "1e300"],
             # the condition value overflows to inf: no admissible q for the curve
             "report_generic_overflow": lambda: report(command=["bound"], results={
                 "mode": "generic",

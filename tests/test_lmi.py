@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sdstab.design import extract_alpha_u
+import sdstab.lmi as lmi
+from sdstab.design import DesignOptions, extract_alpha_u, synthesize_feedback, synthesize_nonlinear_planar
 from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
     LmiCertificate,
@@ -15,8 +16,10 @@ from sdstab.lmi import (
     verify_lyapunov_ito,
     verify_planar_certificate,
 )
-from sdstab.models import load_model
-from sdstab.numerics import lam_max
+from sdstab.models import NonlinearPlanarModel, load_model
+from sdstab.numerics import is_pos_def, lam_max
+
+from oracles import jacobi_eigh
 
 
 def random_hurwitz(rng, n):
@@ -231,3 +234,84 @@ class TestCertificateSchema:
     def test_design_requires_y(self):
         with pytest.raises(ValidationError):
             LmiCertificate.from_dict({"alpha_bar": 1.0, "Q": [[1.0]]})
+
+    def test_asymmetric_rejected(self):
+        # certificate matrices must be symmetric to 1e-6 relative to their largest entry
+        p = np.array([[2.0, 0.5], [0.5, 3.0]])
+        skewed = p + np.array([[0.0, 1e-3], [0.0, 0.0]])
+        nudged = p + np.array([[0.0, 1e-6], [0.0, 0.0]])
+        assert LmiCertificate(alpha_bar=1.0, P=nudged).P is nudged
+        for key in ("P", "P_tilde", "Q"):
+            doc = {"alpha_bar": 1.0, "P": p.tolist(), "Y": [[0.0, 0.0]], key: skewed.tolist()}
+            with pytest.raises(DomainError, match="not symmetric"):
+                LmiCertificate.from_dict(doc)
+        with pytest.raises(DomainError, match="not symmetric"):
+            verify_lyapunov_ito(-np.eye(2), [], skewed, 1.0)
+        with pytest.raises(DomainError, match="not symmetric"):
+            verify_em_lmi(-np.eye(2), [], skewed, 0.1, 0.19)
+        with pytest.raises(DomainError):
+            LmiCertificate(alpha_bar=1.0, P=np.eye(3)[:2])
+
+
+_CERTIFIED = [
+    ("ex1_sub1", "cert_ex1_sub1_analysis"),
+    ("ex1_sub2", "cert_ex1_sub2_analysis"),
+    ("ex1_sub1_control", "cert_ex1_sub1_design"),
+    ("ex1_sub2_control", "cert_ex1_sub2_design"),
+    ("planar", "cert_planar"),
+]
+
+
+class TestMarginsAgainstJacobiOracle:
+    """Every margin is LAPACK's lambda_max of an assembled block; the verdict
+    compares it with tol (1 + ||M||_F), so it must agree with the independent
+    cyclic-Jacobi oracle to 1e-12 of that scale."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        seen = []
+        real = lmi.lam_max
+        monkeypatch.setattr(lmi, "lam_max", lambda m: seen.append(np.array(m)) or real(m))
+        return seen
+
+    @staticmethod
+    def check(margins, blocks, scales=None):
+        assert len(margins) == len(blocks)
+        for (name, margin), m in zip(margins.items(), blocks):
+            scale = 1.0 + np.linalg.norm(m)
+            assert abs(margin - jacobi_eigh(m)[0][-1]) <= 1e-12 * scale
+            assert scales is None or scales[name] == scale
+        blocks.clear()
+
+    def check_certificate(self, model, cert, blocks, tol):
+        for name in ("P", "P_tilde", "Q"):
+            m = getattr(cert, name)
+            if m is not None:
+                assert is_pos_def(m) == (jacobi_eigh(0.5 * (m + m.T))[0][0] > 0.0)
+        out = verify_certificate(model, cert, tol=tol)
+        assert out.passed
+        self.check(out.margins, blocks, out.scales)
+
+    def test_fixture_certificates(self, fixtures, blocks):
+        for mname, cname in _CERTIFIED:
+            model = load_model(fixtures / f"{mname}.json")
+            cert = load_certificate(fixtures / f"{cname}.json")
+            self.check_certificate(model, cert, blocks, tol=1e-2)
+            if cert.Q is None and mname != "planar":
+                f = model.A + model.B_bar
+                margins = {
+                    "ito": verify_lyapunov_ito(f, model.diffusion, cert.P, cert.alpha_bar),
+                    "em": verify_em_lmi(f, model.diffusion, cert.P, 0.01, 0.05),
+                }
+                self.check(margins, blocks)
+
+    def test_fresh_designs(self, fixtures, blocks):
+        for name in ("ex1_sub1_control", "ex1_sub2_control"):
+            model = load_model(fixtures / f"{name}.json")
+            cert = synthesize_feedback(model).certificate
+            blocks.clear()  # drop the blocks of the design's own re-verification
+            self.check_certificate(model, cert, blocks, tol=0.0)
+        planar = NonlinearPlanarModel(name="planar")
+        cert = synthesize_nonlinear_planar(DesignOptions(), model=planar).certificate
+        blocks.clear()
+        self.check_certificate(planar, cert, blocks, tol=0.0)

@@ -122,8 +122,11 @@ class TestScheduleInstants:
         assert s.overline_dt == pytest.approx(0.15)
 
     def test_bad_horizon(self):
-        with pytest.raises(DomainError):
-            schedule_instants(SamplingSchedule.periodic(0.1), 0.0)
+        rng = np.random.default_rng(0)
+        for schedule in (SamplingSchedule.periodic(0.1), SamplingSchedule.uniform_random(0.1, 0.2)):
+            for horizon in (0.0, np.inf, np.nan):
+                with pytest.raises(DomainError):
+                    schedule_instants(schedule, horizon, rng=rng)
 
     def test_parse(self):
         assert SamplingSchedule.parse("periodic:0.02").dt == 0.02

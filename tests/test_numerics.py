@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from sdstab.errors import DomainError
-from sdstab.numerics import (
-    SymMatrix,
-    is_pos_def,
-    lam_max,
-    pencil_max_eig,
-    sym_eig,
-)
+from sdstab.numerics import is_pos_def, lam_max, pencil_max_eig
+
+from oracles import jacobi_eigh
 
 
 def random_sym(rng, n, scale=1.0):
@@ -16,78 +12,89 @@ def random_sym(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
-class TestSymMatrix:
-    def test_structural_symmetry(self, rng):
+class TestLamMax:
+    def test_symmetric_part(self, rng):
+        # the largest eigenvalue of 0.5 (A + A^T), bit for bit
         a = rng.normal(size=(4, 4)) * 1e-10 + np.eye(4)
-        s = SymMatrix(a, sym_tol=1e-9)
-        for i in range(4):
-            for j in range(4):
-                assert s.entry(i, j) == s.entry(j, i)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            SymMatrix([[0.0, 1.0], [0.0, 0.0]])
+        assert lam_max(a) == lam_max(0.5 * (a + a.T))
+        assert is_pos_def(a) and not is_pos_def(-a)
 
     def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(DomainError):
-            SymMatrix(np.zeros((2, 3)))
-        with pytest.raises(DomainError):
-            SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+        bad = [np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3), [[np.nan, 0.0], [0.0, 1.0]],
+               [[np.inf, 0.0], [0.0, 1.0]], [[0.0, -np.inf], [0.0, 0.0]],
+               [[0.0, 1.5e308], [1.5e308, 0.0]]]  # finite, but its symmetric part overflows
+        for m in bad:
+            with pytest.raises(DomainError):
+                lam_max(m)
+            with pytest.raises(DomainError):
+                is_pos_def(m)
+
+    def test_matches_jacobi_oracle(self, rng):
+        # 200 symmetric matrices, n <= 8, entries from 1e-100 to 1e100: the
+        # verdict compares lam_max with tol (1 + ||M||_F), so that is the scale
+        for k in range(200):
+            n = 1 + k % 8
+            a = rng.normal(size=(n, n))
+            s = (a @ a.T + 0.1 * np.eye(n) if k % 2 else 0.5 * (a + a.T)) * 10.0 ** rng.uniform(-100, 100)
+            w, _ = jacobi_eigh(s)
+            bound = 1e-12 * (1.0 + np.linalg.norm(s))
+            assert abs(lam_max(s) - w[-1]) <= bound
+            if abs(w[0]) > bound:
+                assert is_pos_def(s) == (w[0] > 0.0)
+            if k % 2:
+                assert is_pos_def(s)
 
 
 class TestSymEig:
+    # the independent cyclic-Jacobi oracle that every margin is checked against
     def test_identity(self):
-        e = sym_eig(np.eye(2))
-        assert np.allclose(e.eigenvalues, [1.0, 1.0], atol=0)
+        w, _ = jacobi_eigh(np.eye(2))
+        assert np.allclose(w, [1.0, 1.0], atol=0)
 
     def test_diagonal(self):
-        e = sym_eig(np.diag([-3.0, 5.0]))
-        assert np.allclose(e.eigenvalues, [-3.0, 5.0], atol=1e-14)
+        w, _ = jacobi_eigh(np.diag([-3.0, 5.0]))
+        assert np.allclose(w, [-3.0, 5.0], atol=1e-14)
 
     def test_reconstruction_oracle(self, rng):
         s = random_sym(rng, 4, scale=3.0)
-        e = sym_eig(s)
+        w, v = jacobi_eigh(s)
         bound = 1e-10 * (1.0 + np.linalg.norm(s))
-        assert np.abs(e.reconstruct() - s).max() <= bound
-        assert np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(4)).max() <= 1e-10
+        assert np.abs((v * w) @ v.T - s).max() <= bound
+        assert np.abs(v.T @ v - np.eye(4)).max() <= 1e-10
 
     def test_eigenvalues_sorted(self, rng):
         for _ in range(10):
-            e = sym_eig(random_sym(rng, 5))
-            assert np.all(np.diff(e.eigenvalues) >= 0)
+            w, _ = jacobi_eigh(random_sym(rng, 5))
+            assert np.all(np.diff(w) >= 0)
 
     def test_quadratic_form_identity(self, rng):
         # v' S v == sum_i w_i (v' u_i)^2 on a grid of unit vectors
         s = random_sym(rng, 4, scale=2.0)
-        e = sym_eig(s)
+        w, u = jacobi_eigh(s)
         bound = 1e-8 * (1.0 + np.linalg.norm(s))
         vs = rng.normal(size=(200, 4))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
         for v in vs:
             direct = v @ s @ v
-            spectral = float(np.sum(e.eigenvalues * (v @ e.eigenvectors) ** 2))
+            spectral = float(np.sum(w * (v @ u) ** 2))
             assert abs(direct - spectral) <= bound
 
     def test_matches_dense_oracle(self, rng):
         for n in (1, 2, 3, 6, 8):
             s = random_sym(rng, n)
-            assert np.allclose(sym_eig(s).eigenvalues, np.linalg.eigvalsh(s), atol=1e-11)
+            assert np.allclose(jacobi_eigh(s)[0], np.linalg.eigvalsh(s), atol=1e-11)
 
 
 class TestIsPosDef:
     def test_identity(self):
-        assert is_pos_def(np.eye(3), tol=0.0)
+        assert is_pos_def(np.eye(3))
 
     def test_zero_boundary(self):
-        assert not is_pos_def(np.zeros((2, 2)), tol=0.0)
+        assert not is_pos_def(np.zeros((2, 2)))
 
     def test_reported_certificate(self):
         p = np.array([[2.2173, 0.8212], [0.8212, 6.1228]])
-        assert is_pos_def(p, tol=0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(DomainError):
-            is_pos_def(np.eye(2), tol=-1.0)
+        assert is_pos_def(p)
 
 
 class TestPencilMaxEig:

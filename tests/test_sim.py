@@ -54,6 +54,12 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(schedule=SamplingSchedule.periodic(1.0), horizon=-1.0, dt_sim=0.01)
 
+    def test_infinite_horizon_rejected(self):
+        # a uniform schedule would draw sampling gaps forever
+        for horizon in (np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                SimConfig(schedule=SamplingSchedule.uniform_random(0.01, 0.02), horizon=horizon, dt_sim=0.001)
+
 
 class TestSampledPath:
     def test_matches_exact_flow(self):
