@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -321,10 +321,6 @@ class VerificationOutcome:
         stability with it under the linear-growth hypothesis, which holds
         structurally for every model this toolkit accepts."""
         return self.passed
-
-    def worst(self) -> Tuple[str, float]:
-        name = max(self.margins, key=lambda k: self.margins[k] / self.scales[k])
-        return name, self.margins[name]
 
 
 def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFunctionConstants]):

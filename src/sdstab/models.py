@@ -27,6 +27,8 @@ _MODEL_KEYS = {"name", "n", "A", "diffusion", "B_bar", "B_hat", "K_hat", "nonlin
 
 # envelope of the planar sine nonlinearity: phi^T Q phi <= x^T E1^T Q E1 x for any Q > 0
 PLANAR_ENVELOPE = np.array([[0.25, 0.0], [1.0, 0.0]])
+# phi = s * (1/4, 1) with s = x1 sin(K x * x2)
+_PHI_WEIGHTS = np.array([0.25, 1.0])
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -168,7 +170,7 @@ class NonlinearPlanarModel:
         x = np.asarray(x, dtype=float)
         u = x @ self.K_hat[0]
         s = x[..., 0] * np.sin(u * x[..., 1])
-        return np.stack([0.25 * s, s], axis=-1)
+        return s[..., None] * _PHI_WEIGHTS
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return x @ self.A_bar.T + self.phi(x)

@@ -21,6 +21,10 @@ One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble,
 simulate_sampled_path and the discrete-time chains simulate_em_discrete(_terminal),
 which it runs on a uniform grid with no sampling refresh and B_bar = 0: the
 sampled-data loop and its discrete-time approximation are one recursion.
+It forms the hold term x(t_*) B_bar^T once per sampling interval, screens
+the batch for divergence with one scalar test per step (the row-by-row
+check runs only when that test fails or a path is already dead), and
+derives the stored alive flags from diverged_at.
 simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
 with jumps rather than a batched linear-plus-drift state; it draws the same
 increments as the kernel.
@@ -250,6 +254,10 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
     Row r of states (rows, stored times, n), alive_store and diverged_at
     (NaN-filled) is written for path path_indices[r]; every stored time is
     written.  held, if given, receives the x(t_*) of the first path.
+
+    A row that dies in step i gets diverged_at = times[i + 1] and is cleared
+    in alive_store from the first stored index >= i + 1, so alive_store[r, s]
+    is times[store_idx[s]] < diverged_at[r] (true where that is NaN).
     """
     npaths = len(path_indices)
     m = model.m
@@ -257,42 +265,47 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
     # steps per noise window, a multiple of 4 so every window starts on a block
     window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
     x = np.tile(x0, (npaths, 1)).astype(float)
-    xstar = x.copy()
+    hold = x @ b_bar.T   # x(t_*) B_bar^T
+    xstar0 = x[0].copy()  # x(t_*) of the first path
     alive = np.ones(npaths, dtype=bool)
-    store_map = {int(g): s for s, g in enumerate(store_idx)}
+    any_dead = False
+    alive_store[:] = True
+    s, next_store = 0, store_idx[0]   # position and grid index of the next stored time
     gts = [g.T for g in model.diffusion]
     sqrt_h = np.sqrt(grid.steps)
 
-    def record(i):
-        s = store_map.get(i)
-        if s is None:
-            return
-        states[:, s, :] = x
-        alive_store[:, s] = alive
-        if held is not None:
-            held[s] = xstar[0]
-
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nsteps):
-            if grid.refresh[i]:
-                xstar = x.copy()
-            record(i)
-            h = grid.steps[i]
-            upd = (model.drift(x) + xstar @ b_bar.T) * h
+        for i in range(nsteps + 1):
+            if i < nsteps and grid.refresh[i]:
+                hold = x @ b_bar.T
+                xstar0 = x[0].copy()
+            if i == next_store:
+                states[:, s, :] = x
+                if held is not None:
+                    held[s] = xstar0
+                s += 1
+                next_store = store_idx[s] if s < len(store_idx) else -1
+            if i == nsteps:
+                break
+            upd = model.drift(x)
+            upd += hold
+            upd *= grid.steps[i]
             if m > 0:
                 if i % window == 0:
                     noise = _noise(seed, path_indices, i, min(window, nsteps - i), m)
                 db = sqrt_h[i] * noise[:, i % window, :]
                 for j, gt in enumerate(gts):
                     upd += (x @ gt) * db[:, j:j + 1]
-            x = x + upd
-            # NaN and inf compare False, so this also catches non-finite rows
-            bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
-            if bad.any():
-                alive[bad] = False
-                diverged_at[bad] = grid.times[i + 1]
-                x[bad] = np.nan
-        record(nsteps)
+            x += upd
+            # NaN and inf compare False, so the screen also catches non-finite rows
+            if any_dead or not np.abs(x).max() <= _DIVERGENCE_CAP:
+                bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
+                if bad.any():
+                    any_dead = True
+                    alive[bad] = False
+                    diverged_at[bad] = grid.times[i + 1]
+                    x[bad] = np.nan
+                    alive_store[bad, np.searchsorted(store_idx, i + 1):] = False
 
 
 def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
@@ -607,12 +620,12 @@ def export_trajectories_csv(ens: TrajectoryEnsemble, path) -> None:
     """Write per-path trajectories: header t,path,x1..xn."""
     n = ens.n
     header = "t,path," + ",".join(f"x{i + 1}" for i in range(n))
+    times = [repr(t) for t in ens.times.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for p in range(ens.n_paths):
-            for i, t in enumerate(ens.times):
-                coords = ",".join(repr(float(v)) for v in ens.states[p, i])
-                fh.write(f"{float(t)!r},{p},{coords}\n")
+            fh.write("".join(f"{t},{p},{','.join(map(repr, row))}\n"
+                             for t, row in zip(times, ens.states[p].tolist())))
 
 
 def export_ensemble_stats_csv(ens: TrajectoryEnsemble, path) -> None:

@@ -3,8 +3,9 @@
 These deliberately re-derive every quantity from scratch (plain bisection,
 brute-force grids, sphere sampling, cyclic Jacobi rotations in place of
 LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
-implementation paths they check.  The one exception is planar_gamma_loop, which reuses the single-cell
-gamma scan to check only how the planar search stacks its cells.
+implementation paths they check.  There are two exceptions: planar_gamma_loop reuses the single-cell
+gamma scan to check only how the planar search stacks its cells, and em_reference draws the
+simulator's own noise, since bit-identity is what it checks.
 """
 
 import math
@@ -238,3 +239,57 @@ def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
         rc = cg[1] / cg[0]
         cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
     return best
+
+
+def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx,
+                 states, alive_store, diverged_at, held=None):
+    """The Euler-Maruyama kernel in its plain per-step form, a drop-in for
+    sdstab.sim._integrate_chunk: it records through a dict of stored indices,
+    forms x(t_*) B_bar^T anew in every step and checks every row for divergence
+    in every step.  It draws the simulator's own noise, so the two must agree
+    bit for bit.
+    """
+    from sdstab.sim import _DIVERGENCE_CAP, _WINDOW_NORMALS, _noise
+
+    npaths = len(path_indices)
+    m = model.m
+    nsteps = len(grid.steps)
+    # steps per noise window, a multiple of 4 so every window starts on a block
+    window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
+    x = np.tile(x0, (npaths, 1)).astype(float)
+    xstar = x.copy()
+    alive = np.ones(npaths, dtype=bool)
+    store_map = {int(g): s for s, g in enumerate(store_idx)}
+    gts = [g.T for g in model.diffusion]
+    sqrt_h = np.sqrt(grid.steps)
+
+    def record(i):
+        s = store_map.get(i)
+        if s is None:
+            return
+        states[:, s, :] = x
+        alive_store[:, s] = alive
+        if held is not None:
+            held[s] = xstar[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nsteps):
+            if grid.refresh[i]:
+                xstar = x.copy()
+            record(i)
+            h = grid.steps[i]
+            upd = (model.drift(x) + xstar @ b_bar.T) * h
+            if m > 0:
+                if i % window == 0:
+                    noise = _noise(seed, path_indices, i, min(window, nsteps - i), m)
+                db = sqrt_h[i] * noise[:, i % window, :]
+                for j, gt in enumerate(gts):
+                    upd += (x @ gt) * db[:, j:j + 1]
+            x = x + upd
+            # NaN and inf compare False, so this also catches non-finite rows
+            bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
+            if bad.any():
+                alive[bad] = False
+                diverged_at[bad] = grid.times[i + 1]
+                x[bad] = np.nan
+        record(nsteps)

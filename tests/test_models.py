@@ -61,6 +61,17 @@ class TestLoadModel:
         g = m.with_gain(np.array([[-27.5776, -8.2817]]))
         assert np.allclose(g.B_bar, [[0, 0], [-27.5776, -8.2817]])
 
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_planar_phi_shapes(self, fixtures, rng, shape):
+        # phi = (s/4, s) with s = x1 sin(K x * x2), bit for bit at any batch shape
+        m = load_model(fixtures / "planar.json").with_gain(np.array([[-27.5776, -8.2817]]))
+        x = rng.normal(size=shape)
+        s = x[..., 0] * np.sin((x @ m.K_hat[0]) * x[..., 1])
+        ref = np.stack([0.25 * s, s], axis=-1)
+        out = m.phi(x)
+        assert out.shape == ref.shape == shape
+        assert out.tobytes() == ref.tobytes()
+
     def test_round_trip_bit_exact(self, fixtures, tmp_path):
         for name in ("ex1_sub1", "ex1_sub2", "ex1_sub1_control", "planar"):
             m = load_model(fixtures / f"{name}.json")

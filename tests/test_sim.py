@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from sdstab import sim
 from sdstab.errors import DegenerateEnsemble, ValidationError
+from sdstab.lmi import load_certificate
 from sdstab.models import (
     GeneralSiDE,
     LinearSampledModel,
@@ -26,7 +28,7 @@ from sdstab.sim import (
 )
 from sdstab.sim import _CHUNK, _noise, _philox_blocks
 
-from oracles import em_second_moment
+from oracles import em_reference, em_second_moment
 
 
 def decay_model(n=2):
@@ -148,6 +150,80 @@ class TestEnsemble:
         m = load_model(fixtures / "ex1_sub1_control.json")
         with pytest.raises(ValidationError):
             run_ensemble(m, cfg_for(0.0234, 1.0))
+
+
+def gbm_model():
+    # sigma sqrt(h) = 1.6 at dt_sim = 0.01: at horizon 8 some paths pass the cap, not all
+    return LinearSampledModel(
+        name="gbm", n=1, A=np.array([[100.0]]), diffusion=(np.array([[16.0]]),),
+        B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
+    )
+
+
+def gbm_cfg(**kw):
+    return cfg_for(0.1, 8.0, dt_sim=0.01, n_paths=64, seed=2, **kw)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelOracle:
+    """The kernel is bit-identical to the plain per-step loop of tests/oracles.py."""
+
+    @staticmethod
+    def both(monkeypatch, call):
+        fast = call()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_integrate_chunk", em_reference)
+            ref = call()
+        return fast, ref
+
+    def assert_ensembles(self, fast, ref):
+        for field in ("times", "states", "alive", "diverged_at", "instants"):
+            assert same_bits(getattr(fast, field), getattr(ref, field)), field
+
+    def test_planar_uniform_gaps(self, monkeypatch, fixtures):
+        cert = load_certificate(fixtures / "cert_planar.json")
+        model = load_model(fixtures / "planar.json").with_gain(cert.K_hat)
+        cfg = SimConfig(schedule=SamplingSchedule.parse("uniform:0.005,0.015"), horizon=2.0,
+                        dt_sim=0.0005, n_paths=6, seed=3)
+        self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg)))
+        fast, ref = self.both(monkeypatch, lambda: simulate_sampled_path(model, cfg, path_index=4))
+        for field in ("times", "states", "held", "instants"):
+            assert same_bits(getattr(fast, field), getattr(ref, field)), field
+        assert same_bits(fast.diverged_at, ref.diverged_at)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sub1_chunks_and_stride(self, monkeypatch, fixtures, workers):
+        m = load_model(fixtures / "ex1_sub1.json")
+        cfg = cfg_for(0.0234, 0.1, n_paths=_CHUNK + 5, seed=4, store_stride=3)
+        self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(m, cfg, workers=workers)))
+
+    def test_partially_diverging_gbm(self, monkeypatch):
+        fast, ref = self.both(monkeypatch, lambda: run_ensemble(gbm_model(), gbm_cfg(store_stride=3)))
+        assert 0 < fast.n_diverged < fast.n_paths
+        self.assert_ensembles(fast, ref)
+
+    def test_em_discrete(self, monkeypatch, rng):
+        f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
+        x0 = rng.normal(size=2)
+        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete(f, [g], 0.05, 60, x0, seed=5)))
+        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete_terminal(
+            f, [g], 0.05, 60, x0, n_paths=7, seed=5)))
+        # a chain that passes the cap part way
+        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete(
+            np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))))
+
+
+class TestAliveFlags:
+    def test_alive_matches_divergence_times(self):
+        ens = run_ensemble(gbm_model(), gbm_cfg(store_stride=7))
+        assert 0 < ens.n_diverged < ens.n_paths
+        d = ens.diverged_at[:, None]
+        assert np.array_equal(ens.alive, np.isnan(d) | (ens.times[None, :] < d))
+        assert np.array_equal(np.isnan(ens.states), np.repeat(~ens.alive[:, :, None], ens.n, axis=2))
 
 
 class TestCounterNoise:
@@ -396,6 +472,19 @@ class TestCsvExports:
         lines = t2.read_text().splitlines()
         assert lines[0] == "t,mean_sq_norm,n_alive"
         assert len(lines) == 1 + len(ens.times)
+
+    def test_trajectories_format_with_nan_rows(self, tmp_path):
+        # one repr per value, as the per-value writer produced it
+        ens = run_ensemble(gbm_model(), gbm_cfg(store_stride=40))
+        assert 0 < ens.n_diverged < ens.n_paths
+        ref = ["t,path,x1\n"]
+        for p in range(ens.n_paths):
+            for i, t in enumerate(ens.times):
+                coords = ",".join(repr(float(v)) for v in ens.states[p, i])
+                ref.append(f"{float(t)!r},{p},{coords}\n")
+        out = tmp_path / "traj.csv"
+        export_trajectories_csv(ens, out)
+        assert out.read_bytes() == "".join(ref).encode("utf-8")
 
 
 class TestStabilityTransferContrast:
