@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -570,6 +570,7 @@ def cmd_report(args, argv) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@cache   # the tree is immutable once built; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdstab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sdstab {__version__}")

@@ -256,6 +256,17 @@ class SamplingSchedule:
         return float(np.diff(self.instants).max())
 
 
+def check_grid_length(count: float, what: str) -> None:
+    """Refuse a time grid of `count` points that numpy cannot hold.
+
+    numpy rejects a float64 array whose byte size exceeds the largest index
+    ("Maximum allowed size exceeded"); checking the count first turns that
+    into an input error before anything is allocated.
+    """
+    if not count * 8.0 < np.iinfo(np.intp).max:
+        raise DomainError(f"{what} would have {count:.3g} points, too many to index")
+
+
 def schedule_instants(
     schedule: SamplingSchedule,
     horizon: float,
@@ -269,7 +280,9 @@ def schedule_instants(
     if not 0 < horizon < math.inf:
         raise DomainError("horizon must be positive and finite")
     if schedule.kind == "periodic":
-        k = int(math.floor(horizon / schedule.dt * (1 + 1e-12)))
+        last = horizon / schedule.dt * (1 + 1e-12)
+        check_grid_length(last + 1.0, "the sampling schedule")
+        k = math.floor(last)
         return schedule.dt * np.arange(k + 1, dtype=float)
     if schedule.kind == "uniform_random":
         if rng is None:

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import CallbackError, DegenerateEnsemble, DomainError, ValidationError
 from .models import (
-    GeneralSiDE, LinearSampledModel, Model, SamplingSchedule, Segment, schedule_instants,
+    GeneralSiDE, LinearSampledModel, Model, SamplingSchedule, Segment, check_grid_length,
+    schedule_instants,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -49,7 +50,7 @@ _SCHEDULE_STREAM = 1 << 63
 _JUMP_STREAM = 1 << 62
 _DIVERGENCE_CAP = 1e150
 _CHUNK = 4096
-_WINDOW_NORMALS = 1 << 16   # normals drawn per window; bounds the Philox temporaries
+_WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per mean_sq block: bounds the temporaries
 _LO32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
@@ -215,12 +216,22 @@ class TrajectoryEnsemble:
         """Mean of |x(t)|^2 over alive paths (NaN where no path is alive).
 
         The reduction is a fixed-order sum over path index, so the result is
-        independent of how paths were chunked across workers.
+        independent of how paths were chunked across workers.  It streams over
+        blocks of rows: each block's sum starts from the running total as its
+        row 0, so the additions are those of one axis-0 sum over all paths, in
+        path order, and no (paths x times) temporary is built.
         """
-        # dead rows hold NaN; the np.where below masks them out
-        sq = np.einsum("pti,pti->pt", self.states, self.states)
+        rows = max(1, _WINDOW_NORMALS // len(self.times))
+        tot = np.zeros((1, len(self.times)))
+        total_row = np.ones(tot.shape, dtype=bool)
+        for a in range(0, self.n_paths, rows):
+            blk = self.states[a:a + rows]
+            sq = np.concatenate([tot, np.einsum("pti,pti->pt", blk, blk)])
+            keep = np.concatenate([total_row, self.alive[a:a + rows]])
+            # dead rows hold NaN; where= leaves them out, exactly as adding 0.0 would
+            tot = np.add.reduce(sq, axis=0, keepdims=True, where=keep, initial=0.0)
+        tot = tot[0]
         counts = self.alive.sum(axis=0).astype(float)
-        tot = np.where(self.alive, sq, 0.0).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(counts > 0, tot / counts, np.nan)
 
@@ -310,6 +321,8 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
 
 def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
     """Integration grid of a run and the grid indices it stores."""
+    # dt_sim <= underline_dt / 10, so this count also bounds the sampling instants
+    check_grid_length(cfg.horizon / cfg.dt_sim + 1.0, "the integration grid")
     instants = schedule_instants(
         cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
     )
@@ -330,6 +343,8 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
     b_bar = model.B_bar
     if b_bar is None:
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdstab.cli import main, reverify_report
+from sdstab.cli import build_parser, main, reverify_report
 
 FX = "tests/fixtures"
 
@@ -193,6 +193,7 @@ class TestExitCodes:
         "report_generic_overflow", "cert_k_hat_not_certified", "model_k_hat_not_certified",
         "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
         "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
+        "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -251,6 +252,11 @@ class TestExitCodes:
                 "cert_ex1_sub1_analysis", alpha_bar=10.0, P=[[1e160, 0.0], [0.0, 1e160]],
                 P_tilde=[[1e160, 0.0], [0.0, 1e160]])],
             "horizon_inf": lambda: simulate[:-1] + ["inf"],
+            "workers_zero": lambda: simulate + ["--workers", "0"],
+            "workers_negative": lambda: simulate + ["--workers", "-2"],
+            # integration grids too long for numpy to index
+            "dt_sim_unindexable": lambda: simulate + ["--dt-sim", "1e-300"],
+            "horizon_unindexable": lambda: simulate[:3] + ["--schedule", "periodic:0.02", "--horizon", "1e300"],
             "report_list": lambda: ["report", _write(tmp_path / "list.json", [1, 2])],
             "report_no_constants": lambda: ["report", _write(
                 tmp_path / "bound.json",
@@ -294,6 +300,35 @@ class TestExitCodes:
         assert "error" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestRepeatedCalls:
+    def test_cached_parser_keeps_no_state(self, capsys, tmp_path):
+        # main builds its parser once per process: a call must not see the previous one
+        bound = ["bound", "--two-v", "--alpha", "4.3957", "--alpha-b", "241.9335",
+                 "--gamma1", "1.2491", "--gamma2", "60.5024"]
+        verify = ["verify", "--model", f"{FX}/ex1_sub1.json",
+                  "--cert", f"{FX}/cert_ex1_sub1_analysis.json"]
+        out = tmp_path / "out.json"
+
+        def call(argv):
+            out.unlink(missing_ok=True)
+            code = run(argv + ["--out", str(out)])
+            std = capsys.readouterr()
+            report = json.loads(out.read_text()) if out.exists() else None
+            if report:
+                report.pop("wall_time_s")
+            return code, std.out, std.err, report
+
+        sequence = [bound, verify, bound[:-2], verify]   # bound[:-2] lacks --gamma2
+        first = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            first.append(call(argv))
+        assert [f[0] for f in first] == [0, 0, 3, 0]
+        build_parser.cache_clear()
+        assert [call(argv) for argv in sequence] == first
+        assert build_parser.cache_info().misses == 1
 
 
 _REPORT_KEYS = ("tool", "version", "command", "inputs", "results", "mode", "constants", "q_star",

@@ -138,6 +138,9 @@ class TestScheduleInstants:
             for horizon in (0.0, np.inf, np.nan):
                 with pytest.raises(DomainError):
                     schedule_instants(schedule, horizon, rng=rng)
+        # more instants than numpy can index: refused before np.arange allocates
+        with pytest.raises(DomainError):
+            schedule_instants(SamplingSchedule.periodic(0.02), 1e300)
 
     def test_parse(self):
         assert SamplingSchedule.parse("periodic:0.02").dt == 0.02

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,47 @@ class TestEnsemble:
         assert hashlib.sha256(means.tobytes()).hexdigest() == hashlib.sha256(ref.tobytes()).hexdigest()
         fit = estimate_ms_decay(ens)
         assert fit == estimate_ms_decay(ens, means=ref) == estimate_ms_decay(ens, means=means)
+
+    @pytest.mark.parametrize("a, horizon, n_paths, stride", [
+        (50.0, 20.0, 3000, 1),    # 32-row blocks
+        (50.0, 20.0, 3000, 10),   # 326-row blocks
+        (28.0, 400.0, 8, 1),      # 40,001 stored times: one row per block
+    ])
+    def test_mean_sq_streamed_blocks_match_full_formula(self, a, horizon, n_paths, stride):
+        # each block's sum starts from the running total, so the additions are
+        # those of one axis-0 sum over the full (paths x times) array
+        m = LinearSampledModel(
+            name="gbm", n=1, A=np.array([[a]]), diffusion=(np.array([[10.0]]),),
+            B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
+        )
+        ens = run_ensemble(m, cfg_for(0.1, horizon, dt_sim=0.01, n_paths=n_paths, seed=2,
+                                      store_stride=stride))
+        assert 0 < ens.n_diverged < ens.n_paths
+        rows = max(1, sim._WINDOW_NORMALS // len(ens.times))
+        assert ens.n_paths > 8 * rows or rows == 1
+        sq = np.einsum("pti,pti->pt", ens.states, ens.states)
+        counts = ens.alive.sum(axis=0).astype(float)
+        tot = np.where(ens.alive, sq, 0.0).sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref = np.where(counts > 0, tot / counts, np.nan)
+        means = ens.mean_sq()
+        assert hashlib.sha256(means.tobytes()).hexdigest() == hashlib.sha256(ref.tobytes()).hexdigest()
+
+    def test_mean_sq_builds_no_paths_by_times_temporary(self):
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((20_000, 100, 2))
+        alive = np.ones((20_000, 100), dtype=bool)
+        states[::7, 60:] = np.nan
+        alive[::7, 60:] = False
+        ens = TrajectoryEnsemble(times=np.linspace(0.0, 1.0, 100), states=states, alive=alive,
+                                 instants=np.zeros(1), seed=0, diverged_at=np.full(20_000, np.nan))
+        tracemalloc.start()
+        try:
+            ens.mean_sq()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states.nbytes / 8
 
     def test_unresolved_gain_rejected(self, fixtures):
         m = load_model(fixtures / "ex1_sub1_control.json")
