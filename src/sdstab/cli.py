@@ -56,6 +56,7 @@ from .models import (
 )
 from .sim import (
     SimConfig,
+    ensemble_moments,
     estimate_as_exponent,
     estimate_ms_decay,
     export_ensemble_stats_csv,
@@ -376,7 +377,11 @@ def cmd_simulate(args, argv) -> int:
         x0=args.x0,
     )
     t0 = time.perf_counter()
-    ens = run_ensemble(model, cfg, workers=args.workers)
+    # only the trajectory CSV needs every stored state; the statistics fold chunk by chunk
+    if args.traj_out:
+        ens = run_ensemble(model, cfg, workers=args.workers)
+    else:
+        ens = ensemble_moments(model, cfg, workers=args.workers)
     t_integrated = time.perf_counter()
     frac_diverged = ens.n_diverged / ens.n_paths
     means = ens.mean_sq()
@@ -433,7 +438,7 @@ def cmd_simulate(args, argv) -> int:
 def _terminal_mean_sq_se(ens) -> Optional[float]:
     """Monte Carlo standard error of E|x(T)|^2: the sample standard deviation
     of |x(T)|^2 over the alive paths over the root of their count."""
-    last = ens.states[ens.alive[:, -1], -1, :]
+    last = ens.terminal[ens.terminal_alive]
     if len(last) < 2:
         return None
     sq = np.einsum("pi,pi->p", last, last)

@@ -28,11 +28,20 @@ derives the stored alive flags from diverged_at.
 simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
 with jumps rather than a batched linear-plus-drift state; it draws the same
 increments as the kernel.
+
+An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
+at a time, handed on in path order.  run_ensemble writes every chunk into one
+(paths x stored times x n) TrajectoryEnsemble.  ensemble_moments folds each
+chunk into per-time sums as soon as it is integrated and drops it, so its
+memory is O(workers x chunk x stored times x n + paths x n); both give the
+same statistics bit for bit, because the fold adds the paths in path order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -185,8 +194,24 @@ class SinglePath:
     diverged_at: float
 
 
+class _PathCounts:
+    """Path and divergence counts of an ensemble record, read from diverged_at."""
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.diverged_at)
+
+    @property
+    def diverged(self) -> np.ndarray:
+        return ~np.isnan(self.diverged_at)
+
+    @property
+    def n_diverged(self) -> int:
+        return int(self.diverged.sum())
+
+
 @dataclass(frozen=True)
-class TrajectoryEnsemble:
+class TrajectoryEnsemble(_PathCounts):
     """Seeded Monte Carlo paths on a shared stored time grid."""
 
     times: np.ndarray          # (T,)
@@ -197,46 +222,73 @@ class TrajectoryEnsemble:
     diverged_at: np.ndarray    # (n_paths,) time of divergence, NaN if none
 
     @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
     def n(self) -> int:
         return self.states.shape[2]
 
     @property
-    def diverged(self) -> np.ndarray:
-        return ~np.isnan(self.diverged_at)
+    def terminal(self) -> np.ndarray:
+        return self.states[:, -1, :]
 
     @property
-    def n_diverged(self) -> int:
-        return int(self.diverged.sum())
+    def terminal_alive(self) -> np.ndarray:
+        return self.alive[:, -1]
 
     def mean_sq(self) -> np.ndarray:
-        """Mean of |x(t)|^2 over alive paths (NaN where no path is alive).
-
-        The reduction is a fixed-order sum over path index, so the result is
-        independent of how paths were chunked across workers.  It streams over
-        blocks of rows: each block's sum starts from the running total as its
-        row 0, so the additions are those of one axis-0 sum over all paths, in
-        path order, and no (paths x times) temporary is built.
-        """
-        rows = max(1, _WINDOW_NORMALS // len(self.times))
-        tot = np.zeros((1, len(self.times)))
-        total_row = np.ones(tot.shape, dtype=bool)
-        for a in range(0, self.n_paths, rows):
-            blk = self.states[a:a + rows]
-            sq = np.concatenate([tot, np.einsum("pti,pti->pt", blk, blk)])
-            keep = np.concatenate([total_row, self.alive[a:a + rows]])
-            # dead rows hold NaN; where= leaves them out, exactly as adding 0.0 would
-            tot = np.add.reduce(sq, axis=0, keepdims=True, where=keep, initial=0.0)
-        tot = tot[0]
-        counts = self.alive.sum(axis=0).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(counts > 0, tot / counts, np.nan)
+        """Mean of |x(t)|^2 over alive paths (NaN where no path is alive), summed in path order."""
+        total = _fold_sq(np.zeros((1, len(self.times))), self.states, self.alive)
+        return _mean(total[0], self.n_alive())
 
     def n_alive(self) -> np.ndarray:
         return self.alive.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class EnsembleMoments(_PathCounts):
+    """What the estimators read of an ensemble, without its stored states."""
+
+    times: np.ndarray           # (T,)
+    sum_sq: np.ndarray          # (T,) sum of |x(t)|^2 over alive paths, added in path order
+    alive_counts: np.ndarray    # (T,) alive paths
+    terminal: np.ndarray        # (n_paths, n) states at times[-1]; NaN after divergence
+    terminal_alive: np.ndarray  # (n_paths,) bool
+    instants: np.ndarray
+    seed: int
+    diverged_at: np.ndarray     # (n_paths,) time of divergence, NaN if none
+
+    def mean_sq(self) -> np.ndarray:
+        """Mean of |x(t)|^2 over alive paths (NaN where no path is alive)."""
+        return _mean(self.sum_sq, self.alive_counts)
+
+    def n_alive(self) -> np.ndarray:
+        return self.alive_counts
+
+
+Ensemble = Union[TrajectoryEnsemble, EnsembleMoments]
+
+
+def _fold_sq(total: np.ndarray, states: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The running per-time total (1, T) plus |x(t)|^2 of the alive rows of states.
+
+    It streams over blocks of rows: each block's sum starts from the running
+    total as its row 0, so the additions are those of one axis-0 sum over
+    every path folded so far, in path order, whatever the blocks or chunks,
+    and no (paths x times) temporary is built.
+    """
+    rows = max(1, _WINDOW_NORMALS // states.shape[1])
+    total_row = np.ones(total.shape, dtype=bool)
+    for a in range(0, len(states), rows):
+        blk = states[a:a + rows]
+        sq = np.concatenate([total, np.einsum("pti,pti->pt", blk, blk)])
+        keep = np.concatenate([total_row, alive[a:a + rows]])
+        # dead rows hold NaN; where= leaves them out, exactly as adding 0.0 would
+        total = np.add.reduce(sq, axis=0, keepdims=True, where=keep, initial=0.0)
+    return total
+
+
+def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    counts = counts.astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, total / counts, np.nan)
 
 
 def _resolve_x0(model: Union[Model, GeneralSiDE], cfg: SimConfig) -> np.ndarray:
@@ -252,9 +304,17 @@ def _resolve_x0(model: Union[Model, GeneralSiDE], cfg: SimConfig) -> np.ndarray:
 
 
 def _outputs(npaths: int, nstore: int, n: int):
-    """Kernel output arrays: stored states, alive flags and divergence times."""
-    return (np.empty((npaths, nstore, n)), np.empty((npaths, nstore), dtype=bool),
-            np.full(npaths, np.nan))
+    """Kernel output arrays: stored states, alive flags and divergence times.
+
+    A size numpy cannot index, or one the machine cannot allocate, is a
+    DomainError; the first is refused before anything is allocated.
+    """
+    check_grid_length(float(npaths) * nstore * n, f"{npaths} paths x {nstore} stored times")
+    try:
+        return (np.empty((npaths, nstore, n)), np.empty((npaths, nstore), dtype=bool),
+                np.full(npaths, np.nan))
+    except MemoryError as exc:
+        raise DomainError(f"{npaths} paths x {nstore} stored times do not fit in memory") from exc
 
 
 def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
@@ -334,43 +394,99 @@ def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
     return grid, np.asarray(store_idx, dtype=int)
 
 
-def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
-    """Simulate n_paths sampled-data trajectories with independent noise streams.
-
-    The result is bit-identical for any worker count: chunking only changes
-    which thread fills which rows.
-    """
-    b_bar = model.B_bar
-    if b_bar is None:
+def _ensemble_setup(model: Model, cfg: SimConfig, workers: int):
+    """Check an ensemble run; return its grid, stored grid indices and x0."""
+    if model.B_bar is None:
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     grid, store_idx = _grid_for(cfg)
-    x0 = _resolve_x0(model, cfg)
+    return grid, store_idx, _resolve_x0(model, cfg)
 
-    states, alive, diverged_at = _outputs(cfg.n_paths, len(store_idx), model.n)
+
+def _chunks(model, cfg, workers, grid, store_idx, x0, out=None):
+    """Integrate the paths of cfg chunk by chunk; yield (rows, states, alive,
+    diverged_at) of each chunk, in path order.
+
+    A chunk's arrays are its rows of out, if given, else its own.  At most
+    `workers` chunks are in flight: the next one is submitted only after the
+    oldest is handed on.
+    """
+    b_bar = model.B_bar
+    nstore = len(store_idx)
+
+    def work(a):
+        rows = slice(a, min(a + _CHUNK, cfg.n_paths))
+        arrays = _outputs(rows.stop - a, nstore, model.n) if out is None else [o[rows] for o in out]
+        _integrate_chunk(model, b_bar, grid, x0, np.arange(a, rows.stop), cfg.seed, store_idx, *arrays)
+        return (rows, *arrays)
 
     # fixed chunk size: worker count must not influence batch shapes, or
     # BLAS shape dispatch could perturb low-order bits across worker counts
-    all_paths = np.arange(cfg.n_paths)
-    blocks = [slice(i, i + _CHUNK) for i in range(0, cfg.n_paths, _CHUNK)]
+    starts = range(0, cfg.n_paths, _CHUNK)
+    # results do not depend on the worker count, so the pool needs no more
+    # threads than there are chunks or cores
+    workers = min(workers, len(starts), os.cpu_count() or 1)
+    if workers == 1:
+        for a in starts:
+            yield work(a)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for a in starts:
+            if len(pending) == workers:
+                yield pending.popleft().result()  # re-raises a worker's exception
+            pending.append(pool.submit(work, a))
+        while pending:
+            yield pending.popleft().result()
 
-    def work(rows):
-        # each chunk writes its own rows of the shared result arrays
-        _integrate_chunk(model, b_bar, grid, x0, all_paths[rows], cfg.seed, store_idx,
-                         states[rows], alive[rows], diverged_at[rows])
 
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))  # re-raises a worker's exception
-    else:
-        for rows in blocks:
-            work(rows)
+def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
+    """Simulate n_paths sampled-data trajectories with independent noise streams.
 
+    The result is bit-identical for any worker count: chunking only changes
+    which thread fills which rows.  It holds every stored state, so its
+    memory is O(paths x stored times x n); ensemble_moments keeps only the
+    statistics.
+    """
+    grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
+    out = _outputs(cfg.n_paths, len(store_idx), model.n)
+    for _ in _chunks(model, cfg, workers, grid, store_idx, x0, out):
+        pass  # each chunk writes its own rows of out
+    states, alive, diverged_at = out
     return TrajectoryEnsemble(
         times=grid.times[store_idx],
         states=states,
         alive=alive,
+        instants=grid.instants,
+        seed=cfg.seed,
+        diverged_at=diverged_at,
+    )
+
+
+def ensemble_moments(model: Model, cfg: SimConfig, workers: int = 1) -> EnsembleMoments:
+    """The statistics of run_ensemble(model, cfg, workers), bit for bit, without its states.
+
+    Each chunk is folded into the per-time sums as soon as it is integrated,
+    and then dropped: memory is O(workers x chunk x stored times x n + paths x n).
+    """
+    grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
+    # the per-path arrays: outputs with one stored time, the terminal one
+    terminal, terminal_alive, diverged_at = _outputs(cfg.n_paths, 1, model.n)
+    total = np.zeros((1, len(store_idx)))
+    counts = np.zeros(len(store_idx), dtype=int)
+    for rows, states, alive, died in _chunks(model, cfg, workers, grid, store_idx, x0):
+        total = _fold_sq(total, states, alive)
+        counts += alive.sum(axis=0)
+        terminal[rows] = states[:, -1:]
+        terminal_alive[rows] = alive[:, -1:]
+        diverged_at[rows] = died
+    return EnsembleMoments(
+        times=grid.times[store_idx],
+        sum_sq=total[0],
+        alive_counts=counts,
+        terminal=terminal[:, 0],
+        terminal_alive=terminal_alive[:, 0],
         instants=grid.instants,
         seed=cfg.seed,
         diverged_at=diverged_at,
@@ -544,7 +660,7 @@ class DecayEstimate:
 
 
 def estimate_ms_decay(
-    ens: TrajectoryEnsemble, window: Optional[Tuple[float, float]] = None,
+    ens: Ensemble, window: Optional[Tuple[float, float]] = None,
     means: Optional[np.ndarray] = None,
 ) -> DecayEstimate:
     """Fit the mean-square decay rate on a time window (default [0.2 T, T]).
@@ -582,7 +698,7 @@ def estimate_ms_decay(
 
 @dataclass(frozen=True)
 class ExponentSummary:
-    """Per-path (1/t) ln |x(t)| at the window end, with median/max summaries.
+    """Per-path (1/t) ln |x(t)| at the last stored time, with median/max summaries.
 
     Paths at exactly zero carry -inf; they are excluded from the median and
     counted in n_zero.  Diverged paths are excluded and counted separately.
@@ -596,20 +712,13 @@ class ExponentSummary:
     n_diverged: int
 
 
-def estimate_as_exponent(
-    ens: TrajectoryEnsemble, window: Optional[Tuple[float, float]] = None
-) -> ExponentSummary:
-    t = ens.times
-    w1 = float(t[-1]) if window is None else float(window[1])
-    if not w1 > 0:
-        raise DomainError("window end must be positive")
-    candidates = np.nonzero((t <= w1 * (1 + 1e-12)) & (t > 0))[0]
-    if len(candidates) == 0:
-        raise DomainError("no positive stored time inside the window")
-    i = int(candidates[-1])
-    t_used = float(t[i])
-    alive = ens.alive[:, i]
-    norms = np.linalg.norm(np.nan_to_num(ens.states[:, i, :]), axis=1)
+def estimate_as_exponent(ens: Ensemble) -> ExponentSummary:
+    """Per-path (1/T) ln |x(T)| at the last stored time T."""
+    t_used = float(ens.times[-1])
+    if not t_used > 0:
+        raise DomainError("the last stored time must be positive")
+    alive = ens.terminal_alive
+    norms = np.linalg.norm(np.nan_to_num(ens.terminal), axis=1)
     with np.errstate(divide="ignore"):
         vals = np.where(alive, np.log(np.where(norms > 0, norms, 1.0)) / t_used, np.nan)
         vals = np.where(alive & (norms == 0.0), -np.inf, vals)
@@ -643,7 +752,7 @@ def export_trajectories_csv(ens: TrajectoryEnsemble, path) -> None:
                              for t, row in zip(times, ens.states[p].tolist())))
 
 
-def export_ensemble_stats_csv(ens: TrajectoryEnsemble, path) -> None:
+def export_ensemble_stats_csv(ens: Ensemble, path) -> None:
     """Write ensemble statistics: header t,mean_sq_norm,n_alive."""
     means = ens.mean_sq()
     alive = ens.n_alive()

@@ -140,6 +140,40 @@ class TestSimulateCommand:
         assert set(stages) == {"integrate", "estimate"} and min(stages.values()) > 0
         assert sum(stages.values()) == pytest.approx(rep["wall_time_s"])
 
+    @pytest.mark.parametrize("model", ["sub1", "gbm"])
+    def test_traj_out_route_same_statistics(self, model, capsys, monkeypatch, tmp_path):
+        # without --traj-out the statistics fold chunk by chunk, with it they come
+        # from the full ensemble: report results and stats CSV bytes must agree
+        from sdstab import sim
+
+        monkeypatch.setattr(sim, "_CHUNK", 4)   # 10 paths: three chunks
+        if model == "sub1":
+            argv = ["--model", f"{FX}/ex1_sub1.json", "--schedule", "periodic:0.0234", "--horizon", "1"]
+        else:   # sigma sqrt(h) = 1.6: some paths pass the divergence cap, not all
+            doc = {"name": "gbm", "n": 1, "A": [[100.0]], "diffusion": [[[16.0]]],
+                   "B_bar": [[0.0]], "x0": [1.0]}
+            argv = ["--model", _write(tmp_path / "gbm.json", doc), "--schedule", "periodic:0.1",
+                    "--horizon", "8", "--dt-sim", "0.01"]
+        outs = []
+        for extra in ([], ["--traj-out", str(tmp_path / "traj.csv")]):
+            out, stats = tmp_path / "r.json", tmp_path / "s.csv"
+            code = run(["simulate", *argv, "--paths", "10", "--seed", "2", "--workers", "2",
+                        "--store-stride", "3", "--out", str(out), "--stats-out", str(stats), *extra])
+            outs.append((code, json.loads(out.read_text())["results"], stats.read_bytes()))
+        assert outs[0] == outs[1]
+        if model == "gbm":
+            assert 0 < outs[0][1]["n_diverged"] < 10
+
+    @pytest.mark.parametrize("traj", [False, True])
+    def test_one_alive_path_has_no_standard_error(self, traj, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        extra = ["--traj-out", str(tmp_path / "traj.csv")] if traj else []
+        code = run(["simulate", "--model", f"{FX}/ex1_sub1.json", "--schedule", "periodic:0.0234",
+                    "--horizon", "0.5", "--paths", "1", "--out", str(out), *extra])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["terminal_mean_sq"] > 0 and res["terminal_mean_sq_se"] is None
+
     def test_divergent_exit_1(self, capsys, tmp_path):
         # unstable plant without feedback: most paths blow up
         doc = {"name": "unstable", "n": 1, "A": [[1000.0]], "diffusion": [[[0.0]]],
@@ -194,6 +228,7 @@ class TestExitCodes:
         "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
         "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
         "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
+        "paths_unindexable",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -257,6 +292,8 @@ class TestExitCodes:
             # integration grids too long for numpy to index
             "dt_sim_unindexable": lambda: simulate + ["--dt-sim", "1e-300"],
             "horizon_unindexable": lambda: simulate[:3] + ["--schedule", "periodic:0.02", "--horizon", "1e300"],
+            # per-path arrays too large for numpy to index: refused before any allocation
+            "paths_unindexable": lambda: simulate + ["--paths", str(10**18)],
             "report_list": lambda: ["report", _write(tmp_path / "list.json", [1, 2])],
             "report_no_constants": lambda: ["report", _write(
                 tmp_path / "bound.json",
@@ -300,6 +337,25 @@ class TestExitCodes:
         assert "error" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    @pytest.mark.parametrize("traj", [False, True])
+    def test_ensemble_out_of_memory_exit_3(self, traj, capsys, monkeypatch, tmp_path):
+        # an allocation the machine refuses, faked here so nothing large is asked for
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.ndim(shape) and shape[0] == 54321:
+                raise MemoryError
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        extra = ["--traj-out", str(tmp_path / "traj.csv")] if traj else []
+        code = run(["simulate", "--model", f"{FX}/ex1_sub1.json", "--schedule", "periodic:0.01",
+                    "--horizon", "0.1", "--paths", "54321", *extra])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error" in err and "memory" in err and "Traceback" not in err
 
 
 class TestRepeatedCalls:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdstab import sim
-from sdstab.errors import DegenerateEnsemble, ValidationError
+from sdstab.errors import DegenerateEnsemble, DomainError, ValidationError
 from sdstab.lmi import load_certificate
 from sdstab.models import (
     GeneralSiDE,
@@ -17,6 +18,7 @@ from sdstab.models import (
 from sdstab.sim import (
     SimConfig,
     TrajectoryEnsemble,
+    ensemble_moments,
     estimate_as_exponent,
     estimate_ms_decay,
     export_ensemble_stats_csv,
@@ -80,8 +82,6 @@ class TestSampledPath:
 
     def test_uncontrolled_grows(self, fixtures):
         # open loop has an eigenvalue at -2 + 2*sqrt(2) > 0
-        import dataclasses
-
         m = dataclasses.replace(load_model(fixtures / "ex1_sub1.json"),
                                 B_bar_explicit=np.zeros((2, 2)))
         assert np.max(np.linalg.eigvals(m.A).real) > 0
@@ -209,6 +209,110 @@ def gbm_cfg(**kw):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(call):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (DegenerateEnsemble, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEnsembleMoments:
+    """ensemble_moments folds each chunk as it comes; it must equal run_ensemble bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_run_ensemble(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "_CHUNK", 7)   # 64 paths: ten chunks, the last one short
+        cfg = gbm_cfg(store_stride=3)
+        ens = run_ensemble(gbm_model(), cfg, workers=workers)
+        mom = ensemble_moments(gbm_model(), cfg, workers=workers)
+        assert 0 < ens.n_diverged < ens.n_paths
+        assert (mom.n_paths, mom.n_diverged) == (ens.n_paths, ens.n_diverged)
+        for name in ("times", "instants", "diverged_at", "mean_sq", "n_alive", "terminal", "terminal_alive"):
+            a, b = getattr(ens, name), getattr(mom, name)
+            assert same_bits(*((a(), b()) if callable(a) else (a, b))), name
+        assert mom.seed == ens.seed
+        assert outcome(lambda: estimate_ms_decay(mom)) == outcome(lambda: estimate_ms_decay(ens))
+        ea, eb = estimate_as_exponent(ens), estimate_as_exponent(mom)
+        assert same_bits(ea.values, eb.values)
+        assert (ea.t_used, ea.median, ea.max, ea.n_zero, ea.n_diverged) == \
+            (eb.t_used, eb.median, eb.max, eb.n_zero, eb.n_diverged)
+
+    def test_pool_clamped_and_chunks_bounded(self, monkeypatch):
+        # a fake pool that runs each task when submitted: no thread starts
+        record = {"max_workers": [], "in_flight": 0, "peak": 0}
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                record["in_flight"] -= 1
+                return self.value
+
+        class Pool:
+            def __init__(self, max_workers):
+                record["max_workers"].append(max_workers)
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                record["in_flight"] += 1
+                record["peak"] = max(record["peak"], record["in_flight"])
+                assert record["in_flight"] <= self.max_workers
+                return Done(fn(*args))
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sim, "_CHUNK", 8)
+        cfg = gbm_cfg()   # 64 paths: eight chunks
+        ref = ensemble_moments(gbm_model(), cfg)
+        for cores, want in ((64, 8), (3, 3)):
+            monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+            record["max_workers"].clear()
+            record["peak"] = 0
+            got = ensemble_moments(gbm_model(), cfg, workers=10**6)
+            assert record["max_workers"] == [want] and record["peak"] == want
+            assert same_bits(got.mean_sq(), ref.mean_sq())
+            assert same_bits(run_ensemble(gbm_model(), cfg, workers=10**6).mean_sq(), ref.mean_sq())
+        # an unknown core count, or a single chunk, runs serially
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        record["max_workers"].clear()
+        ensemble_moments(gbm_model(), cfg, workers=4)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        ensemble_moments(gbm_model(), dataclasses.replace(cfg, n_paths=8), workers=4)
+        assert record["max_workers"] == []
+
+    def test_memory_grows_only_by_per_path_arrays(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        m = decay_model()
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                ensemble_moments(m, cfg_for(0.05, 2.0, dt_sim=0.005, n_paths=n_paths))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(256)   # first-call allocations, such as imports, stay out of the comparison
+        extra = 1024 - 256
+        growth = peak(1024) - peak(256)
+        per_path = extra * (m.n * 8 + 1 + 8)   # terminal state, alive flag, divergence time
+        # 401 stored times: keeping every state would grow by 401 x n x 8 bytes a path
+        assert growth <= 2 * per_path + 16384 < extra * 401 * m.n * 8
+
+    def test_unindexable_path_count_refused(self):
+        cfg = cfg_for(0.05, 0.5, n_paths=10**18)
+        for call in (ensemble_moments, run_ensemble):
+            with pytest.raises(DomainError, match="too many to index"):
+                call(decay_model(), cfg)
 
 
 class TestKernelOracle:
