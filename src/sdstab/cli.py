@@ -112,7 +112,7 @@ def _write_text(text: str, path) -> None:
 
 def _emit_report(report: dict, out: Optional[str]) -> None:
     if out:
-        _save(out, partial(_write_text, json.dumps(report, indent=2) + "\n"))
+        _save(out, partial(_write_text, json.dumps(report, indent=2, allow_nan=False) + "\n"))
 
 
 def _print_kv(key: str, value) -> None:
@@ -437,12 +437,23 @@ def cmd_simulate(args, argv) -> int:
 
 def _terminal_mean_sq_se(ens) -> Optional[float]:
     """Monte Carlo standard error of E|x(T)|^2: the sample standard deviation
-    of |x(T)|^2 over the alive paths over the root of their count."""
+    of |x(T)|^2 over the alive paths over the root of their count.
+
+    The squares are scaled by the power of two above the largest one, so the
+    deviations' squares cannot overflow, and the error then cannot exceed that
+    square; scaling by a power of two is exact, so the result is that of the
+    unscaled formula wherever that one neither overflows nor underflows.
+    """
     last = ens.terminal[ens.terminal_alive]
     if len(last) < 2:
         return None
     sq = np.einsum("pi,pi->p", last, last)
-    return float(sq.std(ddof=1) / math.sqrt(len(sq)))
+    top = sq.max()
+    if not math.isfinite(top):
+        print("note: terminal mean-square standard error unavailable (|x(T)|^2 overflows)")
+        return None
+    _, e = np.frexp(top)
+    return float(np.ldexp(np.ldexp(sq, -e).std(ddof=1) / math.sqrt(len(sq)), e))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +490,7 @@ def _curve_points(path, results: dict, n: int = 200):
 
 
 def _report_field(path, key: str, value, kind: str):
-    """A checked field of a run report: None if absent, else a float, bool or text.
+    """A checked field of a run report: None if absent, else a finite float, a bool or text.
 
     Raises FormatError for any other shape, so that a malformed report never
     reaches the table and CSV formatting below.
@@ -487,7 +498,8 @@ def _report_field(path, key: str, value, kind: str):
     if value is None:
         return None
     if kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, float) or abs(value) <= sys.float_info.max:  # JSON ints are unbounded
+        # JSON ints are unbounded; NaN and Infinity are not JSON, and --out writes none
+        if abs(value) <= sys.float_info.max:
             return float(value)
     elif kind == "bool" and isinstance(value, bool):
         return value
@@ -566,7 +578,7 @@ def cmd_report(args, argv) -> int:
                 lines.append(",".join(str(c) for c in cells))
             text = "\n".join(lines) + "\n"
         else:
-            text = json.dumps({"rows": rows}, indent=2) + "\n"
+            text = json.dumps({"rows": rows}, indent=2, allow_nan=False) + "\n"
         _save(args.out, partial(_write_text, text))
     return EXIT_OK
 

@@ -162,7 +162,7 @@ def load_certificate(path) -> LmiCertificate:
 
 def save_certificate(cert: LmiCertificate, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_dict(), fh, indent=2)
+        json.dump(cert.to_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -481,7 +481,7 @@ def load_model(path) -> Model:
 
 def save_model(model: Model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(model_to_dict(model), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -24,23 +24,26 @@ sampled-data loop and its discrete-time approximation are one recursion.
 It forms the hold term x(t_*) B_bar^T once per sampling interval, screens
 the batch for divergence with one scalar test per step (the row-by-row
 check runs only when that test fails or a path is already dead), and
-derives the stored alive flags from diverged_at.
+writes the stored alive flags once per block and when a path dies.
 simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
 with jumps rather than a batched linear-plus-drift state; it draws the same
 increments as the kernel.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
-at a time, handed on in path order.  run_ensemble writes every chunk into one
-(paths x stored times x n) TrajectoryEnsemble.  ensemble_moments folds each
-chunk into per-time sums as soon as it is integrated and drops it, so its
-memory is O(workers x chunk x stored times x n + paths x n); both give the
-same statistics bit for bit, because the fold adds the paths in path order.
+at a time.  The kernel hands its stored states on in blocks of stored times,
+and a chunk hands on a block only after the chunk before it has handed on
+those stored times.  run_ensemble copies every block into one (paths x stored
+times x n) TrajectoryEnsemble.  ensemble_moments folds each block into
+per-time sums and drops it, so its memory is O(workers x _WINDOW_NORMALS x n
++ paths x n + stored times) for any horizon.  Both give the same statistics
+bit for bit, because the fold adds each stored time's paths in path order.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,7 +62,7 @@ _SCHEDULE_STREAM = 1 << 63
 _JUMP_STREAM = 1 << 62
 _DIVERGENCE_CAP = 1e150
 _CHUNK = 4096
-_WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per mean_sq block: bounds the temporaries
+_WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per stored or summed block: bounds temporaries
 _LO32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
@@ -317,31 +320,45 @@ def _outputs(npaths: int, nstore: int, n: int):
         raise DomainError(f"{npaths} paths x {nstore} stored times do not fit in memory") from exc
 
 
-def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
-                     states, alive_store, diverged_at, held=None):
+def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):
     """EM for a batch of paths with drift model.drift(x) + x(t_*) B_bar^T, x(t_*)
-    refreshed where grid.refresh is set.
+    refreshed where grid.refresh is set; returns the paths' divergence times
+    (NaN where none).
 
-    Row r of states (rows, stored times, n), alive_store and diverged_at
-    (NaN-filled) is written for path path_indices[r]; every stored time is
-    written.  held, if given, receives the x(t_*) of the first path.
+    Row r is path path_indices[r].  The stored states go to a buffer of
+    max(2, _WINDOW_NORMALS // rows) stored times, and each full block is
+    handed on as sink(s0, states, alive): states (rows, stored times s0 ..
+    s1 - 1, n) and their alive flags.  The sink must copy what it keeps, for
+    the buffer is reused.  A lone last stored time joins the block before it,
+    because numpy sums a one-column block pairwise rather than row by row.
+    held, if given, receives the x(t_*) of the first path at every stored time.
 
     A row that dies in step i gets diverged_at = times[i + 1] and is cleared
-    in alive_store from the first stored index >= i + 1, so alive_store[r, s]
-    is times[store_idx[s]] < diverged_at[r] (true where that is NaN).
+    in alive from the first stored index >= i + 1, so alive[r, s] is
+    times[store_idx[s]] < diverged_at[r] (true where that is NaN).
     """
     npaths = len(path_indices)
     m = model.m
     nsteps = len(grid.steps)
+    nstore = len(store_idx)
     # steps per noise window, a multiple of 4 so every window starts on a block
     window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
+    block = max(2, _WINDOW_NORMALS // npaths)
+
+    def block_end(s0):
+        s1 = min(s0 + block, nstore)
+        return nstore if nstore - s1 == 1 else s1
+
     x = np.tile(x0, (npaths, 1)).astype(float)
     hold = x @ b_bar.T   # x(t_*) B_bar^T
     xstar0 = x[0].copy()  # x(t_*) of the first path
     alive = np.ones(npaths, dtype=bool)
     any_dead = False
-    alive_store[:] = True
+    diverged_at = np.full(npaths, np.nan)
+    buf = np.empty((npaths, min(block + 1, nstore), x.shape[1]))
+    alive_buf = np.ones(buf.shape[:2], dtype=bool)
     s, next_store = 0, store_idx[0]   # position and grid index of the next stored time
+    s0, s1 = 0, block_end(0)          # the stored times of the current block
     gts = [g.T for g in model.diffusion]
     sqrt_h = np.sqrt(grid.steps)
 
@@ -351,11 +368,15 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
                 hold = x @ b_bar.T
                 xstar0 = x[0].copy()
             if i == next_store:
-                states[:, s, :] = x
+                buf[:, s - s0] = x
                 if held is not None:
                     held[s] = xstar0
                 s += 1
-                next_store = store_idx[s] if s < len(store_idx) else -1
+                next_store = store_idx[s] if s < nstore else -1
+                if s == s1:
+                    sink(s0, buf[:, :s1 - s0], alive_buf[:, :s1 - s0])
+                    s0, s1 = s, block_end(s)
+                    alive_buf[:] = alive[:, None]
             if i == nsteps:
                 break
             upd = model.drift(x)
@@ -376,7 +397,8 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx,
                     alive[bad] = False
                     diverged_at[bad] = grid.times[i + 1]
                     x[bad] = np.nan
-                    alive_store[bad, np.searchsorted(store_idx, i + 1):] = False
+                    alive_buf[bad, s - s0:] = False
+    return diverged_at
 
 
 def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
@@ -404,39 +426,68 @@ def _ensemble_setup(model: Model, cfg: SimConfig, workers: int):
     return grid, store_idx, _resolve_x0(model, cfg)
 
 
-def _chunks(model, cfg, workers, grid, store_idx, x0, out=None):
-    """Integrate the paths of cfg chunk by chunk; yield (rows, states, alive,
-    diverged_at) of each chunk, in path order.
+def _store_into(states: np.ndarray, alive: np.ndarray):
+    """A kernel sink that copies each block into full (rows, stored times) arrays."""
+    def sink(s0, block, alive_block):
+        states[:, s0:s0 + block.shape[1]] = block
+        alive[:, s0:s0 + block.shape[1]] = alive_block
+    return sink
 
-    A chunk's arrays are its rows of out, if given, else its own.  At most
-    `workers` chunks are in flight: the next one is submitted only after the
-    oldest is handed on.
+
+def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
+    """Integrate the paths of cfg chunk by chunk; yield (rows, diverged_at) of
+    each chunk, in path order.
+
+    The chunk of rows hands its blocks of stored times to sink_for(rows), and
+    hands on stored times s0 .. s1 - 1 only after the chunk before it has done
+    so, so a sink sees each stored time's paths in path order.  A chunk that
+    fails counts as done, so the ones after it go on; reading its result
+    re-raises the error.  At most `workers` chunks are in flight: the next one
+    is submitted only after the oldest is handed on.  The first is never
+    waiting and the pool starts its tasks in order, so none waits forever.
     """
     b_bar = model.B_bar
     nstore = len(store_idx)
-
-    def work(a):
-        rows = slice(a, min(a + _CHUNK, cfg.n_paths))
-        arrays = _outputs(rows.stop - a, nstore, model.n) if out is None else [o[rows] for o in out]
-        _integrate_chunk(model, b_bar, grid, x0, np.arange(a, rows.stop), cfg.seed, store_idx, *arrays)
-        return (rows, *arrays)
-
     # fixed chunk size: worker count must not influence batch shapes, or
     # BLAS shape dispatch could perturb low-order bits across worker counts
     starts = range(0, cfg.n_paths, _CHUNK)
+    handed = [0] * len(starts)   # stored times each chunk has handed on
+    turn = threading.Condition()
+
+    def work(c):
+        rows = slice(starts[c], min(starts[c] + _CHUNK, cfg.n_paths))
+        sink = sink_for(rows)
+
+        def in_turn(s0, states, alive):
+            s1 = s0 + states.shape[1]
+            with turn:
+                turn.wait_for(lambda: c == 0 or handed[c - 1] >= s1)
+            sink(s0, states, alive)
+            with turn:
+                handed[c] = s1
+                turn.notify_all()
+
+        try:
+            return rows, _integrate_chunk(model, b_bar, grid, x0, np.arange(rows.start, rows.stop),
+                                          cfg.seed, store_idx, in_turn)
+        finally:
+            with turn:
+                handed[c] = nstore
+                turn.notify_all()
+
     # results do not depend on the worker count, so the pool needs no more
     # threads than there are chunks or cores
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers == 1:
-        for a in starts:
-            yield work(a)
+        for c in range(len(starts)):
+            yield work(c)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for a in starts:
+        for c in range(len(starts)):
             if len(pending) == workers:
                 yield pending.popleft().result()  # re-raises a worker's exception
-            pending.append(pool.submit(work, a))
+            pending.append(pool.submit(work, c))
         while pending:
             yield pending.popleft().result()
 
@@ -450,10 +501,10 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
     statistics.
     """
     grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
-    out = _outputs(cfg.n_paths, len(store_idx), model.n)
-    for _ in _chunks(model, cfg, workers, grid, store_idx, x0, out):
-        pass  # each chunk writes its own rows of out
-    states, alive, diverged_at = out
+    states, alive, diverged_at = _outputs(cfg.n_paths, len(store_idx), model.n)
+    for rows, died in _chunks(model, cfg, workers, grid, store_idx, x0,
+                              lambda rows: _store_into(states[rows], alive[rows])):
+        diverged_at[rows] = died
     return TrajectoryEnsemble(
         times=grid.times[store_idx],
         states=states,
@@ -467,19 +518,28 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
 def ensemble_moments(model: Model, cfg: SimConfig, workers: int = 1) -> EnsembleMoments:
     """The statistics of run_ensemble(model, cfg, workers), bit for bit, without its states.
 
-    Each chunk is folded into the per-time sums as soon as it is integrated,
-    and then dropped: memory is O(workers x chunk x stored times x n + paths x n).
+    Each block of stored times is folded into the per-time sums as soon as a
+    chunk has integrated it, in path order, and then dropped: memory is
+    O(workers x _WINDOW_NORMALS x n + paths x n + stored times) for any horizon.
     """
     grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
     # the per-path arrays: outputs with one stored time, the terminal one
     terminal, terminal_alive, diverged_at = _outputs(cfg.n_paths, 1, model.n)
-    total = np.zeros((1, len(store_idx)))
-    counts = np.zeros(len(store_idx), dtype=int)
-    for rows, states, alive, died in _chunks(model, cfg, workers, grid, store_idx, x0):
-        total = _fold_sq(total, states, alive)
-        counts += alive.sum(axis=0)
-        terminal[rows] = states[:, -1:]
-        terminal_alive[rows] = alive[:, -1:]
+    nstore = len(store_idx)
+    total = np.zeros((1, nstore))
+    counts = np.zeros(nstore, dtype=int)
+
+    def fold_into(rows):
+        def sink(s0, states, alive):
+            s1 = s0 + states.shape[1]
+            total[:, s0:s1] = _fold_sq(total[:, s0:s1], states, alive)
+            counts[s0:s1] += alive.sum(axis=0)
+            if s1 == nstore:
+                terminal[rows] = states[:, -1:]
+                terminal_alive[rows] = alive[:, -1:]
+        return sink
+
+    for rows, died in _chunks(model, cfg, workers, grid, store_idx, x0, fold_into):
         diverged_at[rows] = died
     return EnsembleMoments(
         times=grid.times[store_idx],
@@ -503,10 +563,10 @@ def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> 
         raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
     grid, store_idx = _grid_for(cfg)
     x0 = _resolve_x0(model, cfg)
-    states, alive, diverged_at = _outputs(1, len(store_idx), model.n)
+    states, alive, _ = _outputs(1, len(store_idx), model.n)
     held = np.empty((len(store_idx), model.n))
-    _integrate_chunk(model, b_bar, grid, x0, [path_index], cfg.seed, store_idx,
-                     states, alive, diverged_at, held)
+    diverged_at = _integrate_chunk(model, b_bar, grid, x0, [path_index], cfg.seed, store_idx,
+                                   _store_into(states, alive), held)
     return SinglePath(
         times=grid.times[store_idx],
         states=states[0],
@@ -528,8 +588,8 @@ def _em_chain(F, G_list, h: float, n_steps: int, x0, paths, seed: int, store_idx
     times = h * np.arange(n_steps + 1, dtype=float)
     grid = _Grid(times=times, steps=np.full(n_steps, float(h)),
                  refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
-    states, alive, diverged_at = _outputs(len(paths), len(store_idx), len(f))
-    _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, states, alive, diverged_at)
+    states, alive, _ = _outputs(len(paths), len(store_idx), len(f))
+    _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, _store_into(states, alive))
     return states
 
 

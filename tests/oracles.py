@@ -241,13 +241,13 @@ def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
     return best
 
 
-def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx,
-                 states, alive_store, diverged_at, held=None):
+def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):
     """The Euler-Maruyama kernel in its plain per-step form, a drop-in for
-    sdstab.sim._integrate_chunk: it records through a dict of stored indices,
-    forms x(t_*) B_bar^T anew in every step and checks every row for divergence
-    in every step.  It draws the simulator's own noise, so the two must agree
-    bit for bit.
+    sdstab.sim._integrate_chunk: it records every stored time through a dict
+    of stored indices into full arrays and hands them to the sink as one block
+    at the end, forms x(t_*) B_bar^T anew in every step and checks every row
+    for divergence in every step.  It draws the simulator's own noise, so the
+    two must agree bit for bit.
     """
     from sdstab.sim import _DIVERGENCE_CAP, _WINDOW_NORMALS, _noise
 
@@ -259,6 +259,9 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx,
     x = np.tile(x0, (npaths, 1)).astype(float)
     xstar = x.copy()
     alive = np.ones(npaths, dtype=bool)
+    states = np.empty((npaths, len(store_idx), x.shape[1]))
+    alive_store = np.empty((npaths, len(store_idx)), dtype=bool)
+    diverged_at = np.full(npaths, np.nan)
     store_map = {int(g): s for s, g in enumerate(store_idx)}
     gts = [g.T for g in model.diffusion]
     sqrt_h = np.sqrt(grid.steps)
@@ -293,3 +296,5 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx,
                 diverged_at[bad] = grid.times[i + 1]
                 x[bad] = np.nan
         record(nsteps)
+    sink(0, states, alive_store)
+    return diverged_at

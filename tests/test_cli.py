@@ -21,6 +21,13 @@ def run(argv):
     return main(argv)
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -159,10 +166,30 @@ class TestSimulateCommand:
             out, stats = tmp_path / "r.json", tmp_path / "s.csv"
             code = run(["simulate", *argv, "--paths", "10", "--seed", "2", "--workers", "2",
                         "--store-stride", "3", "--out", str(out), "--stats-out", str(stats), *extra])
-            outs.append((code, json.loads(out.read_text())["results"], stats.read_bytes()))
+            outs.append((code, strict_json(out.read_text())["results"], stats.read_bytes()))
         assert outs[0] == outs[1]
         if model == "gbm":
+            # the alive terminal |x|^2 reach ~1e294: their deviations' squares would overflow
             assert 0 < outs[0][1]["n_diverged"] < 10
+            assert outs[0][1]["terminal_mean_sq_se"] > 1e280
+
+    def test_standard_error_scaling_is_exact(self, capsys, rng):
+        from types import SimpleNamespace
+
+        from sdstab.cli import _terminal_mean_sq_se
+
+        # scaled by a power of two: the bits of the unscaled formula wherever that
+        # neither overflows nor underflows
+        for scale in (1e-30, 1.0, 1e30):
+            last = scale * rng.lognormal(0.0, 2.0, size=(50, 2))
+            alive = rng.random(50) < 0.8
+            sq = np.einsum("pi,pi->p", last[alive], last[alive])
+            ens = SimpleNamespace(terminal=last, terminal_alive=alive)
+            assert _terminal_mean_sq_se(ens) == float(sq.std(ddof=1) / np.sqrt(len(sq)))
+        # |x(T)|^2 itself overflows: no error is reported, and the report says why
+        ens = SimpleNamespace(terminal=np.array([[1e200], [1.0]]), terminal_alive=np.array([True, True]))
+        assert _terminal_mean_sq_se(ens) is None
+        assert "standard error unavailable" in capsys.readouterr().out
 
     @pytest.mark.parametrize("traj", [False, True])
     def test_one_alive_path_has_no_standard_error(self, traj, capsys, tmp_path):
@@ -220,7 +247,8 @@ class TestExitCodes:
         "x0_flag", "x0_nan", "c_tilde_flag", "cert_scalar", "model_A",
         "model_x0", "model_diffusion", "report_list", "report_no_constants",
         "constants_file", "verify_tol_nan", "report_decay_number", "report_command_number",
-        "report_tau_text", "report_name_number", "bound_out_unwritable", "verify_out_unwritable",
+        "report_tau_text", "report_tau_nan", "report_decay_infinite", "report_name_number",
+        "bound_out_unwritable", "verify_out_unwritable",
         "traj_out_unwritable", "stats_out_unwritable",
         "report_out_unwritable", "curve_out_unwritable",
         "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
@@ -302,6 +330,10 @@ class TestExitCodes:
             "report_decay_number": lambda: report(command=["simulate"], results={"ms_decay": 5}),
             "report_command_number": lambda: report(command=5, results={}),
             "report_tau_text": lambda: report(command=["design"], results={"tau_max": "0.02"}),
+            # NaN and Infinity are not JSON, and a row holding one could not be written as JSON
+            "report_tau_nan": lambda: report(command=["design"], results={"tau_max": float("nan")}),
+            "report_decay_infinite": lambda: report(command=["simulate"],
+                                                    results={"ms_decay": {"rate": -float("inf")}}),
             "report_name_number": lambda: report(command=["verify"], results={"model": {"name": 7}}),
             # an unwritable output path is a bad argument, found after the work is done
             "bound_out_unwritable": lambda: bound + ["--out", missing],

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -203,7 +205,7 @@ def gbm_model():
 
 
 def gbm_cfg(**kw):
-    return cfg_for(0.1, 8.0, dt_sim=0.01, n_paths=64, seed=2, **kw)
+    return cfg_for(0.1, 8.0, dt_sim=0.01, **{"n_paths": 64, "seed": 2, **kw})
 
 
 def same_bits(a, b):
@@ -239,6 +241,68 @@ class TestEnsembleMoments:
         assert same_bits(ea.values, eb.values)
         assert (ea.t_used, ea.median, ea.max, ea.n_zero, ea.n_diverged) == \
             (eb.t_used, eb.median, eb.max, eb.n_zero, eb.n_diverged)
+
+    @pytest.mark.parametrize("block, stride, workers", [
+        (2, 1, 1), (2, 3, 2), (3, 1, 2), (3, 3, 1), (3, 3, 3), (5, 1, 2), (5, 1, 3),
+    ])
+    def test_block_boundaries_bit_identical(self, monkeypatch, block, stride, workers):
+        # the kernel hands on blocks of max(2, _WINDOW_NORMALS // rows) stored times
+        cfg = dataclasses.replace(gbm_cfg(store_stride=stride, n_paths=22), horizon=7.0)
+        ens = run_ensemble(gbm_model(), cfg)
+        monkeypatch.setattr(sim, "_CHUNK", 7)   # three chunks of 7 paths, then one of 1
+        monkeypatch.setattr(sim, "_WINDOW_NORMALS", 7 * block)
+        # more workers than this machine may have cores, and frequent thread switches,
+        # so that a fold out of path order would show
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            mom = ensemble_moments(gbm_model(), cfg, workers=workers)
+        finally:
+            sys.setswitchinterval(switch)
+        # every case but (3, 1) leaves a lone last stored time, which numpy would
+        # sum pairwise had it a block of its own
+        assert len(ens.times) == {1: 701, 3: 235}[stride]
+        first_dead = np.argmin(ens.alive[ens.diverged], axis=1)   # first dead stored time
+        assert np.any(first_dead % block == 0) and np.any(first_dead % block != 0)
+        for name in ("diverged_at", "mean_sq", "n_alive", "terminal", "terminal_alive"):
+            a, b = getattr(ens, name), getattr(mom, name)
+            assert same_bits(*((a(), b()) if callable(a) else (a, b))), name
+
+    def test_failing_chunk_raises_and_hangs_nothing(self, monkeypatch):
+        # the third chunk waits for the second before it hands on its stored times
+        kernel = sim._integrate_chunk
+        third_started = threading.Event()
+
+        class Boom(Exception):
+            pass
+
+        def failing(model, b_bar, grid, x0, path_indices, *args):
+            if path_indices[0] == 2 * sim._CHUNK:
+                third_started.set()
+            elif path_indices[0] == sim._CHUNK:
+                third_started.wait(timeout=10)
+                raise Boom("second chunk")
+            return kernel(model, b_bar, grid, x0, path_indices, *args)
+
+        monkeypatch.setattr(sim, "_CHUNK", 8)   # 64 paths: eight chunks
+        monkeypatch.setattr(sim, "_integrate_chunk", failing)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        for workers in (2, 3):
+            third_started.clear()
+            raised = []
+
+            def call():
+                try:
+                    ensemble_moments(gbm_model(), gbm_cfg(), workers=workers)
+                except Boom as exc:
+                    raised.append(exc)
+
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=20)
+            assert not caller.is_alive(), f"workers {workers}: ensemble_moments hangs"
+            assert len(raised) == 1 and third_started.is_set()
 
     def test_pool_clamped_and_chunks_bounded(self, monkeypatch):
         # a fake pool that runs each task when submitted: no thread starts
@@ -307,6 +371,24 @@ class TestEnsembleMoments:
         per_path = extra * (m.n * 8 + 1 + 8)   # terminal state, alive flag, divergence time
         # 401 stored times: keeping every state would grow by 401 x n x 8 bytes a path
         assert growth <= 2 * per_path + 16384 < extra * 401 * m.n * 8
+
+    def test_memory_does_not_grow_with_horizon(self):
+        m = decay_model()
+
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                ensemble_moments(m, cfg_for(0.05, horizon, dt_sim=0.005, n_paths=256))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2.0)   # first-call allocations, such as imports, stay out of the comparison
+        extra = 3201 - 401   # stored times the eightfold horizon adds
+        growth = peak(16.0) - peak(2.0)
+        # the grid, the stored times, the sums and the counts grow, by a few words a stored
+        # time; keeping a chunk's states would grow by 256 paths x n x 8 bytes a stored time
+        assert growth <= extra * 16 * 8 < extra * 256 * m.n * 8
 
     def test_unindexable_path_count_refused(self):
         cfg = cfg_for(0.05, 0.5, n_paths=10**18)

@@ -41,3 +41,35 @@ def test_scan_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def json_dumps_allowing_nan(source: str) -> list:
+    """Lines of json.dump / json.dumps calls in source that do not pass allow_nan=False."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps") and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            strict = any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                         and k.value.value is False for k in node.keywords)
+            if not strict:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_json_that_may_hold_nan():
+    source = (
+        "import json\n"
+        "json.dumps({}, indent=2)\n"
+        "json.dump({}, fh, allow_nan=False)\n"
+        "json.dumps({}, allow_nan=True)\n"
+        "json.dumps({}, indent=2, allow_nan=False)\n"
+        "text = json.dumps([1.0])\n"
+    )
+    assert json_dumps_allowing_nan(source) == [2, 4, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_written_without_nan(path):
+    # NaN and Infinity are not JSON: a report holding one is refused by strict parsers
+    assert json_dumps_allowing_nan(path.read_text(encoding="utf-8")) == []
