@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from . import bounds, design, lmi, models, numerics, sim  # noqa: F401
 from .errors import (  # noqa: F401
-    CallbackError,
     DegenerateEnsemble,
     DomainError,
     FormatError,

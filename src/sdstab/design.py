@@ -67,23 +67,6 @@ def extract_alpha_b(P, P_tilde, B_bar):
     return pencil_max_eig(b.T @ P @ b, P_tilde)
 
 
-def extract_alpha_f(P, F, alpha_bar: float) -> float:
-    """Least alpha_f with (F + alpha I)^T P (F + alpha I) <= alpha_f P.
-
-    Zero means exact cancellation (F = -alpha I); choose alpha_f > 0 strictly.
-    """
-    f = np.asarray(F, dtype=float)
-    return extract_alpha_u(P, f + alpha_bar * np.eye(f.shape[0]))
-
-
-def extract_alpha_u(P, F) -> float:
-    """Least alpha_u with F^T P F <= alpha_u P."""
-    f = np.asarray(F, dtype=float)
-    if np.abs(f).max(initial=0.0) == 0.0:
-        return 0.0
-    return pencil_max_eig(f.T @ P @ f, P)
-
-
 def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
     """Per-certificate constants of the least-gamma1 map, for one P_tilde or a stack.
 

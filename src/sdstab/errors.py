@@ -29,9 +29,5 @@ class InfeasibleError(ToolkitError):
     """A feasibility or design problem has no admissible solution."""
 
 
-class CallbackError(ToolkitError):
-    """A user-supplied callback raised or returned malformed data."""
-
-
 class DegenerateEnsemble(ToolkitError):
     """A Monte Carlo estimate is undefined for this ensemble (e.g. all-zero paths)."""

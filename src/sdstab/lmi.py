@@ -187,17 +187,6 @@ def assemble_lyapunov_ito(F, G_list, P, alpha_bar: float) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def assemble_em_step(F, G_list, P, h: float, c_bar: float) -> np.ndarray:
-    n = np.asarray(P).shape[0]
-    F = _check_square(F, n, "F")
-    s = np.eye(n) + h * F
-    m = s.T @ P @ s - (1.0 - c_bar) * np.asarray(P)
-    for G in G_list:
-        G = _check_square(G, n, "G")
-        m = m + h * (G.T @ P @ G)
-    return 0.5 * (m + m.T)
-
-
 def assemble_feedback_energy(B_bar, P, P_tilde, alpha_b: float) -> np.ndarray:
     n = np.asarray(P).shape[0]
     B = _check_square(B_bar, n, "B_bar")
@@ -284,24 +273,6 @@ def assemble_planar_cross(
 # ---------------------------------------------------------------------------
 # margin-level verification
 # ---------------------------------------------------------------------------
-
-def verify_lyapunov_ito(F, G_list, P, alpha_bar: float) -> float:
-    """Margin of F^T P + P F + sum G^T P G <= -2 alpha_bar P; passes iff <= tol."""
-    if not _symmetric_pos_def(P):
-        raise DomainError("P must be positive definite")
-    return lam_max(assemble_lyapunov_ito(F, G_list, P, alpha_bar))
-
-
-def verify_em_lmi(F, G_list, P, h: float, c_bar: float) -> float:
-    """Margin of (I+hF)^T P (I+hF) + h sum G^T P G <= (1 - c_bar) P."""
-    if not h > 0:
-        raise DomainError("stepsize h must be positive")
-    if not 0.0 < c_bar < 1.0:
-        raise DomainError(f"c_bar must lie in (0, 1), got {c_bar}")
-    if not _symmetric_pos_def(P):
-        raise DomainError("P must be positive definite")
-    return lam_max(assemble_em_step(F, G_list, P, h, c_bar))
-
 
 @dataclass(frozen=True)
 class VerificationOutcome:

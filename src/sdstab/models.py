@@ -1,4 +1,4 @@
-"""Plant models, sampling schedules, and the physical/cyber split.
+"""Plant models, their JSON files, and sampling schedules.
 
 Model files are a single JSON document:
 
@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CallbackError, DomainError, FormatError, ValidationError
+from .errors import DomainError, FormatError, ValidationError
 
 _MODEL_KEYS = {"name", "n", "A", "diffusion", "B_bar", "B_hat", "K_hat", "nonlinearity", "x0"}
 
@@ -203,9 +203,12 @@ class SamplingSchedule:
                 raise ValidationError("uniform_random schedule needs 0 < lo <= hi")
         elif self.kind == "explicit":
             t = np.asarray(self.instants, dtype=float)
+            # NaN compares False, so it would pass the gap test below
+            if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
+                raise ValidationError("explicit instants must be a non-empty list of finite numbers")
             if t[0] != 0.0:
                 t = np.concatenate([[0.0], t])
-            if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
+            if len(t) < 2 or np.any(np.diff(t) <= 0):
                 raise ValidationError("explicit instants must be strictly increasing from 0")
             object.__setattr__(self, "instants", t)
         else:
@@ -298,105 +301,6 @@ def schedule_instants(
     return t[t <= horizon * (1 + 1e-12)].copy()
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Discretized trajectory segment recorded since the previous impulse."""
-
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-JumpMap = Callable[[Segment, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class GeneralSiDE:
-    """General stochastic impulsive system with callback dynamics.
-
-    Continuous part:  dx = f(x,y,t) dt + g(x,y,t) dB,  dy = f_tilde dt + g_tilde dB.
-    At each impulse instant t_k the cyber state jumps by
-    h_f(segment, k) + h_g(segment, k) @ xi_k with xi_k i.i.d. standard Gaussian
-    (the noisy term only when h_g is provided); x is continuous across t_k.
-    Jump maps receive the trajectory segment recorded since the previous impulse.
-    """
-
-    n: int
-    q: int
-    m: int
-    f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    f_tilde: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    g_tilde: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    h_f: JumpMap
-    h_g: Optional[JumpMap] = None
-    x0: Optional[np.ndarray] = None
-    y0: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        zx, zy = np.zeros(self.n), np.zeros(self.q)
-        try:
-            vals = [self.f(zx, zy, 0.0), self.f_tilde(zx, zy, 0.0)]
-            if self.m > 0:
-                vals += [self.g(zx, zy, 0.0), self.g_tilde(zx, zy, 0.0)]
-        except Exception as exc:  # noqa: BLE001 - callback contract
-            raise CallbackError(f"callback failed at the origin: {exc}") from exc
-        for v in vals:
-            if np.abs(np.asarray(v)).max(initial=0.0) > 1e-12:
-                raise ValidationError("callbacks must vanish at the origin")
-
-
-@dataclass(frozen=True)
-class CpsForm:
-    """Physical/cyber split of a sampled-data loop.
-
-    The physical drift is drift(x) + B_bar (x - y), the cyber block copies it,
-    both share the diffusion, and the jump map resets y to exactly zero at each
-    sampling instant (y tracks x(t) - x(t_*), which restarts at every sample).
-    """
-
-    model: Model
-    B_bar: np.ndarray
-
-    def physical_drift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.model.drift(x) + (x - y) @ self.B_bar.T
-
-    cyber_drift = physical_drift
-
-    def jump(self, y_minus: np.ndarray) -> np.ndarray:
-        return -np.asarray(y_minus)
-
-    def as_side(self) -> GeneralSiDE:
-        model = self.model
-        gmats = [g.T for g in model.diffusion]
-
-        def g(x, y, t):
-            if not gmats:
-                return np.zeros((model.n, 0))
-            return np.stack([x @ gt for gt in gmats], axis=-1)
-
-        return GeneralSiDE(
-            n=model.n,
-            q=model.n,
-            m=model.m,
-            f=lambda x, y, t: self.physical_drift(x, y),
-            g=g,
-            f_tilde=lambda x, y, t: self.physical_drift(x, y),
-            g_tilde=g,
-            h_f=lambda seg, k: -seg.y[-1],
-            x0=None if model.x0 is None else np.asarray(model.x0, dtype=float),
-            y0=np.zeros(model.n),
-        )
-
-
-def to_cps_form(model: Model) -> CpsForm:
-    """Split a sampled-data model into its physical/cyber canonical form."""
-    b_bar = model.B_bar
-    if b_bar is None:
-        raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
-    return CpsForm(model=model, B_bar=b_bar)
-
-
 def model_to_dict(model: Model) -> dict:
     d = {"name": model.name, "n": model.n, "A": None, "diffusion": [g.tolist() for g in model.diffusion]}
     if isinstance(model, NonlinearPlanarModel):
@@ -477,105 +381,3 @@ def load_model(path) -> Model:
     except json.JSONDecodeError as exc:
         raise FormatError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
-
-
-def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Empirical regularity ratios sampled on a box.
-
-    This is a heuristic screen: finite sampling can refute but never prove the
-    Lipschitz/linear-growth assumptions, so `heuristic` is always True.
-    """
-
-    growth_ratio: float
-    lipschitz_ratio: float
-    growth_bound: Optional[float]
-    lipschitz_bound: Optional[float]
-    violations: tuple
-    n_samples: int
-    heuristic: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _eval_side(side: GeneralSiDE, x: np.ndarray, y: np.ndarray, t: float) -> float:
-    try:
-        vals = [np.linalg.norm(side.f(x, y, t)), np.linalg.norm(side.f_tilde(x, y, t))]
-        if side.m > 0:
-            vals += [np.linalg.norm(side.g(x, y, t)), np.linalg.norm(side.g_tilde(x, y, t))]
-    except Exception as exc:  # noqa: BLE001 - callback contract
-        raise CallbackError(f"callback failed at x={x}, y={y}, t={t}: {exc}") from exc
-    return max(vals)
-
-
-def assumption_check(
-    side: GeneralSiDE,
-    sample_box: float,
-    grid: int = 9,
-    growth_bound: Optional[float] = None,
-    lipschitz_bound: Optional[float] = None,
-    seed: int = 0,
-    t_samples: Sequence[float] = (0.0, 1.0),
-) -> AssumptionReport:
-    """Sample growth and Lipschitz ratios of the continuous callbacks on a box.
-
-    `sample_box` is the half-width of the centered cube in (x, y); `grid`
-    controls the number of random samples per time point (grid**2 point pairs).
-    Ratios follow the squared form of the assumptions:
-    max(|f|,|g|,|f_tilde|,|g_tilde|)^2 / (|x| v |y|)^2 and its increment analog.
-    """
-    if sample_box <= 0 or grid < 2:
-        raise DomainError("sample_box must be positive and grid >= 2")
-    rng = np.random.default_rng(seed)
-    npts = grid * grid
-    xs = rng.uniform(-sample_box, sample_box, size=(npts, side.n))
-    ys = rng.uniform(-sample_box, sample_box, size=(npts, side.q))
-    growth = 0.0
-    lipschitz = 0.0
-    for t in t_samples:
-        norms = np.array([_eval_side(side, xs[i], ys[i], t) for i in range(npts)])
-        denom = np.maximum(np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1))
-        mask = denom > 1e-12
-        growth = max(growth, float(((norms[mask] / denom[mask]) ** 2).max()))
-        for i in range(0, npts - 1, 2):
-            dx = np.linalg.norm(xs[i] - xs[i + 1])
-            dy = np.linalg.norm(ys[i] - ys[i + 1])
-            dd = max(dx, dy)
-            if dd < 1e-12:
-                continue
-            df = max(
-                np.linalg.norm(np.asarray(side.f(xs[i], ys[i], t)) - side.f(xs[i + 1], ys[i + 1], t)),
-                np.linalg.norm(
-                    np.asarray(side.f_tilde(xs[i], ys[i], t)) - side.f_tilde(xs[i + 1], ys[i + 1], t)
-                ),
-            )
-            if side.m > 0:
-                df = max(
-                    df,
-                    np.linalg.norm(np.asarray(side.g(xs[i], ys[i], t)) - side.g(xs[i + 1], ys[i + 1], t)),
-                    np.linalg.norm(
-                        np.asarray(side.g_tilde(xs[i], ys[i], t)) - side.g_tilde(xs[i + 1], ys[i + 1], t)
-                    ),
-                )
-            lipschitz = max(lipschitz, (df / dd) ** 2)
-    violations = []
-    if growth_bound is not None and growth > growth_bound:
-        violations.append(f"growth ratio {growth:.6g} exceeds claimed bound {growth_bound:.6g}")
-    if lipschitz_bound is not None and lipschitz > lipschitz_bound:
-        violations.append(f"Lipschitz ratio {lipschitz:.6g} exceeds claimed bound {lipschitz_bound:.6g}")
-    return AssumptionReport(
-        growth_ratio=growth,
-        lipschitz_ratio=lipschitz,
-        growth_bound=growth_bound,
-        lipschitz_bound=lipschitz_bound,
-        violations=tuple(violations),
-        n_samples=npts * len(t_samples),
-    )

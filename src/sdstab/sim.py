@@ -1,4 +1,4 @@
-"""Euler-Maruyama simulation of sampled-data loops and impulsive systems.
+"""Euler-Maruyama simulation of sampled-data loops.
 
 Brownian increments are counter-addressed: normal k = step * m + j of path p
 is a pure function of (seed, p, k), so every path's increments are
@@ -11,23 +11,21 @@ Box-Muller turns each word pair (0, 1) and (2, 3) of a block into two
 normals, so every block yields exactly four.  The generator is written in
 numpy uint64 array arithmetic, so a whole chunk of paths draws its noise in
 one vectorized pass that releases the GIL, a window of steps at a time.
-Sampling instants and jump noise come from per-stream numpy generators.
+Random sampling instants come from a numpy generator on a stream of their own.
 
 Sampling instants are knots of the integration grid: local substeps shrink so
 each instant is hit exactly and the zero-order-hold input switches at the
 instant, never inside a step.
 
 One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble,
-simulate_sampled_path and the discrete-time chains simulate_em_discrete(_terminal),
-which it runs on a uniform grid with no sampling refresh and B_bar = 0: the
-sampled-data loop and its discrete-time approximation are one recursion.
-It forms the hold term x(t_*) B_bar^T once per sampling interval, screens
-the batch for divergence with one scalar test per step (the row-by-row
-check runs only when that test fails or a path is already dead), and
-writes the stored alive flags once per block and when a path dies.
-simulate_side keeps its own loop, because it integrates user callbacks on (x, y)
-with jumps rather than a batched linear-plus-drift state; it draws the same
-increments as the kernel.
+ensemble_moments and simulate_sampled_path.  It integrates the paper's
+physical/cyber (impulsive) form of the loop in its hold form: the cyber state
+y = x - x(t_*) resets to 0 at each sampling instant, so the drift
+drift(x) + (x - y) B_bar^T is drift(x) + x(t_*) B_bar^T.  It forms that hold
+term once per sampling interval, screens the batch for divergence with one
+scalar test per step (the row-by-row check runs only when that test fails or
+a path is already dead), and writes the stored alive flags once per block and
+when a path dies.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
 at a time.  The kernel hands its stored states on in blocks of stored times,
@@ -51,15 +49,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CallbackError, DegenerateEnsemble, DomainError, ValidationError
-from .models import (
-    GeneralSiDE, LinearSampledModel, Model, SamplingSchedule, Segment, check_grid_length,
-    schedule_instants,
-)
+from .errors import DegenerateEnsemble, DomainError, ValidationError
+from .models import Model, SamplingSchedule, check_grid_length, schedule_instants
 
 _MASK64 = (1 << 64) - 1
 _SCHEDULE_STREAM = 1 << 63
-_JUMP_STREAM = 1 << 62
 _DIVERGENCE_CAP = 1e150
 _CHUNK = 4096
 _WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per stored or summed block: bounds temporaries
@@ -69,7 +63,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the 
 
 
 def _path_generator(seed: int, stream: int) -> np.random.Generator:
-    """numpy generator of one stream: sampling instants and jump noise."""
+    """numpy generator of one stream: the random sampling instants."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -294,7 +288,7 @@ def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, total / counts, np.nan)
 
 
-def _resolve_x0(model: Union[Model, GeneralSiDE], cfg: SimConfig) -> np.ndarray:
+def _resolve_x0(model: Model, cfg: SimConfig) -> np.ndarray:
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif model.x0 is not None:
@@ -577,129 +571,6 @@ def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> 
     )
 
 
-def _em_chain(F, G_list, h: float, n_steps: int, x0, paths, seed: int, store_idx):
-    """The EM chain X_k = X_{k-1} + h F X_{k-1} + sum_j G_j X_{k-1} dB_{j,k} through
-    the sampled-data kernel: a uniform grid with no refresh and B_bar = 0."""
-    if h < 0:
-        raise DomainError("stepsize must be nonnegative")
-    f = np.asarray(F, dtype=float)
-    gs = tuple(np.asarray(g, dtype=float) for g in G_list)
-    chain = LinearSampledModel("em", len(f), f, gs, B_bar_explicit=np.zeros_like(f))
-    times = h * np.arange(n_steps + 1, dtype=float)
-    grid = _Grid(times=times, steps=np.full(n_steps, float(h)),
-                 refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
-    states, alive, _ = _outputs(len(paths), len(store_idx), len(f))
-    _integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, _store_into(states, alive))
-    return states
-
-
-def simulate_em_discrete(F, G_list, h: float, n_steps: int, x0, seed: int = 0) -> np.ndarray:
-    """Discrete-time EM recursion X_k = X_{k-1} + F X_{k-1} h + sum_j G_j X_{k-1} dB_{j,k}.
-
-    dB ~ N(0, h) from the noise of path 0; h = 0 degenerates to the constant
-    sequence.  Returns the full path, shape (n_steps + 1, n), bit-reproducible
-    for a given seed; states past the divergence cap read NaN.
-    """
-    return _em_chain(F, G_list, h, n_steps, x0, [0], seed, np.arange(n_steps + 1))[0]
-
-
-def simulate_em_discrete_terminal(
-    F, G_list, h: float, n_steps: int, x0, n_paths: int, seed: int = 0
-) -> np.ndarray:
-    """Terminal states X_N for a batch of EM paths, shape (n_paths, n).
-
-    Path p draws the increments of path p, so path 0 matches the
-    last state of simulate_em_discrete(..., seed=seed) up to rounding: a
-    batched matmul may round differently from a single-row one.
-    """
-    return _em_chain(F, G_list, h, n_steps, x0, range(n_paths), seed, np.array([n_steps]))[:, 0, :]
-
-
-@dataclass(frozen=True)
-class SidePath:
-    times: np.ndarray
-    x: np.ndarray   # (T, n), continuous across impulses
-    y: np.ndarray   # (T, q), right-continuous: post-jump value at each instant
-    instants: np.ndarray
-
-
-def simulate_side(side: GeneralSiDE, cfg: SimConfig, path_index: int = 0) -> SidePath:
-    """Integrate a general impulsive system with callback dynamics.
-
-    Between impulses both blocks follow EM driven by one shared Brownian
-    vector; at each instant t_k the cyber block jumps by
-    h_f(segment, k) [+ h_g(segment, k) @ xi_k], where the segment is the
-    trajectory recorded on the integration grid since the previous impulse.
-    Jump noise xi_k comes from a dedicated stream so the Brownian increments
-    match the sampled-data simulator draw for draw.
-    """
-    grid, store_idx = _grid_for(cfg)
-    nsteps = len(grid.steps)
-    x = _resolve_x0(side, cfg)
-    y = np.array(side.y0 if side.y0 is not None else np.zeros(side.q), dtype=float)
-    noise = _noise(cfg.seed, [path_index], 0, nsteps, side.m)[0] if side.m > 0 else None
-    jump_rng = _path_generator(cfg.seed, path_index + _JUMP_STREAM)
-
-    store_map = {int(g): s for s, g in enumerate(store_idx)}
-    xs = np.full((len(store_idx), side.n), np.nan)
-    ys = np.full((len(store_idx), side.q), np.nan)
-
-    seg_t, seg_x, seg_y = [0.0], [x.copy()], [y.copy()]
-    k_impulse = 0
-
-    def record(i):
-        s = store_map.get(i)
-        if s is not None:
-            xs[s], ys[s] = x, y
-
-    for i in range(nsteps + 1):
-        t = grid.times[i]
-        if i > 0:
-            seg_t.append(t)
-            seg_x.append(x.copy())
-            seg_y.append(y.copy())
-        at_instant = (0 < i < nsteps and grid.refresh[i]) or (i == nsteps and _ends_on_instant(grid))
-        if at_instant:
-            k_impulse += 1
-            seg = Segment(t=np.asarray(seg_t), x=np.asarray(seg_x), y=np.asarray(seg_y))
-            try:
-                delta = np.asarray(side.h_f(seg, k_impulse), dtype=float)
-                if side.h_g is not None:
-                    hg = np.asarray(side.h_g(seg, k_impulse), dtype=float)
-                    delta = delta + hg @ jump_rng.standard_normal(side.n)
-            except CallbackError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - callback contract
-                raise CallbackError(f"jump map failed at t={t}: {exc}") from exc
-            y = y + delta
-            seg_t, seg_x, seg_y = [t], [x.copy()], [y.copy()]
-        record(i)
-        if i == nsteps:
-            break
-        h = grid.steps[i]
-        try:
-            fx = np.asarray(side.f(x, y, t), dtype=float)
-            fy = np.asarray(side.f_tilde(x, y, t), dtype=float)
-            if side.m > 0:
-                db = math.sqrt(h) * noise[i]
-                gx = np.asarray(side.g(x, y, t), dtype=float) @ db
-                gy = np.asarray(side.g_tilde(x, y, t), dtype=float) @ db
-            else:
-                gx = 0.0
-                gy = 0.0
-        except CallbackError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - callback contract
-            raise CallbackError(f"dynamics callback failed at t={t}: {exc}") from exc
-        x = x + fx * h + gx
-        y = y + fy * h + gy
-    return SidePath(times=grid.times[store_idx], x=xs, y=ys, instants=grid.instants)
-
-
-def _ends_on_instant(grid: _Grid) -> bool:
-    return len(grid.instants) > 1 and grid.times[-1] == grid.instants[-1]
-
-
 # ---------------------------------------------------------------------------
 # decay estimators
 # ---------------------------------------------------------------------------
@@ -713,10 +584,6 @@ class DecayEstimate:
     r_squared: float
     window: Tuple[float, float]
     n_points: int
-
-    @property
-    def decay_confirmed(self) -> bool:
-        return self.rate < 0.0 and self.r_squared >= 0.9
 
 
 def estimate_ms_decay(

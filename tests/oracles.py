@@ -4,8 +4,9 @@ These deliberately re-derive every quantity from scratch (plain bisection,
 brute-force grids, sphere sampling, cyclic Jacobi rotations in place of
 LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
 implementation paths they check.  There are two exceptions: planar_gamma_loop reuses the single-cell
-gamma scan to check only how the planar search stacks its cells, and em_reference draws the
-simulator's own noise, since bit-identity is what it checks.
+gamma scan to check only how the planar search stacks its cells, and em_reference and
+cps_reference draw the simulator's own noise on its own grid, since agreement path by path is
+what they check.
 """
 
 import math
@@ -298,3 +299,36 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, he
         record(nsteps)
     sink(0, states, alive_store)
     return diverged_at
+
+
+def cps_reference(model, cfg, path_index=0):
+    """One path of the sampled-data loop in the paper's physical/cyber form, one
+    Euler-Maruyama step at a time: the physical state x and the cyber state y
+    both take the drift drift(x) + (x - y) B_bar^T and the diffusion
+    sum_j G_j x dB_j, and y <- 0 at each sampling instant.
+
+    Returns (times, x, y) at every grid point, y after its reset.  It draws the
+    noise of path path_index on the simulator's grid.
+    """
+    from sdstab.sim import _grid_for, _noise, _resolve_x0
+
+    grid, _ = _grid_for(cfg)
+    nsteps = len(grid.steps)
+    noise = _noise(cfg.seed, [path_index], 0, nsteps, model.m)[0] if model.m else np.zeros((nsteps, 0))
+    at_instant = np.isin(grid.times, grid.instants)
+    x = _resolve_x0(model, cfg)
+    y = np.zeros_like(x)
+    xs, ys = [], []
+    for i in range(nsteps + 1):
+        if at_instant[i]:
+            y = np.zeros_like(x)
+        xs.append(x)
+        ys.append(y)
+        if i == nsteps:
+            break
+        h = grid.steps[i]
+        inc = (model.drift(x) + (x - y) @ model.B_bar.T) * h
+        for g, dw in zip(model.diffusion, math.sqrt(h) * noise[i]):
+            inc = inc + (g @ x) * dw
+        x, y = x + inc, y + inc
+    return grid.times, np.array(xs), np.array(ys)

@@ -256,7 +256,7 @@ class TestExitCodes:
         "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
         "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
         "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
-        "paths_unindexable",
+        "paths_unindexable", "schedule_explicit_nan", "schedule_explicit_inf",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -322,6 +322,11 @@ class TestExitCodes:
             "horizon_unindexable": lambda: simulate[:3] + ["--schedule", "periodic:0.02", "--horizon", "1e300"],
             # per-path arrays too large for numpy to index: refused before any allocation
             "paths_unindexable": lambda: simulate + ["--paths", str(10**18)],
+            # a NaN instant passes an increasing-gaps test, and an infinite one gives an infinite gap
+            "schedule_explicit_nan": lambda: simulate[:3] + ["--schedule", "explicit:nan,1", "--dt-sim", "0.001",
+                                                             "--horizon", "0.5"],
+            "schedule_explicit_inf": lambda: simulate[:3] + ["--schedule", "explicit:0.1,inf", "--dt-sim", "0.001",
+                                                             "--horizon", "0.5"],
             "report_list": lambda: ["report", _write(tmp_path / "list.json", [1, 2])],
             "report_no_constants": lambda: ["report", _write(
                 tmp_path / "bound.json",

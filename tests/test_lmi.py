@@ -3,17 +3,16 @@ import pytest
 import scipy.linalg
 
 import sdstab.lmi as lmi
-from sdstab.design import DesignOptions, extract_alpha_u, synthesize_feedback, synthesize_nonlinear_planar
+from sdstab.design import DesignOptions, synthesize_feedback, synthesize_nonlinear_planar
 from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
     LmiCertificate,
     assemble_design_rate,
+    assemble_lyapunov_ito,
     load_certificate,
     verify_analysis_certificate,
     verify_certificate,
     verify_design_certificate,
-    verify_em_lmi,
-    verify_lyapunov_ito,
     verify_planar_certificate,
 )
 from sdstab.models import NonlinearPlanarModel, load_model
@@ -28,51 +27,32 @@ def random_hurwitz(rng, n):
 
 
 class TestVerifyLyapunovIto:
+    """The Ito rate block F^T P + P F + sum G^T P G + 2 alpha_bar P, whose
+    lambda_max is the rate margin of verify_analysis_certificate."""
+
+    @staticmethod
+    def margin(F, G_list, P, alpha_bar):
+        return lam_max(assemble_lyapunov_ito(F, G_list, P, alpha_bar))
+
     def test_exact_zero_margin(self):
-        m = verify_lyapunov_ito(-np.eye(2), [], np.eye(2), alpha_bar=1.0)
+        m = self.margin(-np.eye(2), [], np.eye(2), alpha_bar=1.0)
         assert m == pytest.approx(0.0, abs=1e-14)
 
     def test_reported_certificate(self, fixtures):
         model = load_model(fixtures / "ex1_sub1.json")
         p = np.array([[2.2173, 0.8212], [0.8212, 6.1228]])
-        m = verify_lyapunov_ito(model.A + model.B_bar, model.diffusion, p, 4.3957)
+        m = self.margin(model.A + model.B_bar, model.diffusion, p, 4.3957)
         assert m <= 1e-2 * np.linalg.norm(p)
 
     def test_lyapunov_equation_oracle(self, rng):
         f = random_hurwitz(rng, 3)
         p = scipy.linalg.solve_lyapunov(f.T, -np.eye(3))
         alpha = 1.0 / (2.0 * np.max(np.linalg.eigvalsh(p)))
-        assert verify_lyapunov_ito(f, [], p, alpha) <= 1e-8
+        assert self.margin(f, [], p, alpha) <= 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            verify_lyapunov_ito(np.eye(3), [], np.eye(2), 1.0)
-
-
-class TestVerifyEmLmi:
-    def test_scalar_arithmetic(self):
-        # (1 - 0.1)^2 = 0.81 meets (1 - 0.19) exactly
-        m = verify_em_lmi(-np.eye(2), [], np.eye(2), h=0.1, c_bar=0.19)
-        assert m == pytest.approx(0.0, abs=1e-14)
-
-    def test_transfer_from_continuous_certificate(self, rng):
-        # any continuous certificate transfers to the discrete inequality with
-        # c_bar = (2 alpha - alpha_u h) h and admissible h
-        f = random_hurwitz(rng, 2)
-        g = 0.2 * rng.normal(size=(2, 2))
-        p = scipy.linalg.solve_lyapunov(f.T, -(np.eye(2) + g.T @ g))
-        margin = lam_max(f.T @ p + p @ f + g.T @ p @ g)
-        assert margin <= 1e-10
-        alpha = 0.25 / np.max(np.linalg.eigvalsh(p))
-        assert verify_lyapunov_ito(f, [g], p, alpha) <= 1e-10
-        alpha_u = extract_alpha_u(p, f)
-        h = 0.5 * min(2 * alpha / alpha_u, 1 / (2 * alpha))
-        c_bar = (2 * alpha - alpha_u * h) * h
-        assert verify_em_lmi(f, [g], p, h, c_bar) <= 1e-8
-
-    def test_bad_contraction(self):
-        with pytest.raises(DomainError):
-            verify_em_lmi(-np.eye(2), [], np.eye(2), h=0.1, c_bar=1.0)
+            self.margin(np.eye(3), [], np.eye(2), 1.0)
 
 
 class TestReportedCertificates:
@@ -245,10 +225,6 @@ class TestCertificateSchema:
             doc = {"alpha_bar": 1.0, "P": p.tolist(), "Y": [[0.0, 0.0]], key: skewed.tolist()}
             with pytest.raises(DomainError, match="not symmetric"):
                 LmiCertificate.from_dict(doc)
-        with pytest.raises(DomainError, match="not symmetric"):
-            verify_lyapunov_ito(-np.eye(2), [], skewed, 1.0)
-        with pytest.raises(DomainError, match="not symmetric"):
-            verify_em_lmi(-np.eye(2), [], skewed, 0.1, 0.19)
         with pytest.raises(DomainError):
             LmiCertificate(alpha_bar=1.0, P=np.eye(3)[:2])
 
@@ -297,13 +273,6 @@ class TestMarginsAgainstJacobiOracle:
             model = load_model(fixtures / f"{mname}.json")
             cert = load_certificate(fixtures / f"{cname}.json")
             self.check_certificate(model, cert, blocks, tol=1e-2)
-            if cert.Q is None and mname != "planar":
-                f = model.A + model.B_bar
-                margins = {
-                    "ito": verify_lyapunov_ito(f, model.diffusion, cert.P, cert.alpha_bar),
-                    "em": verify_em_lmi(f, model.diffusion, cert.P, 0.01, 0.05),
-                }
-                self.check(margins, blocks)
 
     def test_fresh_designs(self, fixtures, blocks):
         for name in ("ex1_sub1_control", "ex1_sub2_control"):

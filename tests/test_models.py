@@ -5,17 +5,13 @@ import pytest
 
 from sdstab.errors import DomainError, FormatError, ValidationError
 from sdstab.models import (
-    GeneralSiDE,
     LinearSampledModel,
     NonlinearPlanarModel,
     SamplingSchedule,
-    assumption_check,
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
     schedule_instants,
-    to_cps_form,
 )
 
 
@@ -76,36 +72,13 @@ class TestLoadModel:
         for name in ("ex1_sub1", "ex1_sub2", "ex1_sub1_control", "planar"):
             m = load_model(fixtures / f"{name}.json")
             out = tmp_path / f"{name}.json"
-            save_model(m, out)
+            out.write_text(json.dumps(model_to_dict(m), allow_nan=False))
             m2 = load_model(out)
             assert model_to_dict(m) == model_to_dict(m2)
             if isinstance(m, LinearSampledModel):
                 assert np.array_equal(m.A, m2.A)
                 for g1, g2 in zip(m.diffusion, m2.diffusion):
                     assert np.array_equal(g1, g2)
-
-
-class TestCpsForm:
-    def test_jump_resets_to_zero(self, fixtures):
-        cps = to_cps_form(load_model(fixtures / "ex1_sub1.json"))
-        v = np.array([0.3, -0.7])
-        assert np.array_equal(v + cps.jump(v), np.zeros(2))
-
-    def test_drift_at_equal_states_is_closed_loop(self, fixtures):
-        m = load_model(fixtures / "ex1_sub1.json")
-        cps = to_cps_form(m)
-        x = np.array([1.3, -0.2])
-        assert np.array_equal(cps.physical_drift(x, x), m.drift(x))
-
-    def test_drift_hand_value(self, fixtures):
-        # (A + B_bar) x at x = (1, 0): A+B = [[-9,-1],[1,-5]] -> (-9, 1)
-        cps = to_cps_form(load_model(fixtures / "ex1_sub1.json"))
-        d = cps.physical_drift(np.array([1.0, 0.0]), np.zeros(2))
-        assert np.array_equal(d, np.array([-9.0, 1.0]))
-
-    def test_unresolved_gain_rejected(self, fixtures):
-        with pytest.raises(ValidationError):
-            to_cps_form(load_model(fixtures / "ex1_sub1_control.json"))
 
 
 class TestScheduleInstants:
@@ -126,6 +99,14 @@ class TestScheduleInstants:
     def test_explicit_not_increasing(self):
         with pytest.raises(ValidationError):
             SamplingSchedule.explicit([0.1, 0.05])
+
+    def test_explicit_non_finite(self):
+        # NaN compares False, so a NaN instant would pass the increasing-gaps test
+        for instants in ([np.nan, 1.0], [0.1, np.inf], [0.0, 0.1, -np.inf]):
+            with pytest.raises(ValidationError):
+                SamplingSchedule.explicit(instants)
+        with pytest.raises(ValidationError):
+            SamplingSchedule.parse("explicit:nan,1")
 
     def test_explicit_gap_bounds(self):
         s = SamplingSchedule.explicit([0.0, 0.1, 0.25, 0.3])
@@ -150,31 +131,8 @@ class TestScheduleInstants:
             SamplingSchedule.parse("weird:1")
 
 
-def _zero(n):
-    return lambda x, y, t: np.zeros(n)
-
-
 class TestAssumptionCheck:
-    def test_linear_growth_within_bound(self, fixtures):
-        m = load_model(fixtures / "ex1_sub1.json")
-        side = to_cps_form(m).as_side()
-        # |f(x,y)| = |(A+B)x - B y| <= (|A+B| + |B|)(|x| v |y|), Frobenius norms
-        bound = (np.linalg.norm(m.A + m.B_bar) + np.linalg.norm(m.B_bar)) ** 2
-        rep = assumption_check(side, sample_box=5.0, grid=12, growth_bound=bound)
-        assert rep.heuristic
-        assert rep.ok
-        assert rep.growth_ratio <= bound
-
-    def test_superlinear_flagged(self):
-        side = GeneralSiDE(
-            n=1, q=1, m=0,
-            f=lambda x, y, t: x * x,
-            g=_zero(1), f_tilde=_zero(1), g_tilde=_zero(1),
-            h_f=lambda seg, k: np.zeros(1),
-        )
-        rep = assumption_check(side, sample_box=10.0, grid=10, growth_bound=1.0)
-        assert not rep.ok
-        assert any("growth" in v for v in rep.violations)
+    """The planar model's sector assumption, checked on random states."""
 
     def test_planar_envelope_ratio(self, fixtures):
         m = load_model(fixtures / "planar.json").with_gain(np.array([[-27.5776, -8.2817]]))
@@ -186,14 +144,3 @@ class TestAssumptionCheck:
         phi = m.phi(xs)
         ratio = np.max(np.sum(phi**2, axis=1) / np.sum(xs**2, axis=1))
         assert ratio <= cap + 1e-12
-
-
-class TestGeneralSiDE:
-    def test_origin_check(self):
-        with pytest.raises(ValidationError):
-            GeneralSiDE(
-                n=1, q=1, m=0,
-                f=lambda x, y, t: x + 1.0,
-                g=_zero(1), f_tilde=_zero(1), g_tilde=_zero(1),
-                h_f=lambda seg, k: np.zeros(1),
-            )

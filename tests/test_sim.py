@@ -10,13 +10,7 @@ import pytest
 from sdstab import sim
 from sdstab.errors import DegenerateEnsemble, DomainError, ValidationError
 from sdstab.lmi import load_certificate
-from sdstab.models import (
-    GeneralSiDE,
-    LinearSampledModel,
-    SamplingSchedule,
-    load_model,
-    to_cps_form,
-)
+from sdstab.models import LinearSampledModel, SamplingSchedule, load_model
 from sdstab.sim import (
     SimConfig,
     TrajectoryEnsemble,
@@ -26,14 +20,11 @@ from sdstab.sim import (
     export_ensemble_stats_csv,
     export_trajectories_csv,
     run_ensemble,
-    simulate_em_discrete,
-    simulate_em_discrete_terminal,
     simulate_sampled_path,
-    simulate_side,
 )
 from sdstab.sim import _CHUNK, _noise, _philox_blocks
 
-from oracles import em_reference, em_second_moment
+from oracles import cps_reference, em_reference, em_second_moment
 
 
 def decay_model(n=2):
@@ -50,6 +41,31 @@ def cfg_for(model_dt, horizon, **kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def em_chain(f, g_list, h, n_steps, x0, paths, seed, store_idx):
+    """Stored states of the EM chain X_k = X_{k-1} + h F X_{k-1} + sum_j G_j X_{k-1} dB_{j,k}:
+    the sampled-data kernel on a uniform grid with no sampling refresh and B_bar = 0."""
+    f = np.asarray(f, dtype=float)
+    chain = LinearSampledModel("em", len(f), f, tuple(np.asarray(g, dtype=float) for g in g_list),
+                               B_bar_explicit=np.zeros_like(f))
+    times = h * np.arange(n_steps + 1, dtype=float)
+    grid = sim._Grid(times=times, steps=np.full(n_steps, float(h)),
+                     refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
+    states = np.empty((len(paths), len(store_idx), len(f)))
+    alive = np.empty(states.shape[:2], dtype=bool)
+    sim._integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, sim._store_into(states, alive))
+    return states
+
+
+def em_path(f, g_list, h, n_steps, x0, seed=0):
+    """The chain of path 0 at every step, shape (n_steps + 1, n); NaN past the divergence cap."""
+    return em_chain(f, g_list, h, n_steps, x0, [0], seed, np.arange(n_steps + 1))[0]
+
+
+def em_terminal(f, g_list, h, n_steps, x0, n_paths, seed=0):
+    """X_N of paths 0 .. n_paths - 1, shape (n_paths, n)."""
+    return em_chain(f, g_list, h, n_steps, x0, range(n_paths), seed, np.array([n_steps]))[:, 0, :]
 
 
 class TestSimConfig:
@@ -194,6 +210,8 @@ class TestEnsemble:
         m = load_model(fixtures / "ex1_sub1_control.json")
         with pytest.raises(ValidationError):
             run_ensemble(m, cfg_for(0.0234, 1.0))
+        with pytest.raises(ValidationError):
+            simulate_sampled_path(m, cfg_for(0.0234, 1.0))
 
 
 def gbm_model():
@@ -437,11 +455,11 @@ class TestKernelOracle:
     def test_em_discrete(self, monkeypatch, rng):
         f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
         x0 = rng.normal(size=2)
-        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete(f, [g], 0.05, 60, x0, seed=5)))
-        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete_terminal(
+        assert same_bits(*self.both(monkeypatch, lambda: em_path(f, [g], 0.05, 60, x0, seed=5)))
+        assert same_bits(*self.both(monkeypatch, lambda: em_terminal(
             f, [g], 0.05, 60, x0, n_paths=7, seed=5)))
         # a chain that passes the cap part way
-        assert same_bits(*self.both(monkeypatch, lambda: simulate_em_discrete(
+        assert same_bits(*self.both(monkeypatch, lambda: em_path(
             np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))))
 
 
@@ -519,21 +537,21 @@ class TestEmDiscrete:
     def test_deterministic_recursion(self):
         f = np.array([[0.1, 1.0], [0.0, -0.2]])
         h, n = 0.05, 7
-        path = simulate_em_discrete(f, [np.zeros((2, 2))], h, n, np.array([1.0, -1.0]), seed=4)
+        path = em_path(f, [np.zeros((2, 2))], h, n, np.array([1.0, -1.0]), seed=4)
         expected = np.array([1.0, -1.0])
         m = np.eye(2) + h * f
         for k in range(1, n + 1):
             expected = m @ np.array(path[k - 1])
             assert np.allclose(path[k], expected, atol=0)
-        again = simulate_em_discrete(f, [np.zeros((2, 2))], h, n, np.array([1.0, -1.0]), seed=4)
+        again = em_path(f, [np.zeros((2, 2))], h, n, np.array([1.0, -1.0]), seed=4)
         assert np.array_equal(path, again)
 
     def test_zero_stepsize(self):
-        path = simulate_em_discrete(np.eye(1), [np.eye(1)], 0.0, 5, np.array([2.0]), seed=1)
+        path = em_path(np.eye(1), [np.eye(1)], 0.0, 5, np.array([2.0]), seed=1)
         assert np.all(path == 2.0)
 
     def test_nan_past_divergence_cap(self):
-        path = simulate_em_discrete(np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))
+        path = em_path(np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))
         assert np.isfinite(path[:40]).all() and np.isnan(path[-1]).all()
 
     def test_terminal_path_zero_matches_full_path(self, rng):
@@ -541,14 +559,14 @@ class TestEmDiscrete:
         for _ in range(20):
             f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
             x0 = rng.normal(size=2)
-            path = simulate_em_discrete(f, [g], 0.05, 40, x0, seed=5)
-            term = simulate_em_discrete_terminal(f, [g], 0.05, 40, x0, n_paths=3, seed=5)
+            path = em_path(f, [g], 0.05, 40, x0, seed=5)
+            term = em_terminal(f, [g], 0.05, 40, x0, n_paths=3, seed=5)
             assert np.allclose(term[0], path[-1], rtol=1e-12, atol=0)
 
     def test_discrete_mean_matches_growth(self):
         # E X_N = (1 + a h)^N x0 exactly for the EM chain
         a, sigma, h, n_steps, n_paths = 1.0, 0.5, 0.02, 50, 100_000
-        term = simulate_em_discrete_terminal(
+        term = em_terminal(
             np.array([[a]]), [np.array([[sigma]])], h, n_steps, np.array([1.0]),
             n_paths, seed=21,
         )
@@ -556,81 +574,6 @@ class TestEmDiscrete:
         sample_mean = float(term.mean())
         se = float(term.std(ddof=1)) / np.sqrt(n_paths)
         assert abs(sample_mean - exact) <= 3 * se
-
-
-def _zero(n):
-    return lambda x, y, t: np.zeros(n)
-
-
-class TestSimulateSide:
-    def test_sampled_data_specialization_matches(self, fixtures):
-        # jump x(t_{k-1}) - x(t_k^-) applied to y reproduces the direct
-        # sampled-data path driven by the same increments
-        m = load_model(fixtures / "ex1_sub1.json")
-        b_bar = m.B_bar
-
-        def drift(x, y, t):
-            return m.drift(x) + (x - y) @ b_bar.T
-
-        def diff(x, y, t):
-            return np.stack([g @ x for g in m.diffusion], axis=-1)
-
-        side = GeneralSiDE(
-            n=2, q=2, m=1, f=drift, g=diff, f_tilde=drift, g_tilde=diff,
-            h_f=lambda seg, k: seg.x[0] - seg.x[-1],
-            x0=m.x0, y0=np.zeros(2),
-        )
-        cfg = cfg_for(0.0234, 0.5, seed=3)
-        direct = simulate_sampled_path(m, cfg, path_index=0)
-        cps = simulate_side(side, cfg, path_index=0)
-        assert np.abs(direct.states - cps.x).max() <= 1e-12
-
-    def test_cps_form_round_trip(self, fixtures):
-        m = load_model(fixtures / "ex1_sub2.json")
-        side = to_cps_form(m).as_side()
-        cfg = cfg_for(0.0234, 0.5, seed=5)
-        direct = simulate_sampled_path(m, cfg, path_index=0)
-        cps = simulate_side(side, cfg, path_index=0)
-        assert np.abs(direct.states - cps.x).max() <= 1e-12
-        mask = np.isin(cps.times, cps.instants)
-        assert np.abs(cps.y[mask]).max() == 0.0
-
-    def test_sawtooth_reset(self):
-        # x held at 1 drives dy = x dt; the jump resets y to zero at each
-        # instant, giving a unit-slope sawtooth
-        side = GeneralSiDE(
-            n=1, q=1, m=0,
-            f=_zero(1), g=_zero(1),
-            f_tilde=lambda x, y, t: np.asarray(x), g_tilde=_zero(1),
-            h_f=lambda seg, k: -seg.y[-1],
-            x0=np.ones(1), y0=np.zeros(1),
-        )
-        cfg = SimConfig(schedule=SamplingSchedule.periodic(0.1), horizon=0.35, dt_sim=0.01)
-        out = simulate_side(side, cfg)
-        instants = np.isin(out.times, out.instants) & (out.times > 0)
-        assert np.abs(out.y[instants]).max() <= 1e-15
-        interior = np.isclose(out.times % 0.1, 0.05, atol=1e-9)
-        assert np.allclose(out.y[interior], 0.05, atol=1e-12)
-
-    def test_jump_noise_variance(self):
-        # zero dynamics, jump h_g xi: Var y(t_1) = |h_g|^2
-        hg = 0.7
-        paths = 4000
-        vals = np.empty(paths)
-        cfg0 = SimConfig(schedule=SamplingSchedule.periodic(0.05), horizon=0.05, dt_sim=0.005)
-        side = GeneralSiDE(
-            n=1, q=1, m=0,
-            f=_zero(1), g=_zero(1), f_tilde=_zero(1), g_tilde=_zero(1),
-            h_f=lambda seg, k: np.zeros(1),
-            h_g=lambda seg, k: np.array([[hg]]),
-            x0=np.zeros(1), y0=np.zeros(1),
-        )
-        for p in range(paths):
-            out = simulate_side(side, cfg0, path_index=p)
-            vals[p] = out.y[-1, 0]
-        var = vals.var(ddof=1)
-        se = hg * hg * np.sqrt(2.0 / (paths - 1))
-        assert abs(var - hg * hg) <= 3 * se
 
 
 class TestEstimators:
@@ -643,7 +586,6 @@ class TestEstimators:
         d = estimate_ms_decay(ens)
         assert d.rate == pytest.approx(-2.0, rel=0.05)
         assert d.r_squared >= 0.99
-        assert d.decay_confirmed
 
     def test_all_zero_is_degenerate(self):
         m = decay_model()
@@ -746,11 +688,31 @@ class TestDeterministicCpsEquality:
             name="det", n=2, A=np.array([[0.0, 1.0], [-2.0, -1.0]]), diffusion=(),
             B_bar_explicit=np.array([[-1.0, 0.0], [0.0, -1.0]]), x0=np.array([1.0, -0.5]),
         )
-        side = to_cps_form(m).as_side()
         cfg = SimConfig(schedule=SamplingSchedule.periodic(0.1), horizon=1.0, dt_sim=0.01)
         direct = simulate_sampled_path(m, cfg)
-        cps = simulate_side(side, cfg)
-        assert np.abs(direct.states - cps.x).max() <= 1e-12
+        times, x, y = cps_reference(m, cfg)
+        assert np.array_equal(direct.times, times)
+        assert np.abs(direct.states - x).max() <= 1e-12
+        assert np.all(y[np.isin(times, direct.instants)] == 0.0)
+
+
+class TestStochasticCpsEquality:
+    """The paper's physical/cyber form, stepped on (x, y) with the cyber state
+    reset to 0 at each instant, is the loop the kernel integrates in hold form."""
+
+    @pytest.mark.parametrize("name, seed", [("ex1_sub1", 3), ("ex1_sub2", 5)])
+    def test_matches_sampled_path(self, fixtures, name, seed):
+        m = load_model(fixtures / f"{name}.json")
+        cfg = cfg_for(0.0234, 0.5, seed=seed)
+        direct = simulate_sampled_path(m, cfg, path_index=0)
+        times, x, y = cps_reference(m, cfg, path_index=0)
+        assert np.array_equal(direct.times, times)
+        assert np.abs(direct.states - x).max() <= 1e-12
+        at_instants = np.isin(times, direct.instants)
+        assert at_instants.sum() == len(direct.instants)
+        assert np.all(y[at_instants] == 0.0)
+        # between instants y = x - x(t_*) is what the kernel holds
+        assert np.abs(y - (x - direct.held)).max() <= 1e-12
 
 
 class TestUniformScheduleEnsemble:

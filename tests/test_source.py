@@ -73,3 +73,73 @@ def test_scan_flags_json_that_may_hold_nan():
 def test_json_written_without_nan(path):
     # NaN and Infinity are not JSON: a report holding one is refused by strict parsers
     assert json_dumps_allowing_nan(path.read_text(encoding="utf-8")) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+# public names that no CLI path or benchmark file reaches, each kept for the reason given
+TEST_ONLY_KEPT = {
+    "reverify_report": "the README documents it as the way to reproduce a run report from the report alone",
+    "simulate_sampled_path": "one path by index: acceptance criterion 6 and the kernel oracle's held check read it",
+    "SinglePath": "the record simulate_sampled_path returns",
+}
+
+
+def _reads(node) -> set:
+    """Names that code under node reads, as Name ids and Attribute attrs; docstrings are not read."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unreached_public_defs(package: list, entries: list, roots=("main",)) -> list:
+    """Top-level public def and class names of the package sources that no entry reaches.
+
+    The roots are the given names, every name read by the package's top-level
+    statements other than def and class (they run at import) and every name
+    the entry sources read.  A reached def or class reaches every name its body
+    reads, to a fixed point.  Names are matched without their module, so a
+    name defined in two modules is reached when either one is.
+    """
+    bodies = {}
+    todo = set(roots)
+    for source in package:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+            else:
+                todo |= _reads(node)
+    for source in entries:
+        todo |= _reads(ast.parse(source))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in bodies and name not in reached:
+            reached.add(name)
+            for node in bodies[name]:
+                todo |= _reads(node)
+    return sorted(n for n in bodies if not n.startswith("_") and n not in reached)
+
+
+def test_scan_flags_unreached_defs():
+    package = [
+        '"""Docstrings do not reach: helper, orphan."""\n'
+        "LIMIT = _cap()\n"
+        "def _cap():\n    return 1\n"
+        "def main():\n    return run(Config())\n"
+        "def run(cfg):\n    return cfg.width\n"
+        "class Config:\n    def width(self):\n        return helper()\n"
+        "def helper():\n    return 2\n"
+        "def orphan():\n    return 3\n"
+        "def _private_orphan():\n    return helper()\n"
+        "def bench_only():\n    return 4\n"
+        "def cycle_a():\n    return cycle_b()\n"
+        "def cycle_b():\n    return cycle_a()\n",
+    ]
+    entries = ["import pkg\npkg.bench_only()\n"]
+    assert unreached_public_defs(package, entries) == ["cycle_a", "cycle_b", "orphan"]
+
+
+def test_no_test_only_code():
+    # the CLI (entry point sdstab.cli:main) and perfbench/ are the callers; tests are not
+    package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    entries = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unreached_public_defs(package, entries) == sorted(TEST_ONLY_KEPT)
