@@ -7,13 +7,12 @@ strict upper bound on the admissible supremum of sampling gaps:
   Lyapunov functions, with the interior maximizer the root of
   c (1 + ln q) + q = 0, c = a2 at1 / (a1 at2);
 * single-V emulation: the closed-form KKT optimum of the three-parameter
-  reciprocal objective in (q, b1, b2) at a q* found by root finding, plus its
-  rate parameterization r = alpha * sqrt(q);
+  reciprocal objective in (q, b1, b2) at a q* found by root finding;
 * two-function emulation: tau(q) = -alpha^2 q ln q / (alpha_b g1 + g2 alpha^2 q)
   with q* the root of the same equation at c = alpha_b g1 / (alpha^2 g2);
-* discrete-time approximation: the same single-V bound after mapping the
-  discrete design data (c_bar, h, alpha_u) to the decay rate
-  2 alpha = c_bar / h + alpha_u h.
+* discrete-time approximation: the same single-V bound, with its rate
+  r = alpha * sqrt(q), after mapping the discrete design data (c_bar, h,
+  alpha_u) to the decay rate 2 alpha = c_bar / h + alpha_u h.
 
 c (1 + ln q) + q = 0 has the closed-form root q = c W0(1/(c e)), W0 the
 principal branch of the Lambert W function (Corless et al., Adv. Comput.
@@ -288,26 +287,6 @@ def emulation_bound_single(c: EmulationConstants) -> SamplingBoundResult:
     )
 
 
-def emulation_bound_single_rate_form(c: EmulationConstants) -> SamplingBoundResult:
-    """Rate parameterization r = alpha sqrt(q) of the single-V bound.
-
-    Identical tau_max; reports r* = alpha*sqrt(q*) in (0, alpha/sqrt(e)), which
-    measures how much of the designed decay rate survives sampling.
-    """
-    a = c.alpha_bar
-    base = emulation_bound_single(c)
-    return SamplingBoundResult(
-        q_star=base.q_star,
-        tau_max=base.tau_max,
-        provenance="emulation-single-rate",
-        auxiliary={
-            **base.auxiliary,
-            "r_star": a * math.sqrt(base.q_star),
-            "r_bracket": (0.0, a / math.sqrt(math.e)),
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # two-Lyapunov-function emulation bound
 # ---------------------------------------------------------------------------
@@ -393,16 +372,18 @@ def dta_bound(
     """Sampling bound for a discretely designed controller.
 
     Maps (c_bar, h, alpha_u) to the equivalent continuous decay rate, then
-    defers to the single-V bound; reported in the rate parameterization, which
-    separates the model stepsize h from the implementation sampling period.
+    defers to the single-V bound.  r* = alpha sqrt(q*) in (0, alpha/sqrt(e)) separates
+    the model stepsize h from the sampling period: the decay rate that survives sampling.
     """
     alpha_bar = dta_map(c_bar, h, alpha_u)
-    base = emulation_bound_single_rate_form(
-        EmulationConstants(alpha_bar=alpha_bar, alpha_b=alpha_b, alpha_f=alpha_f)
-    )
+    base = emulation_bound_single(EmulationConstants(alpha_bar=alpha_bar, alpha_b=alpha_b, alpha_f=alpha_f))
     return SamplingBoundResult(
         q_star=base.q_star,
         tau_max=base.tau_max,
         provenance="discrete-time-approximation",
-        auxiliary={**base.auxiliary, "alpha_bar": alpha_bar, "c_bar": c_bar, "h": h, "alpha_u": alpha_u},
+        auxiliary={
+            **base.auxiliary, "r_star": alpha_bar * math.sqrt(base.q_star),
+            "r_bracket": (0.0, alpha_bar / math.sqrt(math.e)),
+            "alpha_bar": alpha_bar, "c_bar": c_bar, "h": h, "alpha_u": alpha_u,
+        },
     )

@@ -46,7 +46,7 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
-from .lmi import LmiCertificate, load_certificate, save_certificate, verify_certificate
+from .lmi import LmiCertificate, load_certificate, run_gain, save_certificate, verify_certificate
 from .models import (
     NonlinearPlanarModel,
     SamplingSchedule,
@@ -358,11 +358,9 @@ def cmd_simulate(args, argv) -> int:
     if args.cert:
         cert = load_certificate(args.cert)
         report["inputs"]["cert"] = {"path": str(args.cert), "sha256": _sha256(args.cert)}
-        if model.design_mode:
-            if cert.K_hat is not None:
-                model = model.with_gain(cert.K_hat)
-            elif cert.Q is not None and cert.Y is not None:
-                model = model.with_gain(cert.Y @ np.linalg.inv(cert.Q))
+        gain = run_gain(model, cert)  # refuses a certificate gain other than the one run
+        if gain is not None:
+            model = model.with_gain(gain)
     if model.B_bar is None:
         raise ValidationError("model gain unresolved; pass --cert with K_hat or Q/Y")
     schedule = SamplingSchedule.parse(args.schedule)

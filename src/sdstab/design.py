@@ -39,7 +39,7 @@ from .errors import InfeasibleError, ValidationError
 from .lmi import (
     LmiCertificate,
     assemble_lyapunov_ito,
-    verify_design_certificate,
+    verify_analysis_certificate,
     verify_planar_certificate,
 )
 from .models import LinearSampledModel, NonlinearPlanarModel
@@ -53,7 +53,7 @@ _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
 
 # perfbench/tracer.py looks these names up by getattr; they go with the tracer's rows (ROADMAP item 1)
-minimize_gevp = solve_feasibility = build_affine_map = None
+minimize_gevp = solve_feasibility = build_affine_map = verify_design_certificate = None
 
 
 def extract_alpha_b(P, P_tilde, B_bar):
@@ -183,8 +183,8 @@ class DesignOptions:
 
     alpha_fraction, in (0, 1), is the share of the largest certifiable rate:
     the starting point of the linear rate search, and the fixed share of the
-    planar design.  The cyber certificate of a linear design is P_tilde = P;
-    the bound depends on it only through alpha_b * gamma1 and gamma2, which a
+    planar design.  A linear design writes (P, P_tilde = P, K_hat); the bound
+    depends on P_tilde only through alpha_b * gamma1 and gamma2, which a
     rescaling P_tilde = c P leaves unchanged.
     """
 
@@ -405,12 +405,9 @@ def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
     """Steps 3-4 plus re-verification for a fixed (gain, positive definite P, alpha_bar).
 
     P is rescaled to trace n, which leaves every margin sign unchanged, so the
-    certificate comes out at unit scale; its design form is Q = P^{-1}, Y = K Q,
-    with c_tilde = 1 (P_tilde = P).
+    certificate (P, P_tilde = P, K_hat) comes out at unit scale.
     """
     p = p * (model.n / float(np.trace(p)))
-    q = np.linalg.inv(p)
-    q = 0.5 * (q + q.T)
     b_bar = model.B_hat @ k_hat
     f = model.A + b_bar
     alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
@@ -420,11 +417,9 @@ def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
         return None
     cert = LmiCertificate(
         alpha_bar=alpha_bar, P=p, P_tilde=p,
-        alpha_b=alpha_b, gamma1=g1, gamma2=g2, c_tilde=1.0,
-        Q=q, Y=k_hat @ q, K_hat=k_hat,
+        alpha_b=alpha_b, gamma1=g1, gamma2=g2, K_hat=k_hat,
     )
-    outcome = verify_design_certificate(model, cert, tol=0.0)
-    if not outcome.passed:
+    if not verify_analysis_certificate(model, cert, tol=0.0).passed:
         return None
     constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
     return DesignResult(

@@ -2,11 +2,12 @@
 
 Every verification margin here is literally the largest eigenvalue of an
 explicitly assembled symmetric block matrix, so "margin <= 0" is the matrix
-inequality itself.  Certificates read from files were typically printed to
-4-5 significant digits, so the certificate-level PASS test compares the margin
-against tol * (1 + ||M||_F) with a relative tol (default 1e-2).  Each
-verify_*_certificate assembles its named blocks and hands them to one margin
-loop, `_outcome`.
+inequality itself.  The blocks are those of the analysis form (P, P_tilde,
+K_hat); a design-form (Q, Y, c_tilde) file is checked as P = Q^{-1},
+P_tilde = c_tilde Q^{-1}, K_hat = Y Q^{-1}, since its LMIs are congruences of
+these.  File certificates are typically printed to 4-5 significant digits,
+so PASS compares each margin against tol * (1 + ||M||_F) with a relative tol
+(default 1e-2), in one margin loop, `_outcome`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def _opt_scalar(doc, key) -> Optional[float]:
     return v
 
 
+def _agree(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> bool:
+    """a has b's shape and ||a - b||_F <= 1e-6 (floor + ||b||_F)."""
+    return a.shape == b.shape and np.linalg.norm(a - b) <= 1e-6 * (floor + np.linalg.norm(b))
+
+
 def _symmetric_pos_def(m) -> bool:
     """is_pos_def of a certificate matrix; DomainError when it is not symmetric to 1e-6."""
     pos_def = is_pos_def(m)
@@ -68,7 +74,8 @@ def _symmetric_pos_def(m) -> bool:
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """Quadratic stability certificate, in analysis (P) and/or design (Q, Y) form."""
+    """Quadratic stability certificate, in analysis (P) and/or design (Q, Y) form;
+    with both, P = Q^{-1} and P_tilde = c_tilde P to 1e-6, so the P checked is the Q on file."""
 
     alpha_bar: float
     P: Optional[np.ndarray] = None
@@ -92,8 +99,15 @@ class LmiCertificate:
             m = getattr(self, name)
             if m is not None and not _symmetric_pos_def(m):
                 raise ValidationError(f"{name} must be symmetric positive definite")
-        if self.Q is not None and self.Y is None:
-            raise ValidationError("design-form certificate needs Y alongside Q")
+        if self.Q is None:
+            return
+        if self.Y is None or np.ndim(self.Y) != 2 or np.shape(self.Y)[1] != len(self.Q):
+            raise ValidationError("design-form certificate needs Y, with one column per row of Q")
+        if self.P is not None and not (
+            _agree(self.P, np.linalg.inv(self.Q)) and self.P_tilde is not None
+            and self.c_tilde is not None and _agree(self.P_tilde, self.c_tilde * self.P)
+        ):
+            raise ValidationError("a certificate with P and Q needs P = Q^{-1} and P_tilde = c_tilde P")
 
     @property
     def two_function_constants(self) -> Optional[TwoFunctionConstants]:
@@ -102,14 +116,16 @@ class LmiCertificate:
         return TwoFunctionConstants(self.alpha_bar, self.alpha_b, self.gamma1, self.gamma2)
 
     def analysis_form(self) -> "LmiCertificate":
-        """Derive (P, P_tilde) = (Q^{-1}, c_tilde Q^{-1}) from a design-form certificate."""
+        """The (P, P_tilde, K_hat) = (Q^{-1}, c_tilde Q^{-1}, Y Q^{-1}) translation of a
+        design-form certificate (a certificate K_hat is kept), without Q and Y."""
         if self.P is not None:
             return self
         if self.c_tilde is None:
             raise ValidationError("design-form certificate needs c_tilde to transform")
-        p = np.linalg.inv(self.Q)
-        p = 0.5 * (p + p.T)
-        return replace(self, P=p, P_tilde=self.c_tilde * p)
+        q_inv = np.linalg.inv(self.Q)
+        p = 0.5 * (q_inv + q_inv.T)
+        k_hat = self.Y @ q_inv if self.K_hat is None else self.K_hat
+        return replace(self, P=p, P_tilde=self.c_tilde * p, K_hat=k_hat, Q=None, Y=None)
 
     @staticmethod
     def from_dict(doc: dict) -> "LmiCertificate":
@@ -210,45 +226,6 @@ def assemble_cross_block(F, G_list, B_bar, P, P_tilde, gamma1: float, gamma2: fl
     return 0.5 * (m + m.T)
 
 
-def assemble_design_rate(A, G_list, B_hat, Q, Y, alpha_bar: float) -> np.ndarray:
-    n = np.asarray(Q).shape[0]
-    A = _check_square(A, n, "A")
-    q = np.asarray(Q)
-    q11 = q @ A.T + Y.T @ B_hat.T + A @ q + B_hat @ Y + 2.0 * alpha_bar * q
-    rows = [[q11] + [(G @ q).T for G in G_list]]
-    for j, G in enumerate(G_list):
-        row = [G @ q] + [(-q if i == j else np.zeros((n, n))) for i in range(len(G_list))]
-        rows.append(row)
-    m = np.block(rows) if len(rows) > 1 else q11
-    return 0.5 * (m + m.T)
-
-
-def assemble_design_energy(B_hat, Q, Y, alpha_b: float, c_tilde: float) -> np.ndarray:
-    q = np.asarray(Q)
-    by = B_hat @ Y
-    m = np.block([[-alpha_b * c_tilde * q, by.T], [by, -q]])
-    return 0.5 * (m + m.T)
-
-
-def assemble_design_cross(
-    A, G_list, B_hat, Q, Y, c_tilde: float, gamma1: float, gamma2: float
-) -> np.ndarray:
-    n = np.asarray(Q).shape[0]
-    A = _check_square(A, n, "A")
-    q = np.asarray(Q)
-    mgain = c_tilde * (A @ q + B_hat @ Y)
-    qt22 = -c_tilde * (Y.T @ B_hat.T + B_hat @ Y) - gamma2 * c_tilde * q
-    k = len(G_list)
-    rows = [[-gamma1 * q, mgain.T] + [(np.sqrt(c_tilde) * G @ q).T for G in G_list]]
-    rows.append([mgain, qt22] + [np.zeros((n, n))] * k)
-    for j, G in enumerate(G_list):
-        row = [np.sqrt(c_tilde) * G @ q, np.zeros((n, n))]
-        row += [(-q if i == j else np.zeros((n, n))) for i in range(k)]
-        rows.append(row)
-    m = np.block(rows)
-    return 0.5 * (m + m.T)
-
-
 def assemble_planar_rate(A_tilde, E1, P, alpha_bar: float, b: float) -> np.ndarray:
     if b <= 0:
         raise DomainError("envelope weight b must be positive")
@@ -314,24 +291,27 @@ def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFu
     )
 
 
-def _run_gain(model: Model, cert: LmiCertificate, certified=None) -> Optional[np.ndarray]:
+def run_gain(model: Model, cert: LmiCertificate) -> Optional[np.ndarray]:
     """The feedback gain simulate runs for this model and certificate, or None.
 
     simulate runs the model's K_hat if it has one, else the certificate's
-    K_hat, else the design form's Y Q^{-1} (passed as certified).  Margins for
-    any other gain would certify a loop that is never run, so every gain
-    present must agree with that one to 1e-6 relative.
+    K_hat, else the design form's Y Q^{-1}.  Margins for any other gain would
+    certify a loop that is never run, so every gain present must agree with
+    that one to 1e-6 relative.
     """
+    design = None if cert.Q is None else cert.Y @ np.linalg.inv(cert.Q)
     gains = [(what, k) for what, k in (
-        ("model K_hat", model.K_hat), ("certificate K_hat", cert.K_hat), ("design gain Y Q^{-1}", certified),
+        ("model K_hat", model.K_hat), ("certificate K_hat", cert.K_hat), ("design gain Y Q^{-1}", design),
     ) if k is not None]
     if not gains:
         return None
     if model.B_hat is None:
-        raise ValidationError("a certificate K_hat needs a model with an input map B_hat")
+        raise ValidationError("a certificate gain needs a model with an input map B_hat")
     run_what, run = gains[0]
+    if run.shape != (model.B_hat.shape[1], model.n):
+        raise ValidationError(f"the {run_what} has shape {run.shape}, not (inputs, states)")
     for what, k in gains[1:]:
-        if k.shape != run.shape or np.linalg.norm(k - run) > 1e-6 * (1.0 + np.linalg.norm(run)):
+        if not _agree(k, run, floor=1.0):
             raise ValidationError(f"the {what} is not the {run_what} that simulate runs")
     return run
 
@@ -339,14 +319,14 @@ def _run_gain(model: Model, cert: LmiCertificate, certified=None) -> Optional[np
 def verify_analysis_certificate(
     model: LinearSampledModel, cert: LmiCertificate, tol: float = 1e-2
 ) -> VerificationOutcome:
-    """Check a (P, P_tilde) certificate for a linear model with resolved feedback.
+    """Check a certificate, (Q, Y) through analysis_form(), for a linear model with feedback.
 
     Margins: the decay-rate inequality, the feedback-energy inequality
     B^T P B <= alpha_b P_tilde, and the cross block against diag(g1 P, g2 P_tilde).
     """
-    cert = cert.analysis_form()
-    gain = _run_gain(model, cert)
+    gain = run_gain(model, cert)
     b_bar = model.B_bar if gain is None else model.B_hat @ gain
+    form, cert = "analysis" if cert.Q is None else "design", cert.analysis_form()
     if b_bar is None:
         raise ValidationError("model gain is unresolved and the certificate carries no K_hat")
     f = model.A + b_bar
@@ -359,29 +339,7 @@ def verify_analysis_certificate(
         blocks["cross"] = assemble_cross_block(
             f, model.diffusion, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
         )
-    return _outcome(blocks, tol, "analysis", constants)
-
-
-def verify_design_certificate(
-    model: LinearSampledModel, cert: LmiCertificate, tol: float = 1e-2
-) -> VerificationOutcome:
-    """Check a (Q, Y) design certificate; acceptance implies the analysis form
-    with P = Q^{-1}, P_tilde = c_tilde Q^{-1} by congruence."""
-    if model.B_hat is None:
-        raise ValidationError("design certificate requires a model with an input map")
-    for name in ("Q", "Y", "c_tilde", "alpha_b", "gamma1", "gamma2"):
-        if getattr(cert, name) is None:
-            raise ValidationError(f"design certificate is missing {name}")
-    if cert.Y.shape != (model.B_hat.shape[1], model.n):
-        raise DomainError("Y has the wrong shape for this input map")
-    a, gs, b, q, y = model.A, model.diffusion, model.B_hat, cert.Q, cert.Y
-    _run_gain(model, cert, certified=np.linalg.solve(q.T, y.T).T)  # the blocks certify Y Q^{-1}
-    blocks = {
-        "rate": assemble_design_rate(a, gs, b, q, y, cert.alpha_bar),
-        "feedback_energy": assemble_design_energy(b, q, y, cert.alpha_b, cert.c_tilde),
-        "cross": assemble_design_cross(a, gs, b, q, y, cert.c_tilde, cert.gamma1, cert.gamma2),
-    }
-    return _outcome(blocks, tol, "design", cert.two_function_constants)
+    return _outcome(blocks, tol, form, constants)
 
 
 def verify_planar_certificate(
@@ -391,7 +349,7 @@ def verify_planar_certificate(
     for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c"):
         if getattr(cert, name) is None:
             raise ValidationError(f"planar certificate is missing {name}")
-    gain = _run_gain(model, cert)
+    gain = run_gain(model, cert)
     if gain is None:
         raise ValidationError("planar certificate needs a gain (K_hat)")
     work = model.with_gain(gain)
@@ -409,12 +367,10 @@ def verify_planar_certificate(
 
 
 def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
-    """Dispatch on model type and certificate form."""
+    """Dispatch on model type."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed block or norm raises DomainError
         if isinstance(model, NonlinearPlanarModel):
             return verify_planar_certificate(model, cert, tol)
-        if cert.Q is not None:
-            return verify_design_certificate(model, cert, tol)
         return verify_analysis_certificate(model, cert, tol)
 
 

@@ -197,6 +197,23 @@ def rate_lyapunov_basis(F, G_list, two_alpha, R):
     return p
 
 
+def design_rate_block(A, G_list, B_hat, Q, Y, alpha_bar):
+    """The rate LMI in design variables (Q, Y), Schur-expanded over the diffusions.
+
+    [[M + M^T + 2 alpha Q, (G_1 Q)^T, ...], [G_1 Q, -Q, 0, ...], ...] with
+    M = A Q + B_hat Y.  It is a congruence of the Ito rate block at P = Q^{-1},
+    K = Y Q^{-1}, so the two are negative semidefinite together; verification
+    assembles only the rate block, and this checks that it decides the same.
+    """
+    q = np.asarray(Q, dtype=float)
+    m = np.asarray(A) @ q + np.asarray(B_hat) @ np.asarray(Y)
+    k = len(G_list)
+    rows = [[m + m.T + 2.0 * alpha_bar * q] + [(np.asarray(g) @ q).T for g in G_list]]
+    for j, g in enumerate(G_list):
+        rows.append([np.asarray(g) @ q] + [-q if i == j else np.zeros_like(q) for i in range(k)])
+    return np.block(rows)
+
+
 def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
     """The planar (l1, l2, c) certificate search one cell at a time.
 

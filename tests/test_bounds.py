@@ -12,7 +12,6 @@ from sdstab.bounds import (
     dta_bound,
     dta_map,
     emulation_bound_single,
-    emulation_bound_single_rate_form,
     emulation_bound_two,
     htau_generic,
     single_v_curve,
@@ -201,25 +200,34 @@ class TestEmulationBoundSingle:
 
 
 class TestRateForm:
+    """dta_bound reports the rate parameterization r* = alpha sqrt(q*) of its single-V bound."""
+
+    @staticmethod
+    def dta_at(a, ab, af):
+        # c_bar = 1/2 and alpha_u h^2 = 1/4 give alpha = 3 / (8 h), and c_bar + alpha_u h^2 < 1
+        h = 0.375 / a
+        return dta_bound(0.5, h, 0.25 / (h * h), ab, af)
+
     def test_unit_constants(self):
-        res = emulation_bound_single_rate_form(EmulationConstants(1, 1, 1))
+        res = self.dta_at(1.0, 1.0, 1.0)
+        assert res.auxiliary["alpha_bar"] == pytest.approx(1.0, rel=1e-15)
         assert res.auxiliary["r_star"] == pytest.approx(math.sqrt(0.22816868838254425), abs=1e-9)
         assert res.auxiliary["r_star"] == pytest.approx(0.4777, abs=2e-4)
 
     def test_parameterization_equivalence(self, rng):
         for _ in range(100):
             a, ab, af = np.exp(rng.uniform(np.log(0.1), np.log(10), size=3))
-            c = EmulationConstants(a, ab, af)
-            r1 = emulation_bound_single(c)
-            r2 = emulation_bound_single_rate_form(c)
+            r2 = self.dta_at(a, ab, af)
+            r1 = emulation_bound_single(EmulationConstants(r2.auxiliary["alpha_bar"], ab, af))
             assert abs(r1.tau_max - r2.tau_max) <= 1e-10 * max(1.0, r1.tau_max)
             assert abs(r2.auxiliary["r_star"] - a * math.sqrt(r1.q_star)) <= 1e-8
 
     def test_rate_bracket(self, rng):
         for _ in range(20):
             a, ab, af = np.exp(rng.uniform(np.log(0.1), np.log(10), size=3))
-            res = emulation_bound_single_rate_form(EmulationConstants(a, ab, af))
+            res = self.dta_at(a, ab, af)
             assert 0.0 < res.auxiliary["r_star"] < a / math.sqrt(E)
+            assert res.auxiliary["r_bracket"] == (0.0, res.auxiliary["alpha_bar"] / math.sqrt(E))
 
 
 class TestEmulationBoundTwo:

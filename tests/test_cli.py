@@ -253,7 +253,8 @@ class TestExitCodes:
         "report_out_unwritable", "curve_out_unwritable",
         "alpha_fraction_nan", "alpha_fraction_zero", "alpha_fraction_one", "alpha_fraction_above_one",
         "report_generic_overflow", "cert_k_hat_not_certified", "model_k_hat_not_certified",
-        "cert_k_hat_without_input_map", "generic_q_below_condition", "single_v_overflow",
+        "cert_k_hat_without_input_map", "cert_p_and_q_disagree", "simulate_model_k_hat_not_certified",
+        "simulate_design_cert_without_input_map", "generic_q_below_condition", "single_v_overflow",
         "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
         "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
         "paths_unindexable", "schedule_explicit_nan", "schedule_explicit_inf",
@@ -300,6 +301,16 @@ class TestExitCodes:
                                                      patched("cert_ex1_sub1_analysis", K_hat=[[0.0, 0.0]])],
             "model_k_hat_not_certified": lambda: ["verify", "--model", patched("ex1_sub1_control", K_hat=[[0.0, 0.0]]),
                                                   "--cert", f"{FX}/cert_ex1_sub1_design.json"],
+            # a file with P and Q is checked through P, so P must be Q^{-1} and P_tilde c_tilde P
+            "cert_p_and_q_disagree": lambda: ["verify", "--model", f"{FX}/ex1_sub1_control.json", "--cert",
+                                              patched("cert_ex1_sub1_design", P=[[1.0, 0.0], [0.0, 1e-3]],
+                                                      P_tilde=[[1.0, 0.0], [0.0, 1e-3]])],
+            # simulate refuses the same pairs verify refuses: it would run a gain nothing certified
+            "simulate_model_k_hat_not_certified": lambda: [
+                "simulate", "--model", patched("ex1_sub1_control", K_hat=[[-1.0, -1.0]]),
+                "--cert", f"{FX}/cert_ex1_sub1_design.json", "--schedule", "periodic:0.01", "--horizon", "0.1"],
+            "simulate_design_cert_without_input_map": lambda: simulate + [
+                "--cert", f"{FX}/cert_ex1_sub1_design.json"],
             "model_A": lambda: verify(A="zz"),
             "model_x0": lambda: verify(x0=["a", 1]),
             "model_diffusion": lambda: verify(diffusion=5),

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,18 +10,16 @@ from sdstab.design import DesignOptions, synthesize_feedback, synthesize_nonline
 from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
     LmiCertificate,
-    assemble_design_rate,
     assemble_lyapunov_ito,
     load_certificate,
     verify_analysis_certificate,
     verify_certificate,
-    verify_design_certificate,
     verify_planar_certificate,
 )
-from sdstab.models import NonlinearPlanarModel, load_model
+from sdstab.models import LinearSampledModel, NonlinearPlanarModel, load_model
 from sdstab.numerics import is_pos_def, lam_max
 
-from oracles import jacobi_eigh
+from oracles import bisect, design_rate_block, jacobi_eigh
 
 
 def random_hurwitz(rng, n):
@@ -68,19 +69,51 @@ class TestReportedCertificates:
             assert out.implies_almost_sure
             assert all(m <= 1e-2 * out.scales[k] for k, m in out.margins.items())
 
-    def test_design_pass_and_congruence(self, fixtures):
+    def test_design_pass_and_congruence(self, fixtures, tmp_path):
+        # a (Q, Y) file is verified as P = Q^{-1}, P_tilde = c_tilde Q^{-1},
+        # K_hat = Y Q^{-1}, so its explicit translation gives identical margins
         model = load_model(fixtures / "ex1_sub1_control.json")
         cert = load_certificate(fixtures / "cert_ex1_sub1_design.json")
-        out = verify_design_certificate(model, cert, tol=1e-2)
-        assert out.passed
-        # transformed to (P, P_tilde) the same data passes the analysis form
-        analysis = cert.analysis_form()
+        out = verify_certificate(model, cert, tol=1e-2)
+        assert out.passed and out.form == "design"
+        p = np.linalg.inv(cert.Q)
+        p = 0.5 * (p + p.T)
         k_hat = cert.Y @ np.linalg.inv(cert.Q)
-        out2 = verify_analysis_certificate(
-            model.with_gain(k_hat), analysis, tol=1e-2
-        )
-        assert out2.passed
+        doc = {key: v for key, v in cert.to_dict().items() if key not in ("Q", "Y", "c_tilde")}
+        doc.update(P=p.tolist(), P_tilde=(cert.c_tilde * p).tolist(), K_hat=k_hat.tolist())
+        (tmp_path / "analysis.json").write_text(json.dumps(doc))
+        out2 = verify_certificate(model, load_certificate(tmp_path / "analysis.json"), tol=1e-2)
+        assert out2.form == "analysis"
+        assert out2.margins == out.margins and out2.scales == out.scales
+        assert out2.tau_max == out.tau_max
         assert np.linalg.norm(k_hat) == pytest.approx(5.5106, abs=1e-3)
+
+    @pytest.mark.parametrize("mname,cname,edge", [
+        ("ex1_sub1_control", "cert_ex1_sub1_design", 1.005947),
+        ("ex1_sub2_control", "cert_ex1_sub2_design", 1.004658),
+    ])
+    def test_design_file_alpha_bar_edge(self, fixtures, mname, cname, edge):
+        # scaling alpha_bar up, the tol-0 verdict of a (Q, Y) file flips where
+        # the rate LMI in (Q, Y) itself stops holding
+        model = load_model(fixtures / f"{mname}.json")
+        cert = load_certificate(fixtures / f"{cname}.json")
+
+        def verified(s):
+            bad = dataclasses.replace(cert, alpha_bar=s * cert.alpha_bar)
+            return verify_certificate(model, bad, tol=0.0).passed
+
+        def design_margin(s):
+            block = design_rate_block(model.A, model.diffusion, model.B_hat, cert.Q, cert.Y,
+                                      s * cert.alpha_bar)
+            return jacobi_eigh(block)[0][-1]
+
+        assert verified(1.0) and not verified(1.5)
+        lo, hi = 1.0, 1.5
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if verified(mid) else (lo, mid)
+        assert lo == pytest.approx(edge, abs=1e-5)
+        assert bisect(design_margin, 1.0, 1.5, iters=50) == pytest.approx(lo, rel=1e-9)
 
     def test_every_gain_on_hand_is_the_one_simulate_runs(self, fixtures):
         # simulate runs the model's K_hat, else the certificate's, else Y Q^{-1};
@@ -160,16 +193,14 @@ class TestReportedCertificates:
             verify_analysis_certificate(model, cert)
 
     def test_design_y_zero_stable_plant(self):
-        from sdstab.models import LinearSampledModel
-
         model = LinearSampledModel(
             name="stable", n=2, A=-np.eye(2), diffusion=(),
             B_hat=np.eye(2), K_hat=None,
         )
-        m = lam_max(
-            assemble_design_rate(model.A, (), model.B_hat, np.eye(2), np.zeros((2, 2)), 0.5)
-        )
-        assert m == pytest.approx(-1.0, abs=1e-12)
+        cert = LmiCertificate(alpha_bar=0.5, Q=np.eye(2), Y=np.zeros((2, 2)), c_tilde=1.0)
+        out = verify_certificate(model, cert, tol=0.0)
+        assert out.form == "design" and out.passed
+        assert out.margins["rate"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_planar_envelope_structural(self, fixtures):
         model = load_model(fixtures / "planar.json").with_gain(
@@ -214,6 +245,29 @@ class TestCertificateSchema:
     def test_design_requires_y(self):
         with pytest.raises(ValidationError):
             LmiCertificate.from_dict({"alpha_bar": 1.0, "Q": [[1.0]]})
+        with pytest.raises(ValidationError):
+            LmiCertificate.from_dict({"alpha_bar": 1.0, "Q": [[1.0]], "Y": [[1.0, 2.0]]})
+
+    def test_both_forms_must_be_one_certificate(self, fixtures):
+        # a file with P and Q is checked through P, so P must be Q^{-1} and
+        # P_tilde must be c_tilde P, each to 1e-6 relative
+        doc = json.loads((fixtures / "cert_ex1_sub1_design.json").read_text())
+        p = np.linalg.inv(doc["Q"])
+        p = 0.5 * (p + p.T)
+        pt = doc["c_tilde"] * p
+        assert LmiCertificate.from_dict({**doc, "P": p.tolist(), "P_tilde": pt.tolist()}).P is not None
+        near = {"P": (p * (1 + 1e-8)).tolist(), "P_tilde": (pt * (1 - 1e-8)).tolist()}
+        assert LmiCertificate.from_dict({**doc, **near}).P is not None
+        bad = [
+            {"P": np.diag([1.0, 1e-3]).tolist(), "P_tilde": np.diag([1.0, 1e-3]).tolist()},
+            {"P": (p * (1 + 1e-5)).tolist(), "P_tilde": pt.tolist()},
+            {"P": p.tolist(), "P_tilde": p.tolist()},
+            {"P": p.tolist(), "P_tilde": pt.tolist(), "c_tilde": None},
+            {"P": p.tolist()},
+        ]
+        for changes in bad:
+            with pytest.raises(ValidationError, match="P = Q"):
+                LmiCertificate.from_dict({**doc, **changes})
 
     def test_asymmetric_rejected(self):
         # certificate matrices must be symmetric to 1e-6 relative to their largest entry
