@@ -6,10 +6,11 @@ The linear synthesis pipeline follows the recipe behind the design LMIs:
    2*alpha(K) = -max Re eig(ito_generator(A + B K, G)) over |K| <= _GAIN_CAP,
    by Nelder-Mead; at a fixed gain this is the optimum of the rate LMI, so no
    SDP solver is needed;
-2. one Nelder-Mead refinement from K* searches the gain, the shape of the
-   Lyapunov residual and the rate alpha_bar = alpha_max * sigmoid(u) together,
-   maximizing the sampling bound; P solves the rate Lyapunov equation at
-   alpha_bar;
+2. a fixed-seed differential evolution seeded with K*, then a short
+   Nelder-Mead polish, searches the gain, the shape of the Lyapunov residual
+   and the rate alpha_bar = alpha_max * sigmoid(u) for the largest sampling
+   bound, scoring each generation as one stacked call (P solves the rate
+   Lyapunov equation at alpha_bar);
 3. the feedback-energy constant alpha_b is extracted exactly as a symmetric
    pencil eigenvalue;
 4. the cross-gain pair (gamma1, gamma2) is fitted by scanning gamma2 and
@@ -51,6 +52,13 @@ _GAIN_CAP = 9.9  # |K| bound of the design searches (the quality floor is |K| <=
 _GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
 _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
+# linear refinement: differential evolution (Storn & Price, J. Global Optim. 11, 1997) with a fixed
+# seed, so a design is deterministic; _POPSIZE rows per coordinate per generation, then a polish
+_SEARCH_SEED, _POPSIZE, _GENERATIONS, _POLISH_EVALS = 0, 10, 50, 150
+# residual-shape Cholesky entries below the diagonal, and log of it (the best shape found for
+# ex1_sub2_control is nearly singular, with log pivot -7.25)
+_SHAPE_BOX = ((-3.0, 3.0), (-8.0, 3.0))
+_LOGIT_BOX = (-3.0, 8.0)  # u, with alpha_bar = alpha_max * sigmoid(u)
 
 # perfbench/tracer.py looks these names up by getattr; they go with the tracer's rows (ROADMAP item 1)
 minimize_gevp = solve_feasibility = build_affine_map = verify_design_certificate = None
@@ -59,16 +67,17 @@ minimize_gevp = solve_feasibility = build_affine_map = verify_design_certificate
 def extract_alpha_b(P, P_tilde, B_bar):
     """Least alpha_b with B^T P B <= alpha_b * P_tilde.
 
-    P_tilde may be a stack of certificates along leading axes; the result is
-    then an array of that shape.  Returns 0 for B = 0; downstream uses require
-    a strictly positive value, so callers should then choose any alpha_b > 0.
+    P, P_tilde and B_bar may each be a stack along leading axes; the result is
+    then an array of the broadcast stack shape.  Returns 0 for B = 0;
+    downstream uses require a strictly positive value, so callers should then
+    choose any alpha_b > 0.
     """
     b = np.asarray(B_bar, dtype=float)
-    return pencil_max_eig(b.T @ P @ b, P_tilde)
+    return pencil_max_eig(b.swapaxes(-1, -2) @ P @ b, P_tilde)
 
 
 def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
-    """Per-certificate constants of the least-gamma1 map, for one P_tilde or a stack.
+    """Per-certificate constants of the least-gamma1 map, for one certificate or a stack.
 
     With R = Pt^{-1/2} and B^T Pt + Pt B = Pt^{1/2} U diag(mu) U^T Pt^{1/2},
     the Schur corner is S = Pt^{1/2} U diag(mu + gamma2 - shift22) U^T Pt^{1/2},
@@ -76,11 +85,12 @@ def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
     V = U^T Pt^{1/2} F.  Returns (floor, d0, W, C): the corner is positive
     definite exactly for gamma2 > floor = shift22 - min mu, d0 = mu - shift22,
     W = V P^{-1/2}, and C = P^{-1/2} (sum G^T Pt G + lhs_extra) P^{-1/2}.
+    F, B_bar, P and P_tilde may each be a stack; P^{-1/2} is reused when P_tilde is P.
     """
     pt, b, f = np.asarray(P_tilde, dtype=float), np.asarray(B_bar), np.asarray(F)
     r = sym_inv_sqrt(pt, "P_tilde")
-    mu, u = np.linalg.eigh(r @ (b.T @ pt + pt @ b) @ r)
-    p_r = sym_inv_sqrt(P, "P")
+    mu, u = np.linalg.eigh(r @ (b.swapaxes(-1, -2) @ pt + pt @ b) @ r)
+    p_r = r if P_tilde is P else sym_inv_sqrt(P, "P")
     w = u.swapaxes(-1, -2) @ (r @ pt) @ f @ p_r
     c = np.zeros(pt.shape)
     for g in G_list:
@@ -115,7 +125,7 @@ def _log_grid(lo, hi, num: int) -> np.ndarray:
 
 def _best_gamma_pair(
     F, G_list, B_bar, P, P_tilde,
-    alpha_bar: float, alpha_b,
+    alpha_bar, alpha_b,
     scan: Tuple[float, float],
     lhs_extra: Optional[np.ndarray] = None,
     shift22=0.0,
@@ -125,7 +135,8 @@ def _best_gamma_pair(
     """Scan gamma2, take the exact least gamma1 per point, maximize the bound.
 
     P_tilde is one cyber certificate or a stack of them along a leading cell
-    axis; alpha_b, lhs_extra and shift22 are per cell or shared.  Each cell
+    axis; F, B_bar and P are per cell (a stack) or shared (one matrix), and
+    alpha_bar, alpha_b, lhs_extra and shift22 per cell or shared.  Each cell
     scans its own gamma2 grid, and each round evaluates every cell's grid at
     once.  Per cell the first maximum wins, and a later round replaces the
     best pair only if it beats it.  Returns (gamma1, gamma2, tau_max): floats
@@ -138,20 +149,20 @@ def _best_gamma_pair(
     pt = np.asarray(P_tilde, dtype=float)
     pt = pt.reshape((-1,) + pt.shape[-2:])
     cells = len(pt)
-    floor, *terms = _schur_terms(F, G_list, B_bar, P, pt, lhs_extra, shift22)
+    floor, *terms = _schur_terms(F, G_list, B_bar, pt if P_tilde is P else P, pt, lhs_extra, shift22)
     start = np.maximum(np.maximum(lo, floor * (1 + 1e-9) + _TINY), _TINY)
     live = np.flatnonzero(start < hi)
     if not live.size:
         raise InfeasibleError("gamma2 scan box excludes every feasible point")
     terms, start = [v[live] for v in terms], start[live]
-    a_b = (np.zeros(cells) + alpha_b)[live, None]
+    a_bar, a_b = ((np.zeros(cells) + v)[live, None] for v in (alpha_bar, alpha_b))
 
     grid = _log_grid(start, hi, coarse)
     rows = np.arange(len(live))
     for r in range(refine_rounds + 1):
         g1 = np.maximum(_gamma1_at(terms, grid) * (1 + _INFLATE), max(_TINY, lo))
         ok = g1 <= hi  # NaN, an infeasible corner, compares False
-        _, tau = two_v_tau(alpha_bar, a_b, np.where(ok, g1, hi), grid)
+        _, tau = two_v_tau(a_bar, a_b, np.where(ok, g1, hi), grid)
         tau[~ok] = -np.inf
         i = tau.argmax(axis=1)
         row_best = (g1[rows, i], grid[rows, i], tau[rows, i])
@@ -161,7 +172,7 @@ def _best_gamma_pair(
             if not keep.all():  # a cell with no feasible point on its coarse grid has none
                 if not keep.any():
                     raise InfeasibleError("no feasible (gamma1, gamma2) in the scan box")
-                live, start, a_b, grid = (v[keep] for v in (live, start, a_b, grid))
+                live, start, a_bar, a_b, grid = (v[keep] for v in (live, start, a_bar, a_b, grid))
                 terms = [v[keep] for v in terms]
                 best, rows = [v[keep] for v in best], rows[: len(live)]
         else:
@@ -182,10 +193,11 @@ class DesignOptions:
     """Settings for gain synthesis.
 
     alpha_fraction, in (0, 1), is the share of the largest certifiable rate:
-    the starting point of the linear rate search, and the fixed share of the
-    planar design.  A linear design writes (P, P_tilde = P, K_hat); the bound
-    depends on P_tilde only through alpha_b * gamma1 and gamma2, which a
-    rescaling P_tilde = c P leaves unchanged.
+    the seed point of the linear search, which then moves the rate freely,
+    and the fixed share of the planar design.  A linear design writes
+    (P, P_tilde = P, K_hat); the bound depends on P_tilde only through
+    alpha_b * gamma1 and gamma2, which a rescaling P_tilde = c P leaves
+    unchanged.
     """
 
     alpha_fraction: float = 0.9
@@ -206,40 +218,41 @@ class DesignResult:
     trace: Dict[str, Any] = field(default_factory=dict)  # floats, or dicts of floats
 
 
-def solve_rate_lyapunov(F, G_list, two_alpha: float, R) -> Optional[np.ndarray]:
+def solve_rate_lyapunov(F, G_list, two_alpha, R) -> np.ndarray:
     """Solve F^T P + P F + sum G^T P G + two_alpha P = -R for symmetric P.
 
     The left side is the transposed Ito generator acting on vec P, so this is
-    one n^2 x n^2 solve of (ito_generator(F, G)^T + two_alpha I) vec P = -vec R.
-    Returns None when the shifted operator is singular; a positive definite
-    solution exists exactly when the loop decays faster than two_alpha in mean
-    square, which makes this the workhorse for generating rate-feasible
-    candidate certificates.
+    one n^2 x n^2 solve of (ito_generator(F, G)^T + two_alpha I) vec P = -vec R,
+    batched over a leading stack axis of F, two_alpha and R.  P is NaN where
+    the operator is exactly singular (such rows are masked out first, since
+    one would fail the whole batch).  A positive definite solution exists
+    exactly when the loop decays faster than two_alpha in mean square.
     """
-    op = ito_generator(F, G_list).T
+    op = ito_generator(F, G_list).swapaxes(-1, -2)
+    op = op + np.asarray(two_alpha, dtype=float)[..., None, None] * np.eye(op.shape[-1])
     r = np.asarray(R, dtype=float)
-    try:
-        p = np.linalg.solve(op + two_alpha * np.eye(len(op)), -r.ravel()).reshape(r.shape)
-    except np.linalg.LinAlgError:
-        return None
-    return 0.5 * (p + p.T)
+    # slogdet factors op exactly as solve does, so sign 0 is solve's zero pivot
+    ok = np.linalg.slogdet(op)[0] != 0.0
+    op = np.where(ok[..., None, None], op, np.eye(op.shape[-1]))
+    rhs = np.broadcast_to(-r, op.shape[:-2] + r.shape[-2:]).reshape(op.shape[:-1] + (1,))
+    p = np.linalg.solve(op, rhs).reshape(rhs.shape[:-2] + r.shape[-2:])
+    return np.where(ok[..., None, None], 0.5 * (p + p.swapaxes(-1, -2)), np.nan)
 
 
-def _unpack_r_shape(x: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """Unit-pivot Cholesky parameterization of the residual shape R."""
-    ln = np.zeros((n, n))
-    ln[0, 0] = 1.0
+def _unpack_r_shape(x: np.ndarray, n: int) -> np.ndarray:
+    """Unit-pivot Cholesky shapes R = L L^T, one per row of x: L[i, :i], then log L[i, i], for i >= 1.
+
+    R is NaN on a row whose factor has a diagonal below 1e-8.
+    """
+    ln = np.zeros((len(x), n, n))
+    ln[:, 0, 0] = 1.0
     pos = 0
     for i in range(1, n):
-        for j in range(i):
-            ln[i, j] = x[pos]
-            pos += 1
-        d = math.exp(min(x[pos], 30.0))
-        if d < 1e-8:
-            return None
-        ln[i, i] = d
-        pos += 1
-    return ln @ ln.T
+        ln[:, i, :i] = x[:, pos: pos + i]
+        ln[:, i, i] = np.exp(np.minimum(x[:, pos + i], 30.0))
+        pos += i + 1
+    tiny = (ln.diagonal(axis1=1, axis2=2) < 1e-8).any(axis=1)
+    return np.where(tiny[:, None, None], np.nan, ln @ ln.swapaxes(1, 2))
 
 
 def ito_generator(F, G_list) -> np.ndarray:
@@ -247,20 +260,21 @@ def ito_generator(F, G_list) -> np.ndarray:
 
     vec(E[x x^T]) evolves by this matrix, so -max Re eig is the exact
     mean-square decay rate 2*alpha of the loop: the largest rate any quadratic
-    Lyapunov function certifies (Has'minskii, ch. 6).
+    Lyapunov function certifies (Has'minskii, ch. 6).  F may carry leading
+    stack axes (G is shared); the result then has them too.
     """
     f = np.asarray(F, dtype=float)
-    n = f.shape[0]
+    n = f.shape[-1]
     eye = np.eye(n)
 
     def kron(a, b):  # np.kron by broadcasting, without its per-call overhead
-        return a[:, None, :, None] * b[None, :, None, :]
+        return a[..., :, None, :, None] * b[..., None, :, None, :]
 
     out = kron(eye, f) + kron(f, eye)
     for g in G_list:
         g = np.asarray(g, dtype=float)
         out = out + kron(g, g)
-    return out.reshape(n * n, n * n)
+    return out.reshape(f.shape[:-2] + (n * n, n * n))
 
 
 def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
@@ -316,89 +330,101 @@ def _rate_optimal_gain(model):
     return k, b, -float(res.fun), nfev
 
 
-def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: float, rejected: Counter):
-    """(tau, P) for a candidate gain with P from the residual-shaped Lyapunov solve.
+def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: np.ndarray, rejected: Counter):
+    """(tau, P) per row of a candidate stack, P from the residual-shaped Lyapunov solve.
 
-    P is trace-normalized and the rate inequality is re-checked at that scale;
-    near-singular solves (gain driving the shifted operator towards
-    singularity) fail the margin check and are rejected, which keeps the
-    search away from certificates that only hold in exact arithmetic.  Each
-    rejection is counted in `rejected` under its reason.
+    Each step is one call over the rows still live.  A rejected row keeps tau
+    -inf and a NaN P, counted in `rejected` under its reason: gain_cap,
+    singular_solve (a NaN residual shape, an exactly singular operator, or a
+    trace-normalized P not positive definite to 1e-12), rate_check (the rate
+    inequality re-checked at that scale holds by less than 1e-9, so only in
+    exact arithmetic) or gamma_box (no feasible gamma pair in the scan box).
     """
-    b_bar = model.B_hat @ k_hat
+    m, n = len(k_hat), model.n
+    tau, p_out = np.full(m, -np.inf), np.full((m, n, n), np.nan)
+    live = np.arange(m)
+
+    def keep(ok, reason, *stack):  # drop the rejected rows of live and of each stacked array
+        nonlocal live
+        rejected[reason] += len(ok) - int(np.count_nonzero(ok))
+        live = live[ok]
+        return [v[ok] for v in stack]
+
+    keep(np.linalg.norm(k_hat, axis=(1, 2)) <= _GAIN_CAP, "gain_cap")
+    b_bar = model.B_hat @ k_hat[live]
     f = model.A + b_bar
-    p = solve_rate_lyapunov(f, model.diffusion, 2.0 * alpha_bar, r_mat)
-    tr = -1.0 if p is None else float(np.trace(p))
-    if tr <= 0.0:
-        rejected["singular_solve"] += 1
-        return None
-    p = p * (model.n / tr)
+    p = solve_rate_lyapunov(f, model.diffusion, 2.0 * alpha_bar[live], r_mat[live])
+    tr = np.trace(p, axis1=-2, axis2=-1)
+    b_bar, f, p, tr = keep(tr > 0.0, "singular_solve", b_bar, f, p, tr)  # NaN: a singular solve
+    p = p * (n / tr)[:, None, None]
     w = np.linalg.eigvalsh(p)
-    if w[0] <= 1e-12 * w[-1]:
-        rejected["singular_solve"] += 1
-        return None
-    rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar)
-    if float(np.linalg.eigvalsh(rate)[-1]) > -1e-9:
-        rejected["rate_check"] += 1
-        return None
-    alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
+    b_bar, f, p = keep(w[:, 0] > 1e-12 * w[:, -1], "singular_solve", b_bar, f, p)
+    rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar[live])
+    b_bar, f, p = keep(np.linalg.eigvalsh(rate)[:, -1] <= -1e-9, "rate_check", b_bar, f, p)
+    if not live.size:
+        return tau, p_out
+    alpha_b = np.maximum(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
     try:
-        _, _, tau = _best_gamma_pair(
-            f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b,
-            _GAMMA_SCAN, coarse=36, refine_rounds=1,
-        )
-    except InfeasibleError:
-        rejected["gamma_box"] += 1
-        return None
-    return tau, p
+        t = _best_gamma_pair(f, model.diffusion, b_bar, p, p, alpha_bar[live], alpha_b, _GAMMA_SCAN,
+                             coarse=36, refine_rounds=1)[2]
+    except InfeasibleError:  # no row has a feasible pair
+        t = np.full(live.size, -np.inf)
+    t, p = keep(np.isfinite(t), "gamma_box", t, p)
+    tau[live], p_out[live] = t, p
+    return tau, p_out
 
 
-def _unpack_point(z: np.ndarray, model, alpha_max: float):
-    """(gain, residual shape or None, alpha_bar) of a refinement point."""
+def _unpack_points(z: np.ndarray, model, alpha_max: float):
+    """(gains, residual shapes, alpha_bar) of a stack of refinement points, one per row of z."""
     mh, n = model.B_hat.shape[1], model.n
-    k_hat = z[: mh * n].reshape(mh, n)
-    fraction = 0.5 * (1.0 + math.tanh(0.5 * z[-1]))  # sigmoid(u), never overflows
-    return k_hat, _unpack_r_shape(z[mh * n: -1], n), alpha_max * fraction
+    k_hat = z[:, : mh * n].reshape(-1, mh, n)
+    fraction = 0.5 * (1.0 + np.tanh(0.5 * z[:, -1]))  # sigmoid(u), never overflows
+    return k_hat, _unpack_r_shape(z[:, mh * n: -1], n), alpha_max * fraction
 
 
-def _gain_objective(z: np.ndarray, model, alpha_max: float, rejected: Counter) -> float:
-    k_hat, r_mat, alpha_bar = _unpack_point(z, model, alpha_max)
-    if np.linalg.norm(k_hat) > _GAIN_CAP:
-        rejected["gain_cap"] += 1
-        return 10.0
-    if r_mat is None:
-        rejected["singular_solve"] += 1
-        return 10.0
-    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected)
-    return 10.0 if out is None else -out[0]
+def _search_box(model) -> np.ndarray:
+    """(lo, hi) rows of the refinement box: gain entries, residual-shape entries, logit."""
+    mh, n = model.B_hat.shape[1], model.n
+    shape = [_SHAPE_BOX[j == i] for i in range(1, n) for j in range(i + 1)]
+    return np.array([(-_GAIN_CAP, _GAIN_CAP)] * (mh * n) + shape + [_LOGIT_BOX]).T
 
 
 def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter):
-    """Nelder-Mead over (gain, residual shape, rate), two rounds from (k0, R = I, fraction).
+    """Differential evolution over (gain, residual shape, rate), then a Nelder-Mead polish.
 
-    Returns (gain, P, alpha_bar) and the evaluation count; the point is None
-    if no candidate certified a bound.
+    The search seeds (k0, R = I, logit(fraction)), clipped into the box, and
+    scores each generation in one stacked call; the polish scores one point
+    per call.  `rejected` counts rejected rows per reason and stacked calls
+    under 'stacks'.  Returns (gain, P, alpha_bar), or None if no candidate
+    certified a bound, and the number of rows scored.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import differential_evolution, minimize
 
-    k_dims, r_dims = np.size(k0), model.n * (model.n + 1) // 2 - 1
-    z = np.concatenate([np.ravel(k0), np.zeros(r_dims), [math.log(fraction / (1.0 - fraction))]])
-    # first-round steps: a tenth of the gain cap, half a unit of log-shape, one unit of logit
-    steps = np.concatenate([np.full(k_dims, 0.1 * _GAIN_CAP), np.full(r_dims, 0.5), [1.0]])
-    nfev = 0
-    for simplex in (np.vstack([z, z + np.diag(steps)]), None):
-        res = minimize(
-            _gain_objective, z, args=(model, alpha_max, rejected), method="Nelder-Mead",
-            options={"initial_simplex": simplex, "maxfev": 800, "xatol": 1e-8, "fatol": 1e-11},
-        )
-        z, nfev = res.x, nfev + int(res.nfev)
-    if res.fun >= 0.0:
-        return None, nfev
-    k_hat, r_mat, alpha_bar = _unpack_point(z, model, alpha_max)
-    out = _bound_for_gain(model, k_hat, r_mat, alpha_bar, Counter())
-    if out is None:
-        return None, nfev
-    return (k_hat, out[1], alpha_bar), nfev
+    rows = 0
+
+    def objective(z):  # -tau of each column of z, 10 where rejected: one stacked call
+        nonlocal rows
+        rows += z.shape[1]
+        rejected["stacks"] += 1
+        tau = _bound_for_gain(model, *_unpack_points(z.T, model, alpha_max), rejected)[0]
+        return np.where(np.isfinite(tau), -tau, 10.0)
+
+    lo, hi = _search_box(model)
+    r_dims = len(lo) - np.size(k0) - 1
+    z0 = np.concatenate([np.ravel(k0), np.zeros(r_dims), [math.log(fraction / (1.0 - fraction))]])
+    de = differential_evolution(
+        objective, np.column_stack([lo, hi]), maxiter=_GENERATIONS, popsize=_POPSIZE, tol=0.0,
+        rng=_SEARCH_SEED, polish=False, x0=np.clip(z0, lo, hi), updating="deferred", vectorized=True,
+    )
+    steps = np.maximum(de.population.std(axis=0), 1e-6)  # the polish simplex spans the final spread
+    res = minimize(
+        lambda z: float(objective(z[:, None])[0]), de.x, method="Nelder-Mead",
+        options={"initial_simplex": np.vstack([de.x, de.x + np.diag(steps)]),
+                 "maxfev": _POLISH_EVALS, "xatol": 1e-10, "fatol": 1e-13},
+    )
+    k_hat, r_mat, alpha_bar = _unpack_points(res.x[None], model, alpha_max)  # the polish keeps its best
+    tau, p = _bound_for_gain(model, k_hat, r_mat, alpha_bar, Counter())
+    return ((k_hat[0], p[0], float(alpha_bar[0])) if np.isfinite(tau[0]) else None), rows
 
 
 def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
@@ -455,6 +481,7 @@ def synthesize_feedback(
     # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
     point, refine_nfev = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected)
+    stacks = rejected.pop("stacks", 0)
     t2 = time.perf_counter()
     result = None if point is None else _finish_linear_design(model, *point)
     fallback = result is None
@@ -463,7 +490,7 @@ def synthesize_feedback(
         alpha_bar = options.alpha_fraction * alpha_max
         p = solve_rate_lyapunov(model.A + model.B_hat @ k_star, model.diffusion, 2.0 * alpha_bar,
                                 np.eye(model.n))
-        if p is not None and np.linalg.eigvalsh(p)[0] > 0.0:
+        if np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails
             result = _finish_linear_design(model, k_star, p, alpha_bar)
     if result is None:
         raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
@@ -474,6 +501,7 @@ def synthesize_feedback(
         "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
                     "finish": time.perf_counter() - t2},
         "nfev": {"rate_search": float(rate_nfev), "refine": float(refine_nfev)},
+        "stacks": {"refine": float(stacks)},
         "rejected": {k: float(v) for k, v in rejected.items()},
     })
     return result
@@ -564,7 +592,7 @@ def synthesize_nonlinear_planar(
     b_bar = model.B_hat @ k_hat
     a_tilde = model.A_bar + b_bar
     p = solve_rate_lyapunov(a_tilde, [model.envelope / math.sqrt(b)], b + 2.0 * alpha_bar, np.eye(2))
-    if p is None or not np.linalg.eigvalsh(p)[0] > 0.0:
+    if not np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails too
         raise InfeasibleError("the planar rate Lyapunov solve is singular or indefinite")
     p = p * (model.n / float(np.trace(p)))
     t1 = time.perf_counter()

@@ -186,21 +186,23 @@ def save_certificate(cert: LmiCertificate, path) -> None:
 # block assemblies (margins are lambda_max of these matrices)
 # ---------------------------------------------------------------------------
 
-def _check_square(m: np.ndarray, n: int, what: str) -> np.ndarray:
+def _check_square(m: np.ndarray, n: int, what: str, stack: tuple = ()) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.shape != (n, n):
-        raise DomainError(f"{what}: expected ({n}, {n}), got {m.shape}")
+    if m.shape != stack + (n, n):
+        raise DomainError(f"{what}: expected {stack + (n, n)}, got {m.shape}")
     return m
 
 
-def assemble_lyapunov_ito(F, G_list, P, alpha_bar: float) -> np.ndarray:
-    n = np.asarray(P).shape[0]
-    F = _check_square(F, n, "F")
-    m = F.T @ P + P @ F + 2.0 * alpha_bar * np.asarray(P)
+def assemble_lyapunov_ito(F, G_list, P, alpha_bar) -> np.ndarray:
+    """Rate block; F, P and alpha_bar may carry a leading stack axis (G is shared)."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[-1]
+    F = _check_square(F, n, "F", P.shape[:-2])
+    m = F.swapaxes(-1, -2) @ P + P @ F + 2.0 * np.asarray(alpha_bar, dtype=float)[..., None, None] * P
     for G in G_list:
         G = _check_square(G, n, "G")
         m = m + G.T @ P @ G
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def assemble_feedback_energy(B_bar, P, P_tilde, alpha_b: float) -> np.ndarray:

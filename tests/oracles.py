@@ -3,8 +3,9 @@
 These deliberately re-derive every quantity from scratch (plain bisection,
 brute-force grids, sphere sampling, cyclic Jacobi rotations in place of
 LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
-implementation paths they check.  There are two exceptions: planar_gamma_loop reuses the single-cell
-gamma scan to check only how the planar search stacks its cells, and em_reference and
+implementation paths they check.  There are three exceptions: planar_gamma_loop reuses the single-cell
+gamma scan to check only how the planar search stacks its cells, bound_for_gain reuses it to check
+only how the linear design stacks its candidates, and em_reference and
 cps_reference draw the simulator's own noise on its own grid, since agreement path by path is
 what they check.
 """
@@ -257,6 +258,56 @@ def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
         rc = cg[1] / cg[0]
         cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
     return best
+
+
+def bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected):
+    """The linear design's candidate scorer one candidate at a time.
+
+    The scalar scorer the design used before it scored stacks, kept as it
+    was: it checks the stacking of the rate solve, the checks and the gamma
+    scan, whose single-certificate form is checked against a per-point loop
+    in test_design.  Returns (tau, P), or None after counting the rejection
+    in `rejected` under its reason.
+    """
+    from sdstab.design import _GAMMA_SCAN, _INFLATE, _TINY, _best_gamma_pair, extract_alpha_b, ito_generator
+    from sdstab.errors import InfeasibleError
+    from sdstab.lmi import assemble_lyapunov_ito
+
+    def solve_rate_lyapunov(F, G_list, two_alpha, R):
+        op = ito_generator(F, G_list).T
+        r = np.asarray(R, dtype=float)
+        try:
+            p = np.linalg.solve(op + two_alpha * np.eye(len(op)), -r.ravel()).reshape(r.shape)
+        except np.linalg.LinAlgError:
+            return None
+        return 0.5 * (p + p.T)
+
+    b_bar = model.B_hat @ k_hat
+    f = model.A + b_bar
+    p = solve_rate_lyapunov(f, model.diffusion, 2.0 * alpha_bar, r_mat)
+    tr = -1.0 if p is None else float(np.trace(p))
+    if tr <= 0.0:
+        rejected["singular_solve"] += 1
+        return None
+    p = p * (model.n / tr)
+    w = np.linalg.eigvalsh(p)
+    if w[0] <= 1e-12 * w[-1]:
+        rejected["singular_solve"] += 1
+        return None
+    rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar)
+    if float(np.linalg.eigvalsh(rate)[-1]) > -1e-9:
+        rejected["rate_check"] += 1
+        return None
+    alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
+    try:
+        _, _, tau = _best_gamma_pair(
+            f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b,
+            _GAMMA_SCAN, coarse=36, refine_rounds=1,
+        )
+    except InfeasibleError:
+        rejected["gamma_box"] += 1
+        return None
+    return tau, p
 
 
 def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):

@@ -499,13 +499,19 @@ class TestDesignCommand:
         assert set(trace["stage_s"]) == {"rate_search", "refine", "finish"}
         assert set(trace["nfev"]) == {"rate_search", "refine"}
         assert set(trace["rejected"]) == {"singular_solve", "rate_check", "gamma_box", "gain_cap"}
-        for group in ("stage_s", "nfev", "rejected"):
+        for group in ("stage_s", "nfev", "stacks", "rejected"):
             assert all(type(v) is float and v >= 0.0 for v in trace[group].values())
         assert trace["nfev"]["rate_search"] > 0 and trace["nfev"]["refine"] > 0
+        # the refinement scores whole generations per call: fewer calls than rows
+        assert 0 < trace["stacks"]["refine"] < trace["nfev"]["refine"]
         assert type(trace["two_alpha_max"]) is float and trace["two_alpha_max"] > 0.0
         assert 0.0 < trace["alpha_fraction"] < 1.0
         # the written certificate verifies against the model
         assert run(["verify", "--model", str(mp), "--cert", str(cert)]) == 0
+        # the search is random only through a fixed seed: a second run writes the same bytes
+        again = tmp_path / "again.json"
+        assert run(["design", "--model", str(mp), "--cert-out", str(again)]) == 0
+        assert again.read_bytes() == cert.read_bytes()
 
     def test_unstabilizable_exit_2(self, capsys, tmp_path):
         # unstable mode outside the input range

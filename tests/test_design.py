@@ -7,6 +7,7 @@ import pytest
 
 from sdstab.bounds import emulation_bound_two
 from sdstab.design import (
+    _GAIN_CAP,
     _GAMMA_SCAN,
     DesignOptions,
     _best_gamma_pair,
@@ -237,9 +238,10 @@ class TestExactRateDesign:
 
     def test_quality_and_strict_reverification(self, linear_designs):
         for model, res in linear_designs:
-            assert res.bound.tau_max >= 0.0241
+            assert res.bound.tau_max >= 0.0241500045  # what a local Nelder-Mead refinement reached
             assert np.linalg.norm(res.gain) <= 10.0
-            assert verify_certificate(model, res.certificate, tol=0.0).passed
+            outcome = verify_certificate(model, res.certificate, tol=0.0)
+            assert outcome.passed and outcome.margins["rate"] <= -1e-9  # the scorer's rate_check rule
 
     def test_cyber_certificate_scale_leaves_tau_unchanged(self, linear_designs):
         # P_tilde = c P scales alpha_b by 1/c and gamma1 by c (a congruence of
@@ -275,10 +277,108 @@ class TestExactRateDesign:
         assert cert.Q is None and cert.Y is None and cert.c_tilde is None
         assert verify_certificate(model, cert, tol=0.0).passed
 
+    def test_alpha_fraction_only_seeds_the_search(self):
+        # a local search from alpha_fraction 0.3 stalled at tau 0.024114 on sub2,
+        # below the 0.024150 it reached from 0.9
+        model = load_model(FIXTURES / "ex1_sub2_control.json")
+        res = synthesize_feedback(model, DesignOptions(alpha_fraction=0.3))
+        assert res.bound.tau_max >= 0.02415
+        assert np.linalg.norm(res.gain) <= 10.0
+        assert verify_certificate(model, res.certificate, tol=0.0).passed
+
     def test_alpha_fraction_outside_unit_interval_rejected(self):
         for bad in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValidationError):
                 DesignOptions(alpha_fraction=bad)
+
+
+def _scalar_scores(model, k_hat, r_mat, alpha_bar):
+    """(reason or None, tau, P) per row, one scalar scorer call each, as the design called it."""
+    from collections import Counter
+
+    from oracles import bound_for_gain
+
+    out = []
+    for k, r, a in zip(k_hat, r_mat, alpha_bar):
+        rejected = Counter()
+        if np.linalg.norm(k) > _GAIN_CAP:
+            out.append(("gain_cap", -np.inf, None))
+        elif not np.isfinite(r).all():  # a residual shape with a vanishing pivot
+            out.append(("singular_solve", -np.inf, None))
+        elif (res := bound_for_gain(model, k, r, a, rejected)) is None:
+            out.append((next(iter(rejected)), -np.inf, None))
+        else:
+            out.append((None, res[0], res[1]))
+    return out
+
+
+class TestStackedScorer:
+    # one model on which some row meets each rejection reason: B_hat = 2^20 I
+    # makes the gain's scaling exact, and the nilpotent diffusion makes the
+    # shifted operator exactly singular when A + B_hat K = -alpha_bar I
+    SCALE = 2.0**20
+    MODEL = LinearSampledModel(name="reasons", n=2, A=np.array([[-1.0, 0.5], [0.0, -2.0]]),
+                               diffusion=(np.array([[0.0, 0.3], [0.0, 0.0]]),), B_hat=SCALE * np.eye(2))
+    ROWS = [  # (reason, K, R, alpha_bar)
+        (None, np.zeros((2, 2)), np.eye(2), 0.2),
+        (None, np.array([[1e-7, -3e-7], [2e-7, 0.0]]), np.array([[2.0, 0.3], [0.3, 0.5]]), 0.3),
+        (None, np.array([[-2e-6, 1e-6], [0.0, -1e-6]]), np.eye(2), 1.5),
+        ("gain_cap", np.array([[8.0, 8.0], [0.0, 0.0]]), np.eye(2), 0.2),
+        ("singular_solve", np.zeros((2, 2)), np.full((2, 2), np.nan), 0.2),
+        ("singular_solve", np.array([[0.5, -0.5], [0.0, 1.5]]) / SCALE, np.eye(2), 0.5),
+        ("singular_solve", np.zeros((2, 2)), np.eye(2), 5.0),  # alpha_bar above the rate: P indefinite
+        ("rate_check", np.zeros((2, 2)), np.diag([1.0, 1e-12]), 0.2),
+        ("gamma_box", -np.eye(2), np.eye(2), 0.2),
+    ]
+
+    def _check(self, model, k_hat, r_mat, alpha_bar):
+        from collections import Counter
+
+        from sdstab.design import _bound_for_gain
+
+        rejected = Counter()
+        tau, p = _bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected)
+        want = _scalar_scores(model, k_hat, r_mat, alpha_bar)
+        assert rejected == Counter(reason for reason, _, _ in want if reason)
+        for i, (reason, t, p_row) in enumerate(want):
+            assert tau[i] == t  # bit for bit, -inf on a rejected row
+            if reason is None:
+                assert np.array_equal(p[i], p_row)
+            else:
+                assert np.isnan(p[i]).all()
+        return want
+
+    def test_rows_match_the_scalar_scorer_with_every_reason(self):
+        model = self.MODEL
+        reasons, k, r, a = (list(v) for v in zip(*self.ROWS))
+        k, r, a = np.array(k), np.array(r), np.array(a)
+        # the shifted operator of that row is exactly singular, so one solve over
+        # the whole stack would raise; the scorer masks the row out first
+        op = ito_generator(model.A + model.B_hat @ k[5], model.diffusion).T + 2 * a[5] * np.eye(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(op, np.ones(4))
+        want = self._check(model, k, r, a)
+        assert [reason for reason, _, _ in want] == reasons
+        order = np.random.default_rng(3).permutation(np.tile(np.arange(len(a)), 3))
+        self._check(model, k[order], r[order], a[order])
+        for i in range(len(a)):  # stack size 1, the polish's
+            self._check(model, k[i: i + 1], r[i: i + 1], a[i: i + 1])
+        self._check(model, k[8:], r[8:], a[8:])  # no row of the stack has a feasible gamma pair
+
+    def test_search_box_rows_match_the_scalar_scorer(self):
+        # rows drawn from the refinement box on a fixture plant, at stack sizes 1 to 256
+        from sdstab.design import _search_box, _unpack_points
+
+        model = load_model(FIXTURES / "ex1_sub1_control.json")
+        lo, hi = _search_box(model)
+        rng = np.random.default_rng(5)
+        z = lo + (hi - lo) * rng.random((256, len(lo)))
+        z[::2, :2] = [-5.15, -0.03] + 0.5 * rng.normal(size=(128, 2))  # half near the optimum
+        k, r, a = _unpack_points(z, model, 1.3)
+        seen = set()
+        for size in (1, 7, 64, 256):
+            seen |= {reason for reason, _, _ in self._check(model, k[:size], r[:size], a[:size])}
+        assert {None, "gain_cap", "singular_solve"} <= seen
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch):

@@ -143,3 +143,29 @@ def test_no_test_only_code():
     package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     entries = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     assert unreached_public_defs(package, entries) == sorted(TEST_ONLY_KEPT)
+
+
+def tracer_plan(source: str) -> list:
+    """(module, attribute) of each row of the `plan` list in perfbench/tracer.py's install_sdstab.
+
+    The plan's first element names a module through the function's own imports
+    (`import sdstab.design as design`, `import scipy.optimize`).
+    """
+    install = next(n for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.FunctionDef) and n.name == "install_sdstab")
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(install) if isinstance(node, ast.Import) for alias in node.names}
+    plan = next(n.value for n in ast.walk(install) if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "plan" for t in n.targets))
+    return [(modules[ast.unparse(row.elts[0])], row.elts[1].value) for row in plan.elts]
+
+
+def test_tracer_plan_resolves():
+    # tracer.wrap calls getattr(owner, attr), so a name the plan lists and a module
+    # lacks would crash every traced benchmark run
+    import importlib
+
+    plan = tracer_plan((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    assert ("sdstab.design", "emulation_bound_two") in plan and ("scipy.optimize", "minimize") in plan
+    missing = [(m, a) for m, a in plan if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
