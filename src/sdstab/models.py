@@ -28,7 +28,7 @@ _MODEL_KEYS = {"name", "n", "A", "diffusion", "B_bar", "B_hat", "K_hat", "nonlin
 # envelope of the planar sine nonlinearity: phi^T Q phi <= x^T E1^T Q E1 x for any Q > 0
 PLANAR_ENVELOPE = np.array([[0.25, 0.0], [1.0, 0.0]])
 # phi = s * (1/4, 1) with s = x1 sin(K x * x2)
-_PHI_WEIGHTS = np.array([0.25, 1.0])
+_PHI_WEIGHTS = (0.25, 1.0)
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -108,9 +108,9 @@ class LinearSampledModel:
             raise ValidationError("model has no input map to apply a gain to")
         return replace(self, K_hat=_matrix(K_hat, self.B_hat.shape[1], self.n, "K_hat"))
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        """Open-loop drift A x (batch-capable: x may be (..., n))."""
-        return x @ self.A.T
+    def drift(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Open-loop drift A x (batch-capable: x may be (..., n)), written to out if given."""
+        return np.matmul(x, self.A.T, out=out)
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,27 @@ class NonlinearPlanarModel:
     def with_gain(self, K_hat: np.ndarray) -> "NonlinearPlanarModel":
         return replace(self, K_hat=_matrix(K_hat, 1, 2, "K_hat"))
 
-    def phi(self, x: np.ndarray) -> np.ndarray:
-        """Sine nonlinearity; requires a resolved gain. Batch-capable."""
+    def _sine(self, x: np.ndarray):
+        """s = x1 sin(K x * x2) of each row of x."""
         if self.K_hat is None:
             raise ValidationError("phi requires a resolved gain")
-        x = np.asarray(x, dtype=float)
-        u = x @ self.K_hat[0]
-        s = x[..., 0] * np.sin(u * x[..., 1])
-        return s[..., None] * _PHI_WEIGHTS
+        # on C-ordered rows, so the product rounds the same whatever the memory order of x
+        x = np.ascontiguousarray(x, dtype=float)
+        s = np.sin((x @ self.K_hat[0]) * x[..., 1])
+        s *= x[..., 0]
+        return s
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.A_bar.T + self.phi(x)
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        """Sine nonlinearity; requires a resolved gain. Batch-capable."""
+        return self._sine(x)[..., None] * np.array(_PHI_WEIGHTS)
+
+    def drift(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A_bar x + phi(x), written to out if given; phi is added column by column."""
+        out = np.matmul(x, self.A_bar.T, out=out)
+        s = self._sine(x)
+        for j, w in enumerate(_PHI_WEIGHTS):
+            out[..., j] += s * w
+        return out
 
 
 Model = Union[LinearSampledModel, NonlinearPlanarModel]

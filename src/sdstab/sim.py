@@ -10,7 +10,11 @@ where block b equals np.random.Philox(key=(seed, p), counter=b).random_raw(4).
 Box-Muller turns each word pair (0, 1) and (2, 3) of a block into two
 normals, so every block yields exactly four.  The generator is written in
 numpy uint64 array arithmetic, so a whole chunk of paths draws its noise in
-one vectorized pass that releases the GIL, a window of steps at a time.
+one vectorized pass that releases the GIL, a window of steps at a time.  The
+two words a round multiplies ride on one leading lane axis and paths run
+along the last axis, so each pass is one in-place ufunc over contiguous
+rows, in word arrays allocated once per chunk; Box-Muller writes the normals
+time-major, and the kernel scales each window by sqrt(h) in place.
 Random sampling instants come from a numpy generator on a stream of their own.
 
 Sampling instants are knots of the integration grid: local substeps shrink so
@@ -25,10 +29,14 @@ drift(x) + (x - y) B_bar^T is drift(x) + x(t_*) B_bar^T.  It forms that hold
 term once per sampling interval, screens the batch for divergence with one
 scalar test per step (the row-by-row check runs only when that test fails or
 a path is already dead), and writes the stored alive flags once per block and
-when a path dies.
+when a path dies.  A step allocates nothing: the state and its temporaries
+are (paths, n) views of state-major arrays, so every product, broadcast and
+store runs over contiguous path columns, and the drift, the diffusion
+products and the divergence screen write into buffers of the chunk.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
-at a time.  The kernel hands its stored states on in blocks of stored times,
+at a time, and never on more threads than the CPUs the process may run on.
+The kernel hands its stored states on in blocks of stored times, path-major,
 and a chunk hands on a block only after the chunk before it has handed on
 those stored times.  run_ensemble copies every block into one (paths x stored
 times x n) TrajectoryEnsemble.  ensemble_moments folds each block into
@@ -60,6 +68,11 @@ _WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per stored or su
 _LO32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
+# the multipliers of the two lanes (c0, c2): whole, low and high 32-bit halves
+_LANE_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
+_LANE_M_LO = _LANE_M & _LO32
+_LANE_M_HI = _LANE_M >> np.uint64(32)
+_NOISE_BUFFERS = 8   # (2, blocks, paths) word arrays of _noise: six for _philox, two for the normals
 
 
 def _path_generator(seed: int, stream: int) -> np.random.Generator:
@@ -68,55 +81,111 @@ def _path_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(m: int, x: np.ndarray):
-    """High and low words of the 128-bit products m * x, from 32-bit halves of x."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
-    t = x_lo * m_hi + ((x_lo * m_lo) >> np.uint64(32))
-    u = x_hi * m_lo + (t & _LO32)
-    return x_hi * m_hi + (t >> np.uint64(32)) + (u >> np.uint64(32)), x * np.uint64(m)
+def _mulhilo(x, m, m_lo, m_hi, hi, lo, t, u):
+    """hi, lo <- high and low words of the 128-bit products m * x, from 32-bit
+    halves of x and m; t and u are scratch, and so is lo until the last pass."""
+    np.bitwise_and(x, _LO32, out=lo)
+    np.right_shift(x, np.uint64(32), out=hi)
+    np.multiply(lo, m_lo, out=t)
+    t >>= np.uint64(32)
+    np.multiply(lo, m_hi, out=u)
+    t += u                              # x_lo m_hi + (x_lo m_lo >> 32)
+    np.bitwise_and(t, _LO32, out=u)
+    t >>= np.uint64(32)
+    np.multiply(hi, m_lo, out=lo)
+    u += lo                             # x_hi m_lo + (t & 0xFFFFFFFF)
+    u >>= np.uint64(32)
+    hi *= m_hi
+    hi += t
+    hi += u
+    np.multiply(x, m, out=lo)
 
 
-def _philox_blocks(seed: int, paths, b0: int, nblocks: int):
-    """Philox4x64-10 blocks b0 .. b0 + nblocks - 1 of each path's stream.
+def _noise_work(npaths: int, nsteps: int, m: int) -> np.ndarray:
+    """A work array for _noise calls of up to nsteps steps that start on a block."""
+    return np.empty(_NOISE_BUFFERS * 2 * -(-nsteps * m // 4) * npaths, dtype=np.uint64)
 
-    Returns the four words, each of shape (len(paths), nblocks).  Block b of
-    path p equals np.random.Philox(key=(seed, p), counter=b).random_raw(4):
-    numpy increments the counter before it encrypts, so block b encrypts b + 1.
+
+def _words(work: np.ndarray, nb: int, npaths: int, i: int) -> np.ndarray:
+    """Word array i of work, shape (2, nb, npaths), contiguous."""
+    size = 2 * nb * npaths
+    return work[i * size:(i + 1) * size].reshape(2, nb, npaths)
+
+
+def _philox(seed: int, paths, b0: int, nb: int, work: np.ndarray):
+    """Philox4x64-10 blocks b0 .. b0 + nb - 1 of each path's stream.
+
+    Returns two (2, nb, len(paths)) views into word arrays 0 and 1 of work:
+    the words (0, 2) and the words (3, 1) of each block.  It uses word arrays
+    0 to 5.  Block b of path p equals np.random.Philox(key=(seed, p),
+    counter=b).random_raw(4): numpy increments the counter before it
+    encrypts, so block b encrypts b + 1.  The two multiplied words (c0, c2)
+    ride on one leading lane axis, so each pass of a round is one ufunc over
+    both, and paths run along the last axis, so the per-path key is a row.
     """
-    k0 = int(seed) & _MASK64
-    k1 = np.asarray(paths, dtype=np.uint64)[:, None]
-    shape = (len(k1), nblocks)
-    hi, lo = _mulhilo(_PHILOX_M[0], np.arange(b0 + 1, b0 + 1 + nblocks, dtype=np.uint64))
-    # round 1: counter words 1..3 are zero
-    c = [np.full(shape, k0, dtype=np.uint64), np.zeros(shape, dtype=np.uint64),
-         hi ^ k1, np.broadcast_to(lo, shape)]
-    for r in range(1, 10):
-        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
-        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
-        c = [hi1 ^ c[1] ^ key0, lo1, hi0 ^ c[3] ^ key1, lo0]
-    return c
+    key0 = int(seed) & _MASK64
+    key1 = np.asarray(paths, dtype=np.uint64)
+    # x holds (c0, c2); y holds the low words of the round before, (c3, c1)
+    x, y, lo, hi, t, u = (_words(work, nb, len(key1), i) for i in range(6))
+    # round 1 on the counter (b + 1, 0, 0, 0) leaves (key0, 0, hi ^ key1, lo)
+    ctr = np.arange(b0 + 1, b0 + 1 + nb, dtype=np.uint64)[:, None]
+    c_hi, c_lo, c_t, c_u = (np.empty_like(ctr) for _ in range(4))
+    _mulhilo(ctr, _LANE_M[0], _LANE_M_LO[0], _LANE_M_HI[0], c_hi, c_lo, c_t, c_u)
+    # round 2: c0 = key0 is one number, multiplied once as a Python int
+    p0 = _PHILOX_M[0] * key0
+    np.bitwise_xor(c_hi, key1, out=x[1])
+    _mulhilo(x[1:], _LANE_M[1:], _LANE_M_LO[1:], _LANE_M_HI[1:], hi[1:], y[1:], t[1:], u[1:])
+    np.bitwise_xor(hi[1], np.uint64((key0 + _PHILOX_W[0]) & _MASK64), out=x[0])
+    np.bitwise_xor(key1 + np.uint64(_PHILOX_W[1]), c_lo ^ np.uint64(p0 >> 64), out=x[1])
+    y[0] = p0 & _MASK64
+    # rounds 3 .. 10: (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0)
+    for r in range(2, 10):
+        _mulhilo(x, _LANE_M, _LANE_M_LO, _LANE_M_HI, hi, lo, t, u)
+        hi ^= y
+        np.bitwise_xor(hi[1], np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64), out=x[0])
+        np.bitwise_xor(hi[0], key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64), out=x[1])
+        y, lo = lo, y
+    return x, y
 
 
-def _noise(seed: int, paths, step0: int, nsteps: int, m: int) -> np.ndarray:
-    """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path.
+def _noise(seed: int, paths, step0: int, nsteps: int, m: int,
+           work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path, time-major.
 
-    Shape (len(paths), nsteps, m); entry [r, i, j] is normal
-    k = (step0 + i) * m + j of path paths[r].  Box-Muller on the word pairs
-    (0, 1) and (2, 3) of a block, with u = ((w >> 11) + 0.5) 2^-53 in (0, 1]
-    (1 only by rounding), so ln u is finite.
+    Shape (nsteps, m, len(paths)); entry [i, j, r] is normal
+    k = (step0 + i) * m + j of path paths[r]: word k mod 4 of _philox block
+    k // 4, after Box-Muller on the word pairs (0, 1) and (2, 3) with
+    u = ((w >> 11) + 0.5) 2^-53 in (0, 1] (1 only by rounding), so ln u is
+    finite.  The result is a contiguous view into work (see _noise_work),
+    which the next call overwrites.
     """
     k0 = step0 * m
     b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
-    u = [((w >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
-         for w in _philox_blocks(seed, paths, b0, b1 - b0)]
-    r01, r23 = np.sqrt(-2.0 * np.log(u[0])), np.sqrt(-2.0 * np.log(u[2]))
-    a01, a23 = 2.0 * np.pi * u[1], 2.0 * np.pi * u[3]
-    z = np.stack([r01 * np.cos(a01), r01 * np.sin(a01), r23 * np.cos(a23), r23 * np.sin(a23)],
-                 axis=-1).reshape(len(u[0]), -1)
-    return z[:, k0 - 4 * b0:k0 - 4 * b0 + nsteps * m].reshape(-1, nsteps, m)
+    nb, npaths = b1 - b0, len(paths)
+    if work is None:
+        work = np.empty(_NOISE_BUFFERS * 2 * nb * npaths, dtype=np.uint64)
+    x, y = _philox(seed, paths, b0, nb, work)
+    rad, ang, trig = (_words(work, nb, npaths, i).view(float) for i in (3, 4, 5))
+    # radii from words (0, 2), angles from words (1, 3)
+    x >>= np.uint64(11)
+    np.add(x, 0.5, out=rad)
+    rad *= 2.0 ** -53
+    np.log(rad, out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    np.right_shift(y[1], np.uint64(11), out=x[0])
+    np.right_shift(y[0], np.uint64(11), out=x[1])
+    np.add(x, 0.5, out=ang)
+    ang *= 2.0 ** -53
+    ang *= 2.0 * np.pi
+    # normals 4b .. 4b + 3: r01 cos a01, r01 sin a01, r23 cos a23, r23 sin a23
+    z = work[6 * x.size:8 * x.size].view(float).reshape(nb, 2, 2, npaths)
+    np.cos(ang, out=trig)
+    np.multiply(trig, rad, out=z[:, :, 0].transpose(1, 0, 2))
+    np.sin(ang, out=trig)
+    np.multiply(trig, rad, out=z[:, :, 1].transpose(1, 0, 2))
+    first = k0 - 4 * b0
+    return z.reshape(4 * nb, npaths)[first:first + nsteps * m].reshape(nsteps, m, npaths)
 
 
 @dataclass(frozen=True)
@@ -158,27 +227,28 @@ class _Grid:
 
 
 def _build_grid(instants: np.ndarray, horizon: float, dt_sim: float) -> _Grid:
-    knots = list(instants)
+    """The grid through every knot: the instants, then the horizon if it lies past the last.
+
+    Each gap [a, b] between knots splits into ceil(gap / dt_sim) substeps at
+    a + h j, h = gap / nsub, with the last one set to b exactly.
+    """
+    knots = np.asarray(instants, dtype=float)
     if horizon > knots[-1] + 1e-15:
-        knots.append(horizon)
-    instant_count = len(instants)
-    times = [0.0]
-    knot_pos = [0]
-    for k in range(len(knots) - 1):
-        a, b = knots[k], knots[k + 1]
-        nsub = max(1, int(math.ceil((b - a) / dt_sim - 1e-9)))
-        h = (b - a) / nsub
-        seg = a + h * np.arange(1, nsub + 1)
-        seg[-1] = b
-        times.extend(seg.tolist())
-        knot_pos.append(len(times) - 1)
-    t = np.asarray(times)
-    steps = np.diff(t)
+        knots = np.append(knots, horizon)
+    a, b = knots[:-1], knots[1:]
+    nsub = np.maximum(1, np.ceil((b - a) / dt_sim - 1e-9)).astype(int)
+    ends = np.cumsum(nsub)   # grid index of each knot after the first
+    seg = np.repeat(np.arange(len(nsub)), nsub)
+    j = np.arange(1, len(seg) + 1) - np.repeat(ends - nsub, nsub)
+    times = np.empty(len(seg) + 1)
+    times[0] = 0.0
+    np.add(a[seg], ((b - a) / nsub)[seg] * j, out=times[1:])
+    times[ends] = b
+    steps = np.diff(times)
     refresh = np.zeros(len(steps), dtype=bool)
-    for k in range(instant_count):
-        if knot_pos[k] < len(steps):
-            refresh[knot_pos[k]] = True
-    return _Grid(times=t, steps=steps, refresh=refresh, instants=np.asarray(instants))
+    starts = np.concatenate([[0], ends])[:len(instants)]   # grid index of each instant
+    refresh[starts[starts < len(steps)]] = True
+    return _Grid(times=times, steps=steps, refresh=refresh, instants=np.asarray(instants))
 
 
 @dataclass(frozen=True)
@@ -343,48 +413,63 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
         s1 = min(s0 + block, nstore)
         return nstore if nstore - s1 == 1 else s1
 
-    x = np.tile(x0, (npaths, 1)).astype(float)
-    hold = x @ b_bar.T   # x(t_*) B_bar^T
+    # the state and its temporaries are (paths, n) views of state-major arrays, so each
+    # state component is one contiguous column; their products round as on path-major
+    # rows (the kernel oracle tests check it bit for bit)
+    n = len(x0)
+    x, upd, tmp, hold = (np.empty((n, npaths)).T for _ in range(4))
+    x[:] = x0
+    np.matmul(x, b_bar.T, out=hold)   # x(t_*) B_bar^T
     xstar0 = x[0].copy()  # x(t_*) of the first path
     alive = np.ones(npaths, dtype=bool)
     any_dead = False
     diverged_at = np.full(npaths, np.nan)
-    buf = np.empty((npaths, min(block + 1, nstore), x.shape[1]))
+    buf = np.empty((npaths, min(block + 1, nstore), n))
+    stage = np.empty((buf.shape[1], n, npaths))   # buf's stored states, state-major
     alive_buf = np.ones(buf.shape[:2], dtype=bool)
     s, next_store = 0, store_idx[0]   # position and grid index of the next stored time
     s0, s1 = 0, block_end(0)          # the stored times of the current block
     gts = [g.T for g in model.diffusion]
-    sqrt_h = np.sqrt(grid.steps)
+    steps, refresh = grid.steps, grid.refresh
+    sqrt_h = np.sqrt(steps)
+    if m > 0:
+        work = _noise_work(npaths, min(window, nsteps), m)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):
-            if i < nsteps and grid.refresh[i]:
-                hold = x @ b_bar.T
+            if i < nsteps and refresh[i]:
+                np.matmul(x, b_bar.T, out=hold)
                 xstar0 = x[0].copy()
             if i == next_store:
-                buf[:, s - s0] = x
+                stage[s - s0] = x.T
                 if held is not None:
                     held[s] = xstar0
                 s += 1
                 next_store = store_idx[s] if s < nstore else -1
                 if s == s1:
+                    np.copyto(buf[:, :s1 - s0], stage[:s1 - s0].transpose(2, 0, 1))
                     sink(s0, buf[:, :s1 - s0], alive_buf[:, :s1 - s0])
                     s0, s1 = s, block_end(s)
                     alive_buf[:] = alive[:, None]
             if i == nsteps:
                 break
-            upd = model.drift(x)
+            model.drift(x, out=upd)
             upd += hold
-            upd *= grid.steps[i]
+            upd *= steps[i]
             if m > 0:
-                if i % window == 0:
-                    noise = _noise(seed, path_indices, i, min(window, nsteps - i), m)
-                db = sqrt_h[i] * noise[:, i % window, :]
+                k = i % window
+                if k == 0:
+                    # sqrt(h) dW of a window of steps, time-major: step k is one (m, paths) slab
+                    w = min(window, nsteps - i)
+                    dw = _noise(seed, path_indices, i, w, m, work)
+                    dw *= sqrt_h[i:i + w, None, None]
                 for j, gt in enumerate(gts):
-                    upd += (x @ gt) * db[:, j:j + 1]
+                    np.matmul(x, gt, out=tmp)
+                    tmp *= dw[k, j, :, None]
+                    upd += tmp
             x += upd
             # NaN and inf compare False, so the screen also catches non-finite rows
-            if any_dead or not np.abs(x).max() <= _DIVERGENCE_CAP:
+            if any_dead or not np.maximum.reduce(np.abs(x, out=tmp), axis=None) <= _DIVERGENCE_CAP:
                 bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
                 if bad.any():
                     any_dead = True
@@ -404,10 +489,10 @@ def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
     )
     grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
     last = len(grid.times) - 1
-    store_idx = list(range(0, last + 1, cfg.store_stride))
+    store_idx = np.arange(0, last + 1, cfg.store_stride)
     if store_idx[-1] != last:
-        store_idx.append(last)
-    return grid, np.asarray(store_idx, dtype=int)
+        store_idx = np.append(store_idx, last)
+    return grid, store_idx
 
 
 def _ensemble_setup(model: Model, cfg: SimConfig, workers: int):
@@ -426,6 +511,13 @@ def _store_into(states: np.ndarray, alive: np.ndarray):
         states[:, s0:s0 + block.shape[1]] = block
         alive[:, s0:s0 + block.shape[1]] = alive_block
     return sink
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
@@ -470,8 +562,8 @@ def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
                 turn.notify_all()
 
     # results do not depend on the worker count, so the pool needs no more
-    # threads than there are chunks or cores
-    workers = min(workers, len(starts), os.cpu_count() or 1)
+    # threads than there are chunks or CPUs this process may run on
+    workers = min(workers, len(starts), _usable_cpus())
     if workers == 1:
         for c in range(len(starts)):
             yield work(c)

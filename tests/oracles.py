@@ -6,8 +6,9 @@ LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
 implementation paths they check.  There are three exceptions: planar_gamma_loop reuses the single-cell
 gamma scan to check only how the planar search stacks its cells, bound_for_gain reuses it to check
 only how the linear design stacks its candidates, and em_reference and
-cps_reference draw the simulator's own noise on its own grid, since agreement path by path is
-what they check.
+cps_reference step on the simulator's own grid, since agreement path by path is what they
+check.  Their drift comes from the plain formulas (drift_reference) and their normals from
+noise_reference, a Philox generator with one array per word and np.stack Box-Muller.
 """
 
 import math
@@ -310,21 +311,113 @@ def bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected):
     return tau, p
 
 
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x, from 32-bit halves of x."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    t = x_lo * m_hi + ((x_lo * m_lo) >> np.uint64(32))
+    u = x_hi * m_lo + (t & _LO32)
+    return x_hi * m_hi + (t >> np.uint64(32)) + (u >> np.uint64(32)), x * np.uint64(m)
+
+
+def _philox_blocks(seed, paths, b0, nblocks):
+    """Philox4x64-10 blocks b0 .. b0 + nblocks - 1 of each path's stream.
+
+    Returns the four words, each of shape (len(paths), nblocks).  Block b of
+    path p equals np.random.Philox(key=(seed, p), counter=b).random_raw(4):
+    numpy increments the counter before it encrypts, so block b encrypts b + 1.
+    """
+    k0 = int(seed) & _MASK64
+    k1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    shape = (len(k1), nblocks)
+    hi, lo = _mulhilo(_PHILOX_M[0], np.arange(b0 + 1, b0 + 1 + nblocks, dtype=np.uint64))
+    # round 1: counter words 1..3 are zero
+    c = [np.full(shape, k0, dtype=np.uint64), np.zeros(shape, dtype=np.uint64),
+         hi ^ k1, np.broadcast_to(lo, shape)]
+    for r in range(1, 10):
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
+        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ key0, lo1, hi0 ^ c[3] ^ key1, lo0]
+    return c
+
+
+def noise_reference(seed, paths, step0, nsteps, m):
+    """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path.
+
+    Shape (len(paths), nsteps, m); entry [r, i, j] is normal
+    k = (step0 + i) * m + j of path paths[r].  Box-Muller on the word pairs
+    (0, 1) and (2, 3) of a block, with u = ((w >> 11) + 0.5) 2^-53 in (0, 1]
+    (1 only by rounding), so ln u is finite.
+    """
+    k0 = step0 * m
+    b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
+    u = [((w >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+         for w in _philox_blocks(seed, paths, b0, b1 - b0)]
+    r01, r23 = np.sqrt(-2.0 * np.log(u[0])), np.sqrt(-2.0 * np.log(u[2]))
+    a01, a23 = 2.0 * np.pi * u[1], 2.0 * np.pi * u[3]
+    z = np.stack([r01 * np.cos(a01), r01 * np.sin(a01), r23 * np.cos(a23), r23 * np.sin(a23)],
+                 axis=-1).reshape(len(u[0]), -1)
+    return z[:, k0 - 4 * b0:k0 - 4 * b0 + nsteps * m].reshape(-1, nsteps, m)
+
+
+def drift_reference(model, x):
+    """The open-loop drift from its formula: A x, or for the planar plant
+    A_bar x + (x1 sin((K x) x2)) (1/4, 1)."""
+    if hasattr(model, "A_bar"):
+        s = x[..., 0] * np.sin((x @ model.K_hat[0]) * x[..., 1])
+        return x @ model.A_bar.T + s[..., None] * np.array([0.25, 1.0])
+    return x @ model.A.T
+
+
+def build_grid_reference(instants, horizon, dt_sim):
+    """(times, steps, refresh) of the integration grid, built knot by knot:
+    each gap between knots (the instants, then the horizon if it lies past
+    the last one) splits into ceil(gap / dt_sim) equal substeps ending on the
+    knot, and refresh marks the steps that start at an instant."""
+    knots = list(instants)
+    if horizon > knots[-1] + 1e-15:
+        knots.append(horizon)
+    times = [0.0]
+    knot_pos = [0]
+    for k in range(len(knots) - 1):
+        a, b = knots[k], knots[k + 1]
+        nsub = max(1, int(math.ceil((b - a) / dt_sim - 1e-9)))
+        h = (b - a) / nsub
+        seg = a + h * np.arange(1, nsub + 1)
+        seg[-1] = b
+        times.extend(seg.tolist())
+        knot_pos.append(len(times) - 1)
+    t = np.asarray(times)
+    steps = np.diff(t)
+    refresh = np.zeros(len(steps), dtype=bool)
+    for k in range(len(instants)):
+        if knot_pos[k] < len(steps):
+            refresh[knot_pos[k]] = True
+    return t, steps, refresh
+
+
 def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):
     """The Euler-Maruyama kernel in its plain per-step form, a drop-in for
-    sdstab.sim._integrate_chunk: it records every stored time through a dict
-    of stored indices into full arrays and hands them to the sink as one block
-    at the end, forms x(t_*) B_bar^T anew in every step and checks every row
-    for divergence in every step.  It draws the simulator's own noise, so the
-    two must agree bit for bit.
+    sdstab.sim._integrate_chunk: it draws every normal of its paths in one
+    noise_reference call, records every stored time through a dict of stored
+    indices into full arrays and hands them to the sink as one block at the
+    end, forms x(t_*) B_bar^T anew in every step and checks every row for
+    divergence in every step.  The two must agree bit for bit.
     """
-    from sdstab.sim import _DIVERGENCE_CAP, _WINDOW_NORMALS, _noise
+    from sdstab.sim import _DIVERGENCE_CAP
 
     npaths = len(path_indices)
     m = model.m
     nsteps = len(grid.steps)
-    # steps per noise window, a multiple of 4 so every window starts on a block
-    window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
+    noise = noise_reference(seed, path_indices, 0, nsteps, m) if m else None
     x = np.tile(x0, (npaths, 1)).astype(float)
     xstar = x.copy()
     alive = np.ones(npaths, dtype=bool)
@@ -350,11 +443,9 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, he
                 xstar = x.copy()
             record(i)
             h = grid.steps[i]
-            upd = (model.drift(x) + xstar @ b_bar.T) * h
+            upd = (drift_reference(model, x) + xstar @ b_bar.T) * h
             if m > 0:
-                if i % window == 0:
-                    noise = _noise(seed, path_indices, i, min(window, nsteps - i), m)
-                db = sqrt_h[i] * noise[:, i % window, :]
+                db = sqrt_h[i] * noise[:, i, :]
                 for j, gt in enumerate(gts):
                     upd += (x @ gt) * db[:, j:j + 1]
             x = x + upd
@@ -378,11 +469,12 @@ def cps_reference(model, cfg, path_index=0):
     Returns (times, x, y) at every grid point, y after its reset.  It draws the
     noise of path path_index on the simulator's grid.
     """
-    from sdstab.sim import _grid_for, _noise, _resolve_x0
+    from sdstab.sim import _grid_for, _resolve_x0
 
     grid, _ = _grid_for(cfg)
     nsteps = len(grid.steps)
-    noise = _noise(cfg.seed, [path_index], 0, nsteps, model.m)[0] if model.m else np.zeros((nsteps, 0))
+    noise = (noise_reference(cfg.seed, [path_index], 0, nsteps, model.m)[0] if model.m
+             else np.zeros((nsteps, 0)))
     at_instant = np.isin(grid.times, grid.instants)
     x = _resolve_x0(model, cfg)
     y = np.zeros_like(x)
@@ -395,7 +487,7 @@ def cps_reference(model, cfg, path_index=0):
         if i == nsteps:
             break
         h = grid.steps[i]
-        inc = (model.drift(x) + (x - y) @ model.B_bar.T) * h
+        inc = (drift_reference(model, x) + (x - y) @ model.B_bar.T) * h
         for g, dw in zip(model.diffusion, math.sqrt(h) * noise[i]):
             inc = inc + (g @ x) * dw
         x, y = x + inc, y + inc

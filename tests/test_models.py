@@ -59,7 +59,7 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
     def test_planar_phi_shapes(self, fixtures, rng, shape):
-        # phi = (s/4, s) with s = x1 sin(K x * x2), bit for bit at any batch shape
+        # phi = (s/4, s) with s = x1 sin(K x * x2), and drift = A_bar x + phi, bit for bit at any batch shape
         m = load_model(fixtures / "planar.json").with_gain(np.array([[-27.5776, -8.2817]]))
         x = rng.normal(size=shape)
         s = x[..., 0] * np.sin((x @ m.K_hat[0]) * x[..., 1])
@@ -67,6 +67,19 @@ class TestLoadModel:
         out = m.phi(x)
         assert out.shape == ref.shape == shape
         assert out.tobytes() == ref.tobytes()
+        assert m.drift(x).tobytes() == (x @ m.A_bar.T + ref).tobytes()
+
+    def test_planar_drift_any_memory_order(self, fixtures, rng):
+        # the simulator passes Fortran-ordered rows and out; a gemv on them rounds the
+        # last rows of some batch sizes differently, so drift must not depend on it
+        m = load_model(fixtures / "planar.json").with_gain(np.array([[-27.5776, -8.2817]]))
+        for rows in range(1, 40):
+            x = rng.normal(size=(rows, 2))
+            s = x[:, 0] * np.sin((x @ m.K_hat[0]) * x[:, 1])
+            ref = x @ m.A_bar.T + np.stack([0.25 * s, s], axis=-1)
+            xf = np.asfortranarray(x)
+            got = m.drift(xf, out=np.empty_like(xf))
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes(), rows
 
     def test_round_trip_bit_exact(self, fixtures, tmp_path):
         for name in ("ex1_sub1", "ex1_sub2", "ex1_sub1_control", "planar"):

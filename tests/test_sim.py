@@ -22,9 +22,9 @@ from sdstab.sim import (
     run_ensemble,
     simulate_sampled_path,
 )
-from sdstab.sim import _CHUNK, _noise, _philox_blocks
+from sdstab.sim import _CHUNK, _noise, _noise_work, _philox
 
-from oracles import cps_reference, em_reference, em_second_moment
+from oracles import build_grid_reference, cps_reference, em_reference, em_second_moment, noise_reference
 
 
 def decay_model(n=2):
@@ -231,6 +231,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def usable_cpus(monkeypatch, usable, cores=None):
+    """Let the simulator see `usable` CPUs it may run on, in a machine of `cores` (default usable)."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: usable if cores is None else cores)
+
+
 def outcome(call):
     """A call's result, or the type and text of the error it raised."""
     try:
@@ -271,7 +277,7 @@ class TestEnsembleMoments:
         monkeypatch.setattr(sim, "_WINDOW_NORMALS", 7 * block)
         # more workers than this machine may have cores, and frequent thread switches,
         # so that a fold out of path order would show
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        usable_cpus(monkeypatch, 4)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -305,7 +311,7 @@ class TestEnsembleMoments:
 
         monkeypatch.setattr(sim, "_CHUNK", 8)   # 64 paths: eight chunks
         monkeypatch.setattr(sim, "_integrate_chunk", failing)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        usable_cpus(monkeypatch, 4)
         for workers in (2, 3):
             third_started.clear()
             raised = []
@@ -355,17 +361,22 @@ class TestEnsembleMoments:
         monkeypatch.setattr(sim, "_CHUNK", 8)
         cfg = gbm_cfg()   # 64 paths: eight chunks
         ref = ensemble_moments(gbm_model(), cfg)
-        for cores, want in ((64, 8), (3, 3)):
-            monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+        # the affinity mask, not the core count, bounds the pool
+        for usable, cores, want in ((64, 64, 8), (3, 3, 3), (3, 64, 3)):
+            usable_cpus(monkeypatch, usable, cores)
             record["max_workers"].clear()
             record["peak"] = 0
             got = ensemble_moments(gbm_model(), cfg, workers=10**6)
             assert record["max_workers"] == [want] and record["peak"] == want
             assert same_bits(got.mean_sq(), ref.mean_sq())
             assert same_bits(run_ensemble(gbm_model(), cfg, workers=10**6).mean_sq(), ref.mean_sq())
-        # an unknown core count, or a single chunk, runs serially
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        # a process pinned to one CPU, an unknown core count where there is no
+        # affinity call, or a single chunk runs serially
         record["max_workers"].clear()
+        usable_cpus(monkeypatch, 1, 64)
+        assert same_bits(ensemble_moments(gbm_model(), cfg, workers=4).mean_sq(), ref.mean_sq())
+        monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
         ensemble_moments(gbm_model(), cfg, workers=4)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
         ensemble_moments(gbm_model(), dataclasses.replace(cfg, n_paths=8), workers=4)
@@ -452,6 +463,20 @@ class TestKernelOracle:
         assert 0 < fast.n_diverged < fast.n_paths
         self.assert_ensembles(fast, ref)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_three_channels_across_chunks(self, monkeypatch, workers):
+        # m = 3 normals a step; 46 steps is no multiple of the 4-step noise window
+        # of a full chunk, and the last chunk of 5 paths draws one 46-step window
+        rng = np.random.default_rng(11)
+        model = LinearSampledModel(
+            name="three", n=3, A=-np.eye(3) + 0.3 * rng.normal(size=(3, 3)),
+            diffusion=tuple(0.4 * rng.normal(size=(3, 3)) for _ in range(3)),
+            B_bar_explicit=-0.5 * np.eye(3), x0=np.array([1.0, -0.5, 0.25]),
+        )
+        cfg = cfg_for(0.05, 0.23, dt_sim=0.005, n_paths=_CHUNK + 5, seed=6)
+        assert len(sim._grid_for(cfg)[0].steps) == 46
+        self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg, workers=workers)))
+
     def test_em_discrete(self, monkeypatch, rng):
         f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
         x0 = rng.normal(size=2)
@@ -476,23 +501,36 @@ class TestCounterNoise:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
     def test_blocks_match_numpy_philox(self, seed):
         for path in (0, 3, 2**40 + 1):
-            words = np.stack(_philox_blocks(seed, [path, path + 1], 3, 5), axis=-1)
-            for row, p in enumerate((path, path + 1)):
+            x, y = _philox(seed, [path, path + 1], 3, 5, _noise_work(2, 20, 1))
+            words = np.stack([x[0], y[1], x[1], y[0]], axis=-1)   # words 0, 1, 2, 3
+            for col, p in enumerate((path, path + 1)):
                 key = np.array([seed, p], dtype=np.uint64)
                 for b in range(3, 8):
                     ref = np.random.Philox(key=key, counter=b).random_raw(4)
-                    assert np.array_equal(words[row, b - 3], ref)
+                    assert np.array_equal(words[b - 3, col], ref)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
+    def test_matches_reference_generator(self, seed):
+        paths = np.array([0, 3, 2**40 + 1])
+        for m in (1, 2, 3):
+            # one work array for every call, as the kernel reuses it; it fits 37 steps from any offset
+            work = _noise_work(len(paths), 38, m)
+            for step0 in (0, 1, 6, 9):
+                for nsteps in range(1, 38):
+                    got = _noise(seed, paths, step0, nsteps, m, work)
+                    ref = noise_reference(seed, paths, step0, nsteps, m).transpose(1, 2, 0)
+                    assert same_bits(got, np.ascontiguousarray(ref)), (m, step0, nsteps)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_windows_concatenate(self, m):
         paths = np.array([0, 5, 2**33])
         whole = _noise(11, paths, 0, 37, m)
-        assert whole.shape == (3, 37, m)
+        assert whole.shape == (37, m, 3)
         for a in (1, 6, 18, 36):
-            parts = np.concatenate([_noise(11, paths, 0, a, m), _noise(11, paths, a, 37 - a, m)], axis=1)
+            parts = np.concatenate([_noise(11, paths, 0, a, m), _noise(11, paths, a, 37 - a, m)])
             assert np.array_equal(whole, parts)
         # a path's noise does not depend on which other paths share the call
-        assert np.array_equal(whole[1], _noise(11, [5], 0, 37, m)[0])
+        assert np.array_equal(whole[..., 1], _noise(11, [5], 0, 37, m)[..., 0])
 
     def test_moments(self):
         z = _noise(3, np.arange(1000), 0, 1000, 1).ravel()
@@ -512,6 +550,23 @@ class TestCounterNoise:
         for p in (_CHUNK, _CHUNK + 3):
             path = simulate_sampled_path(m, cfg, path_index=p)
             assert np.array_equal(path.states, ens.states[p])
+
+
+class TestGrid:
+    @pytest.mark.parametrize("schedule, horizon", [
+        (SamplingSchedule.periodic(0.0234), 0.5),
+        (SamplingSchedule.periodic(0.05), 1.0),   # the horizon ends on an instant
+        (SamplingSchedule.uniform_random(0.005, 0.015), 2.0),
+        (SamplingSchedule.explicit([0.0, 0.013, 0.05, 0.051, 0.2]), 0.2),
+        (SamplingSchedule.explicit([0.0, 0.013, 0.05, 0.051, 0.2]), 0.35),
+    ])
+    def test_matches_knot_by_knot_build(self, schedule, horizon):
+        cfg = SimConfig(schedule=schedule, horizon=horizon, dt_sim=schedule.underline_dt / 10, seed=3)
+        grid, store_idx = sim._grid_for(cfg)
+        times, steps, refresh = build_grid_reference(grid.instants, horizon, cfg.dt_sim)
+        assert same_bits(grid.times, times) and same_bits(grid.steps, steps)
+        assert same_bits(grid.refresh, refresh) and refresh.sum() == np.sum(grid.instants < times[-1])
+        assert same_bits(store_idx, np.arange(len(times)))
 
 
 class TestSecondMomentOracle:
