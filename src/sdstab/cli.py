@@ -62,6 +62,7 @@ from .sim import (
     export_ensemble_stats_csv,
     export_trajectories_csv,
     run_ensemble,
+    _sq_norm,
 )
 
 EXIT_OK = 0
@@ -382,8 +383,7 @@ def cmd_simulate(args, argv) -> int:
         ens = ensemble_moments(model, cfg, workers=args.workers)
     t_integrated = time.perf_counter()
     frac_diverged = ens.n_diverged / ens.n_paths
-    means = ens.mean_sq()
-    terminal = float(means[-1])
+    terminal = float(ens.mean_sq()[-1])
     results = {
         "n_paths": ens.n_paths,
         "n_diverged": ens.n_diverged,
@@ -395,7 +395,7 @@ def cmd_simulate(args, argv) -> int:
         "terminal_mean_sq_se": _terminal_mean_sq_se(ens),
     }
     try:
-        decay = estimate_ms_decay(ens, means=means)
+        decay = estimate_ms_decay(ens)
         results["ms_decay"] = {
             "rate": decay.rate, "intercept": decay.intercept,
             "r_squared": decay.r_squared, "window": list(decay.window),
@@ -445,7 +445,8 @@ def _terminal_mean_sq_se(ens) -> Optional[float]:
     last = ens.terminal[ens.terminal_alive]
     if len(last) < 2:
         return None
-    sq = np.einsum("pi,pi->p", last, last)
+    with np.errstate(over="ignore"):   # an overflowing square is reported below
+        sq = _sq_norm(last)
     top = sq.max()
     if not math.isfinite(top):
         print("note: terminal mean-square standard error unavailable (|x(T)|^2 overflows)")

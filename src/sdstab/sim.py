@@ -21,28 +21,29 @@ Sampling instants are knots of the integration grid: local substeps shrink so
 each instant is hit exactly and the zero-order-hold input switches at the
 instant, never inside a step.
 
-One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble,
-ensemble_moments and simulate_sampled_path.  It integrates the paper's
-physical/cyber (impulsive) form of the loop in its hold form: the cyber state
-y = x - x(t_*) resets to 0 at each sampling instant, so the drift
-drift(x) + (x - y) B_bar^T is drift(x) + x(t_*) B_bar^T.  It forms that hold
-term once per sampling interval, screens the batch for divergence with one
-scalar test per step (the row-by-row check runs only when that test fails or
-a path is already dead), and writes the stored alive flags once per block and
-when a path dies.  A step allocates nothing: the state and its temporaries
-are (paths, n) views of state-major arrays, so every product, broadcast and
-store runs over contiguous path columns, and the drift, the diffusion
-products and the divergence screen write into buffers of the chunk.
+One Euler-Maruyama kernel, `_integrate_chunk`, serves run_ensemble and
+ensemble_moments.  It integrates the paper's physical/cyber (impulsive) form
+of the loop in its hold form: the cyber state y = x - x(t_*) resets to 0 at
+each sampling instant, so the drift drift(x) + (x - y) B_bar^T is
+drift(x) + x(t_*) B_bar^T.  It forms that hold term once per sampling
+interval, screens the batch for divergence with one scalar test per step (the
+row-by-row check runs only when that test fails or a path is already dead),
+and writes the stored alive flags once per block and when a path dies.  A
+step allocates nothing: the state and its temporaries are (paths, n) views of
+state-major arrays, so every product, broadcast and store runs over
+contiguous path columns, and the drift, the diffusion products and the
+divergence screen write into buffers of the chunk.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
 at a time, and never on more threads than the CPUs the process may run on.
 The kernel hands its stored states on in blocks of stored times, path-major,
 and a chunk hands on a block only after the chunk before it has handed on
-those stored times.  run_ensemble copies every block into one (paths x stored
-times x n) TrajectoryEnsemble.  ensemble_moments folds each block into
-per-time sums and drops it, so its memory is O(workers x _WINDOW_NORMALS x n
-+ paths x n + stored times) for any horizon.  Both give the same statistics
-bit for bit, because the fold adds each stored time's paths in path order.
+those stored times.  One fold adds each block's |x|^2 (the squares summed in
+index order) into per-time sums, each stored time's paths in path order, so
+the statistics do not depend on chunking or worker count.  ensemble_moments
+then drops the block, so its memory is O(workers x _WINDOW_NORMALS x n +
+paths x n + stored times) for any horizon; run_ensemble is the same fold
+plus a copy of every block into (paths x stored times x n) arrays.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -148,22 +149,20 @@ def _philox(seed: int, paths, b0: int, nb: int, work: np.ndarray):
     return x, y
 
 
-def _noise(seed: int, paths, step0: int, nsteps: int, m: int,
-           work: Optional[np.ndarray] = None) -> np.ndarray:
+def _noise(seed: int, paths, step0: int, nsteps: int, m: int, work: np.ndarray) -> np.ndarray:
     """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path, time-major.
 
     Shape (nsteps, m, len(paths)); entry [i, j, r] is normal
     k = (step0 + i) * m + j of path paths[r]: word k mod 4 of _philox block
     k // 4, after Box-Muller on the word pairs (0, 1) and (2, 3) with
     u = ((w >> 11) + 0.5) 2^-53 in (0, 1] (1 only by rounding), so ln u is
-    finite.  The result is a contiguous view into work (see _noise_work),
-    which the next call overwrites.
+    finite.  work must hold _NOISE_BUFFERS (2, nb, len(paths)) word arrays,
+    nb the blocks the call touches (see _noise_work); the result is a
+    contiguous view into it, which the next call overwrites.
     """
     k0 = step0 * m
     b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
     nb, npaths = b1 - b0, len(paths)
-    if work is None:
-        work = np.empty(_NOISE_BUFFERS * 2 * nb * npaths, dtype=np.uint64)
     x, y = _philox(seed, paths, b0, nb, work)
     rad, ang, trig = (_words(work, nb, npaths, i).view(float) for i in (3, 4, 5))
     # radii from words (0, 2), angles from words (1, 3)
@@ -252,17 +251,17 @@ def _build_grid(instants: np.ndarray, horizon: float, dt_sim: float) -> _Grid:
 
 
 @dataclass(frozen=True)
-class SinglePath:
-    times: np.ndarray
-    states: np.ndarray        # (T, n)
-    held: np.ndarray          # (T, n) value of x(t_*) active at each stored time
+class EnsembleMoments:
+    """The statistics of a Monte Carlo run, folded block by block as the kernel stores them."""
+
+    times: np.ndarray           # (T,)
+    sum_sq: np.ndarray          # (T,) sum of |x(t)|^2 over alive paths, added in path order
+    alive_counts: np.ndarray    # (T,) alive paths
+    terminal: np.ndarray        # (n_paths, n) states at times[-1]; NaN after divergence
+    terminal_alive: np.ndarray  # (n_paths,) bool
     instants: np.ndarray
-    diverged: bool
-    diverged_at: float
-
-
-class _PathCounts:
-    """Path and divergence counts of an ensemble record, read from diverged_at."""
+    seed: int
+    diverged_at: np.ndarray     # (n_paths,) time of divergence, NaN if none
 
     @property
     def n_paths(self) -> int:
@@ -276,52 +275,6 @@ class _PathCounts:
     def n_diverged(self) -> int:
         return int(self.diverged.sum())
 
-
-@dataclass(frozen=True)
-class TrajectoryEnsemble(_PathCounts):
-    """Seeded Monte Carlo paths on a shared stored time grid."""
-
-    times: np.ndarray          # (T,)
-    states: np.ndarray         # (n_paths, T, n); NaN after divergence
-    alive: np.ndarray          # (n_paths, T) bool
-    instants: np.ndarray
-    seed: int
-    diverged_at: np.ndarray    # (n_paths,) time of divergence, NaN if none
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[2]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[:, -1, :]
-
-    @property
-    def terminal_alive(self) -> np.ndarray:
-        return self.alive[:, -1]
-
-    def mean_sq(self) -> np.ndarray:
-        """Mean of |x(t)|^2 over alive paths (NaN where no path is alive), summed in path order."""
-        total = _fold_sq(np.zeros((1, len(self.times))), self.states, self.alive)
-        return _mean(total[0], self.n_alive())
-
-    def n_alive(self) -> np.ndarray:
-        return self.alive.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class EnsembleMoments(_PathCounts):
-    """What the estimators read of an ensemble, without its stored states."""
-
-    times: np.ndarray           # (T,)
-    sum_sq: np.ndarray          # (T,) sum of |x(t)|^2 over alive paths, added in path order
-    alive_counts: np.ndarray    # (T,) alive paths
-    terminal: np.ndarray        # (n_paths, n) states at times[-1]; NaN after divergence
-    terminal_alive: np.ndarray  # (n_paths,) bool
-    instants: np.ndarray
-    seed: int
-    diverged_at: np.ndarray     # (n_paths,) time of divergence, NaN if none
-
     def mean_sq(self) -> np.ndarray:
         """Mean of |x(t)|^2 over alive paths (NaN where no path is alive)."""
         return _mean(self.sum_sq, self.alive_counts)
@@ -330,26 +283,33 @@ class EnsembleMoments(_PathCounts):
         return self.alive_counts
 
 
-Ensemble = Union[TrajectoryEnsemble, EnsembleMoments]
+@dataclass(frozen=True)
+class TrajectoryEnsemble(EnsembleMoments):
+    """The statistics of a Monte Carlo run plus every stored state."""
+
+    states: np.ndarray          # (n_paths, T, n); NaN after divergence
+    alive: np.ndarray           # (n_paths, T) bool
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, the squares added in index order."""
+    out = x[..., 0] ** 2
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] ** 2
+    return out
 
 
 def _fold_sq(total: np.ndarray, states: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """The running per-time total (1, T) plus |x(t)|^2 of the alive rows of states.
 
-    It streams over blocks of rows: each block's sum starts from the running
-    total as its row 0, so the additions are those of one axis-0 sum over
-    every path folded so far, in path order, whatever the blocks or chunks,
-    and no (paths x times) temporary is built.
+    The sum starts from the running total as its row 0, so the additions are
+    those of one axis-0 sum over every path folded so far, in path order,
+    whatever the blocks or chunks.
     """
-    rows = max(1, _WINDOW_NORMALS // states.shape[1])
-    total_row = np.ones(total.shape, dtype=bool)
-    for a in range(0, len(states), rows):
-        blk = states[a:a + rows]
-        sq = np.concatenate([total, np.einsum("pti,pti->pt", blk, blk)])
-        keep = np.concatenate([total_row, alive[a:a + rows]])
-        # dead rows hold NaN; where= leaves them out, exactly as adding 0.0 would
-        total = np.add.reduce(sq, axis=0, keepdims=True, where=keep, initial=0.0)
-    return total
+    sq = np.concatenate([total, _sq_norm(states)])
+    keep = np.concatenate([np.ones(total.shape, dtype=bool), alive])
+    # dead rows hold NaN; where= leaves them out, exactly as adding 0.0 would
+    return np.add.reduce(sq, axis=0, keepdims=True, where=keep, initial=0.0)
 
 
 def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -384,7 +344,7 @@ def _outputs(npaths: int, nstore: int, n: int):
         raise DomainError(f"{npaths} paths x {nstore} stored times do not fit in memory") from exc
 
 
-def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):
+def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink):
     """EM for a batch of paths with drift model.drift(x) + x(t_*) B_bar^T, x(t_*)
     refreshed where grid.refresh is set; returns the paths' divergence times
     (NaN where none).
@@ -395,7 +355,6 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
     s1 - 1, n) and their alive flags.  The sink must copy what it keeps, for
     the buffer is reused.  A lone last stored time joins the block before it,
     because numpy sums a one-column block pairwise rather than row by row.
-    held, if given, receives the x(t_*) of the first path at every stored time.
 
     A row that dies in step i gets diverged_at = times[i + 1] and is cleared
     in alive from the first stored index >= i + 1, so alive[r, s] is
@@ -420,7 +379,6 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
     x, upd, tmp, hold = (np.empty((n, npaths)).T for _ in range(4))
     x[:] = x0
     np.matmul(x, b_bar.T, out=hold)   # x(t_*) B_bar^T
-    xstar0 = x[0].copy()  # x(t_*) of the first path
     alive = np.ones(npaths, dtype=bool)
     any_dead = False
     diverged_at = np.full(npaths, np.nan)
@@ -439,11 +397,8 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
         for i in range(nsteps + 1):
             if i < nsteps and refresh[i]:
                 np.matmul(x, b_bar.T, out=hold)
-                xstar0 = x[0].copy()
             if i == next_store:
                 stage[s - s0] = x.T
-                if held is not None:
-                    held[s] = xstar0
                 s += 1
                 next_store = store_idx[s] if s < nstore else -1
                 if s == s1:
@@ -493,24 +448,6 @@ def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
     if store_idx[-1] != last:
         store_idx = np.append(store_idx, last)
     return grid, store_idx
-
-
-def _ensemble_setup(model: Model, cfg: SimConfig, workers: int):
-    """Check an ensemble run; return its grid, stored grid indices and x0."""
-    if model.B_bar is None:
-        raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    grid, store_idx = _grid_for(cfg)
-    return grid, store_idx, _resolve_x0(model, cfg)
-
-
-def _store_into(states: np.ndarray, alive: np.ndarray):
-    """A kernel sink that copies each block into full (rows, stored times) arrays."""
-    def sink(s0, block, alive_block):
-        states[:, s0:s0 + block.shape[1]] = block
-        alive[:, s0:s0 + block.shape[1]] = alive_block
-    return sink
 
 
 def _usable_cpus() -> int:
@@ -578,89 +515,64 @@ def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
             yield pending.popleft().result()
 
 
+def _ensemble(model: Model, cfg: SimConfig, workers: int, keep: bool):
+    """Integrate the paths of cfg and fold each block of stored times into the
+    per-time sums as soon as a chunk hands it on, in path order.
+
+    With keep, every block is also copied into full (paths x stored times)
+    arrays and a TrajectoryEnsemble is returned; otherwise only the terminal
+    stored time is kept and the result is an EnsembleMoments.
+    """
+    if model.B_bar is None:
+        raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    grid, store_idx = _grid_for(cfg)
+    x0 = _resolve_x0(model, cfg)
+    nstore = len(store_idx)
+    states, alive, diverged_at = _outputs(cfg.n_paths, nstore if keep else 1, model.n)
+    total = np.zeros((1, nstore))
+    counts = np.zeros(nstore, dtype=int)
+
+    def fold_into(rows):
+        def sink(s0, block, alive_block):
+            s1 = s0 + block.shape[1]
+            total[:, s0:s1] = _fold_sq(total[:, s0:s1], block, alive_block)
+            counts[s0:s1] += alive_block.sum(axis=0)
+            if keep:
+                states[rows, s0:s1] = block
+                alive[rows, s0:s1] = alive_block
+            elif s1 == nstore:
+                states[rows] = block[:, -1:]
+                alive[rows] = alive_block[:, -1:]
+        return sink
+
+    for rows, died in _chunks(model, cfg, workers, grid, store_idx, x0, fold_into):
+        diverged_at[rows] = died
+    moments = dict(times=grid.times[store_idx], sum_sq=total[0], alive_counts=counts,
+                   terminal=states[:, -1], terminal_alive=alive[:, -1], instants=grid.instants,
+                   seed=cfg.seed, diverged_at=diverged_at)
+    return TrajectoryEnsemble(**moments, states=states, alive=alive) if keep else EnsembleMoments(**moments)
+
+
 def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
     """Simulate n_paths sampled-data trajectories with independent noise streams.
 
     The result is bit-identical for any worker count: chunking only changes
     which thread fills which rows.  It holds every stored state, so its
-    memory is O(paths x stored times x n); ensemble_moments keeps only the
-    statistics.
+    memory is O(paths x stored times x n); its statistics are those of
+    ensemble_moments, from the same fold.
     """
-    grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
-    states, alive, diverged_at = _outputs(cfg.n_paths, len(store_idx), model.n)
-    for rows, died in _chunks(model, cfg, workers, grid, store_idx, x0,
-                              lambda rows: _store_into(states[rows], alive[rows])):
-        diverged_at[rows] = died
-    return TrajectoryEnsemble(
-        times=grid.times[store_idx],
-        states=states,
-        alive=alive,
-        instants=grid.instants,
-        seed=cfg.seed,
-        diverged_at=diverged_at,
-    )
+    return _ensemble(model, cfg, workers, keep=True)
 
 
 def ensemble_moments(model: Model, cfg: SimConfig, workers: int = 1) -> EnsembleMoments:
     """The statistics of run_ensemble(model, cfg, workers), bit for bit, without its states.
 
-    Each block of stored times is folded into the per-time sums as soon as a
-    chunk has integrated it, in path order, and then dropped: memory is
+    Each block of stored times is folded and then dropped: memory is
     O(workers x _WINDOW_NORMALS x n + paths x n + stored times) for any horizon.
     """
-    grid, store_idx, x0 = _ensemble_setup(model, cfg, workers)
-    # the per-path arrays: outputs with one stored time, the terminal one
-    terminal, terminal_alive, diverged_at = _outputs(cfg.n_paths, 1, model.n)
-    nstore = len(store_idx)
-    total = np.zeros((1, nstore))
-    counts = np.zeros(nstore, dtype=int)
-
-    def fold_into(rows):
-        def sink(s0, states, alive):
-            s1 = s0 + states.shape[1]
-            total[:, s0:s1] = _fold_sq(total[:, s0:s1], states, alive)
-            counts[s0:s1] += alive.sum(axis=0)
-            if s1 == nstore:
-                terminal[rows] = states[:, -1:]
-                terminal_alive[rows] = alive[:, -1:]
-        return sink
-
-    for rows, died in _chunks(model, cfg, workers, grid, store_idx, x0, fold_into):
-        diverged_at[rows] = died
-    return EnsembleMoments(
-        times=grid.times[store_idx],
-        sum_sq=total[0],
-        alive_counts=counts,
-        terminal=terminal[:, 0],
-        terminal_alive=terminal_alive[:, 0],
-        instants=grid.instants,
-        seed=cfg.seed,
-        diverged_at=diverged_at,
-    )
-
-
-def simulate_sampled_path(model: Model, cfg: SimConfig, path_index: int = 0) -> SinglePath:
-    """One trajectory of the sampled-data loop, identified by its path index.
-
-    Equals row `path_index` of any ensemble run with the same seed and config.
-    """
-    b_bar = model.B_bar
-    if b_bar is None:
-        raise ValidationError("model gain is unresolved; synthesize or supply K_hat first")
-    grid, store_idx = _grid_for(cfg)
-    x0 = _resolve_x0(model, cfg)
-    states, alive, _ = _outputs(1, len(store_idx), model.n)
-    held = np.empty((len(store_idx), model.n))
-    diverged_at = _integrate_chunk(model, b_bar, grid, x0, [path_index], cfg.seed, store_idx,
-                                   _store_into(states, alive), held)
-    return SinglePath(
-        times=grid.times[store_idx],
-        states=states[0],
-        held=held,
-        instants=grid.instants,
-        diverged=bool(~np.isnan(diverged_at[0])),
-        diverged_at=float(diverged_at[0]),
-    )
+    return _ensemble(model, cfg, workers, keep=False)
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +590,11 @@ class DecayEstimate:
     n_points: int
 
 
-def estimate_ms_decay(
-    ens: Ensemble, window: Optional[Tuple[float, float]] = None,
-    means: Optional[np.ndarray] = None,
-) -> DecayEstimate:
+def estimate_ms_decay(ens: EnsembleMoments, window: Optional[Tuple[float, float]] = None) -> DecayEstimate:
     """Fit the mean-square decay rate on a time window (default [0.2 T, T]).
 
     Requires at least 10 stored grid points in the window and strictly
-    positive empirical means everywhere on it.  means is ens.mean_sq(), for
-    a caller that already holds it.
+    positive empirical means everywhere on it.
     """
     t = ens.times
     horizon = float(t[-1])
@@ -698,7 +606,7 @@ def estimate_ms_decay(
     sel = (t >= w0) & (t <= w1)
     if int(sel.sum()) < 10:
         raise DegenerateEnsemble(f"only {int(sel.sum())} grid points in window; need >= 10")
-    means = (ens.mean_sq() if means is None else means)[sel]
+    means = ens.mean_sq()[sel]
     if not np.all(np.isfinite(means)) or np.any(means <= 0.0):
         raise DegenerateEnsemble("ensemble means are zero, negative, or undefined on the window")
     tt = t[sel]
@@ -731,7 +639,7 @@ class ExponentSummary:
     n_diverged: int
 
 
-def estimate_as_exponent(ens: Ensemble) -> ExponentSummary:
+def estimate_as_exponent(ens: EnsembleMoments) -> ExponentSummary:
     """Per-path (1/T) ln |x(T)| at the last stored time T."""
     t_used = float(ens.times[-1])
     if not t_used > 0:
@@ -761,7 +669,7 @@ def estimate_as_exponent(ens: Ensemble) -> ExponentSummary:
 
 def export_trajectories_csv(ens: TrajectoryEnsemble, path) -> None:
     """Write per-path trajectories: header t,path,x1..xn."""
-    n = ens.n
+    n = ens.states.shape[2]
     header = "t,path," + ",".join(f"x{i + 1}" for i in range(n))
     times = [repr(t) for t in ens.times.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
@@ -771,7 +679,7 @@ def export_trajectories_csv(ens: TrajectoryEnsemble, path) -> None:
                              for t, row in zip(times, ens.states[p].tolist())))
 
 
-def export_ensemble_stats_csv(ens: Ensemble, path) -> None:
+def export_ensemble_stats_csv(ens: EnsembleMoments, path) -> None:
     """Write ensemble statistics: header t,mean_sq_norm,n_alive."""
     means = ens.mean_sq()
     alive = ens.n_alive()

@@ -404,7 +404,7 @@ def build_grid_reference(instants, horizon, dt_sim):
     return t, steps, refresh
 
 
-def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, held=None):
+def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink):
     """The Euler-Maruyama kernel in its plain per-step form, a drop-in for
     sdstab.sim._integrate_chunk: it draws every normal of its paths in one
     noise_reference call, records every stored time through a dict of stored
@@ -434,8 +434,6 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, he
             return
         states[:, s, :] = x
         alive_store[:, s] = alive
-        if held is not None:
-            held[s] = xstar[0]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps):
@@ -458,6 +456,25 @@ def em_reference(model, b_bar, grid, x0, path_indices, seed, store_idx, sink, he
         record(nsteps)
     sink(0, states, alive_store)
     return diverged_at
+
+
+def mean_sq_reference(states, alive):
+    """Per-time mean of |x|^2 over the alive paths (NaN where none) and the alive
+    counts, of full (paths, times, n) and (paths, times) arrays: one path at a
+    time, in path order, each |x|^2 summed in index order.
+    """
+    npaths, ntimes, n = states.shape
+    total = np.zeros(ntimes)
+    counts = np.zeros(ntimes, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(npaths):
+            sq = states[p, :, 0] * states[p, :, 0]
+            for i in range(1, n):
+                sq = sq + states[p, :, i] * states[p, :, i]
+            total = np.where(alive[p], total + sq, total)
+            counts = counts + alive[p]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, total / counts, np.nan), counts
 
 
 def cps_reference(model, cfg, path_index=0):

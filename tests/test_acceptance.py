@@ -31,7 +31,6 @@ from sdstab.sim import (
     estimate_as_exponent,
     estimate_ms_decay,
     run_ensemble,
-    simulate_sampled_path,
 )
 
 from oracles import jacobi_eigh, single_v_grid_oracle
@@ -161,8 +160,8 @@ def test_criterion_6_simulation_decay():
         schedule=SamplingSchedule.periodic(0.0174), horizon=5.0,
         dt_sim=0.00174, n_paths=1, seed=0, store_stride=50,
     )
-    path = simulate_sampled_path(planar, cfg)
-    terminal = float(np.linalg.norm(path.states[-1]))
+    path = run_ensemble(planar, cfg).states[0]
+    terminal = float(np.linalg.norm(path[-1]))
     assert terminal < 1e-2
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -12,19 +12,25 @@ from sdstab.errors import DegenerateEnsemble, DomainError, ValidationError
 from sdstab.lmi import load_certificate
 from sdstab.models import LinearSampledModel, SamplingSchedule, load_model
 from sdstab.sim import (
+    EnsembleMoments,
     SimConfig,
-    TrajectoryEnsemble,
     ensemble_moments,
     estimate_as_exponent,
     estimate_ms_decay,
     export_ensemble_stats_csv,
     export_trajectories_csv,
     run_ensemble,
-    simulate_sampled_path,
 )
 from sdstab.sim import _CHUNK, _noise, _noise_work, _philox
 
-from oracles import build_grid_reference, cps_reference, em_reference, em_second_moment, noise_reference
+from oracles import (
+    build_grid_reference,
+    cps_reference,
+    em_reference,
+    em_second_moment,
+    mean_sq_reference,
+    noise_reference,
+)
 
 
 def decay_model(n=2):
@@ -53,9 +59,24 @@ def em_chain(f, g_list, h, n_steps, x0, paths, seed, store_idx):
     grid = sim._Grid(times=times, steps=np.full(n_steps, float(h)),
                      refresh=np.zeros(n_steps, dtype=bool), instants=times[:1])
     states = np.empty((len(paths), len(store_idx), len(f)))
-    alive = np.empty(states.shape[:2], dtype=bool)
-    sim._integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, sim._store_into(states, alive))
+
+    def sink(s0, block, alive):
+        states[:, s0:s0 + block.shape[1]] = block
+
+    sim._integrate_chunk(chain, chain.B_bar, grid, x0, paths, seed, store_idx, sink)
     return states
+
+
+def path_row(model, cfg, p=0):
+    """Row p of an ensemble of p + 1 paths, and the ensemble."""
+    ens = run_ensemble(model, dataclasses.replace(cfg, n_paths=p + 1))
+    return ens.states[p], ens
+
+
+def noise(seed, paths, step0, nsteps, m):
+    """_noise with a work array of four more steps: at least the one more block
+    that a call starting off a block may touch."""
+    return _noise(seed, paths, step0, nsteps, m, _noise_work(len(paths), nsteps + 4, m))
 
 
 def em_path(f, g_list, h, n_steps, x0, seed=0):
@@ -88,15 +109,15 @@ class TestSampledPath:
     def test_matches_exact_flow(self):
         m = decay_model()
         cfg = cfg_for(0.05, 1.0, dt_sim=1e-3)
-        p = simulate_sampled_path(m, cfg)
-        exact = np.exp(-p.times)[:, None] * np.ones(2)
-        assert np.abs(p.states - exact).max() < 5e-3
+        states, ens = path_row(m, cfg)
+        exact = np.exp(-ens.times)[:, None] * np.ones(2)
+        assert np.abs(states - exact).max() < 5e-3
 
     def test_zero_initial_state_stays_zero(self, fixtures):
         m = load_model(fixtures / "ex1_sub1.json")
         cfg = cfg_for(0.0234, 0.5, x0=np.zeros(2), seed=9)
-        p = simulate_sampled_path(m, cfg)
-        assert np.all(p.states == 0.0)
+        states, _ = path_row(m, cfg)
+        assert np.all(states == 0.0)
 
     def test_uncontrolled_grows(self, fixtures):
         # open loop has an eigenvalue at -2 + 2*sqrt(2) > 0
@@ -107,28 +128,8 @@ class TestSampledPath:
         ms = ens.mean_sq()
         assert ms[-1] > 10 * ms[0] or ens.n_diverged > 0
 
-    def test_zoh_held_constant_between_instants(self, fixtures):
-        m = load_model(fixtures / "ex1_sub1.json")
-        cfg = cfg_for(0.1, 0.5, dt_sim=0.01, seed=2)
-        p = simulate_sampled_path(m, cfg)
-        instants = set(np.round(p.instants, 12).tolist())
-        last = len(p.times) - 1
-        for i in range(1, len(p.times)):
-            if i == last or round(float(p.times[i]), 12) not in instants:
-                # no interval starts at the final point, so the hold carries over
-                assert np.array_equal(p.held[i], p.held[i - 1])
-            else:
-                assert np.array_equal(p.held[i], p.states[i])
-
 
 class TestEnsemble:
-    def test_single_path_equals_ensemble_of_one(self, fixtures):
-        m = load_model(fixtures / "ex1_sub1.json")
-        cfg = cfg_for(0.0234, 1.0, seed=7)
-        ens = run_ensemble(m, cfg)
-        p = simulate_sampled_path(m, cfg, path_index=0)
-        assert np.array_equal(np.nan_to_num(ens.states[0]), np.nan_to_num(p.states))
-
     def test_seed_determinism(self, fixtures):
         m = load_model(fixtures / "ex1_sub1.json")
         cfg = cfg_for(0.0234, 1.0, n_paths=8, seed=13, store_stride=4)
@@ -162,56 +163,34 @@ class TestEnsemble:
             ref = np.where(counts > 0, tot / counts, np.nan)
         means = ens.mean_sq()
         assert hashlib.sha256(means.tobytes()).hexdigest() == hashlib.sha256(ref.tobytes()).hexdigest()
-        fit = estimate_ms_decay(ens)
-        assert fit == estimate_ms_decay(ens, means=ref) == estimate_ms_decay(ens, means=means)
+        zero_filled = dataclasses.replace(ens, sum_sq=tot, alive_counts=counts)
+        assert estimate_ms_decay(ens) == estimate_ms_decay(zero_filled)
 
     @pytest.mark.parametrize("a, horizon, n_paths, stride", [
-        (50.0, 20.0, 3000, 1),    # 32-row blocks
-        (50.0, 20.0, 3000, 10),   # 326-row blocks
-        (28.0, 400.0, 8, 1),      # 40,001 stored times: one row per block
+        (50.0, 20.0, 3000, 1),    # 2,001 stored times in blocks of 21
+        (50.0, 20.0, 3000, 10),   # 201 stored times in blocks of 21
+        (28.0, 400.0, 8, 1),      # 40,001 stored times in blocks of 8,192
     ])
     def test_mean_sq_streamed_blocks_match_full_formula(self, a, horizon, n_paths, stride):
-        # each block's sum starts from the running total, so the additions are
-        # those of one axis-0 sum over the full (paths x times) array
+        # the kernel hands on blocks of max(2, _WINDOW_NORMALS // paths) stored times, and
+        # each block's sum starts from the running total, so the means are those of one
+        # sum over the full (paths x times) array in path order
         m = LinearSampledModel(
             name="gbm", n=1, A=np.array([[a]]), diffusion=(np.array([[10.0]]),),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
-        ens = run_ensemble(m, cfg_for(0.1, horizon, dt_sim=0.01, n_paths=n_paths, seed=2,
-                                      store_stride=stride))
+        cfg = cfg_for(0.1, horizon, dt_sim=0.01, n_paths=n_paths, seed=2, store_stride=stride)
+        ens = run_ensemble(m, cfg)
         assert 0 < ens.n_diverged < ens.n_paths
-        rows = max(1, sim._WINDOW_NORMALS // len(ens.times))
-        assert ens.n_paths > 8 * rows or rows == 1
-        sq = np.einsum("pti,pti->pt", ens.states, ens.states)
-        counts = ens.alive.sum(axis=0).astype(float)
-        tot = np.where(ens.alive, sq, 0.0).sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ref = np.where(counts > 0, tot / counts, np.nan)
-        means = ens.mean_sq()
-        assert hashlib.sha256(means.tobytes()).hexdigest() == hashlib.sha256(ref.tobytes()).hexdigest()
-
-    def test_mean_sq_builds_no_paths_by_times_temporary(self):
-        rng = np.random.default_rng(0)
-        states = rng.standard_normal((20_000, 100, 2))
-        alive = np.ones((20_000, 100), dtype=bool)
-        states[::7, 60:] = np.nan
-        alive[::7, 60:] = False
-        ens = TrajectoryEnsemble(times=np.linspace(0.0, 1.0, 100), states=states, alive=alive,
-                                 instants=np.zeros(1), seed=0, diverged_at=np.full(20_000, np.nan))
-        tracemalloc.start()
-        try:
-            ens.mean_sq()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < states.nbytes / 8
+        assert len(ens.times) > 4 * max(2, sim._WINDOW_NORMALS // n_paths)
+        assert_stats_match_reference(ens, ensemble_moments(m, cfg))
 
     def test_unresolved_gain_rejected(self, fixtures):
         m = load_model(fixtures / "ex1_sub1_control.json")
         with pytest.raises(ValidationError):
             run_ensemble(m, cfg_for(0.0234, 1.0))
         with pytest.raises(ValidationError):
-            simulate_sampled_path(m, cfg_for(0.0234, 1.0))
+            ensemble_moments(m, cfg_for(0.0234, 1.0))
 
 
 def gbm_model():
@@ -245,8 +224,16 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def assert_stats_match_reference(ens, *records):
+    """The statistics of each record are mean_sq_reference's on ens's full arrays, bit for bit."""
+    means, counts = mean_sq_reference(ens.states, ens.alive)
+    for rec in (ens, *records):
+        assert same_bits(rec.mean_sq(), means) and same_bits(rec.n_alive(), counts)
+
+
 class TestEnsembleMoments:
-    """ensemble_moments folds each chunk as it comes; it must equal run_ensemble bit for bit."""
+    """ensemble_moments folds each chunk as it comes and drops it; run_ensemble runs the same
+    fold and keeps every state.  Both must match the whole-array oracle bit for bit."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equals_run_ensemble(self, monkeypatch, workers):
@@ -256,9 +243,10 @@ class TestEnsembleMoments:
         mom = ensemble_moments(gbm_model(), cfg, workers=workers)
         assert 0 < ens.n_diverged < ens.n_paths
         assert (mom.n_paths, mom.n_diverged) == (ens.n_paths, ens.n_diverged)
-        for name in ("times", "instants", "diverged_at", "mean_sq", "n_alive", "terminal", "terminal_alive"):
-            a, b = getattr(ens, name), getattr(mom, name)
-            assert same_bits(*((a(), b()) if callable(a) else (a, b))), name
+        for name in ("times", "instants", "diverged_at", "terminal", "terminal_alive"):
+            assert same_bits(getattr(ens, name), getattr(mom, name)), name
+        assert same_bits(ens.terminal, ens.states[:, -1]) and same_bits(ens.terminal_alive, ens.alive[:, -1])
+        assert_stats_match_reference(ens, mom)
         assert mom.seed == ens.seed
         assert outcome(lambda: estimate_ms_decay(mom)) == outcome(lambda: estimate_ms_decay(ens))
         ea, eb = estimate_as_exponent(ens), estimate_as_exponent(mom)
@@ -272,7 +260,7 @@ class TestEnsembleMoments:
     def test_block_boundaries_bit_identical(self, monkeypatch, block, stride, workers):
         # the kernel hands on blocks of max(2, _WINDOW_NORMALS // rows) stored times
         cfg = dataclasses.replace(gbm_cfg(store_stride=stride, n_paths=22), horizon=7.0)
-        ens = run_ensemble(gbm_model(), cfg)
+        ens = run_ensemble(gbm_model(), cfg)   # one chunk, one block
         monkeypatch.setattr(sim, "_CHUNK", 7)   # three chunks of 7 paths, then one of 1
         monkeypatch.setattr(sim, "_WINDOW_NORMALS", 7 * block)
         # more workers than this machine may have cores, and frequent thread switches,
@@ -282,6 +270,7 @@ class TestEnsembleMoments:
         sys.setswitchinterval(1e-5)
         try:
             mom = ensemble_moments(gbm_model(), cfg, workers=workers)
+            kept = run_ensemble(gbm_model(), cfg, workers=workers)
         finally:
             sys.setswitchinterval(switch)
         # every case but (3, 1) leaves a lone last stored time, which numpy would
@@ -289,9 +278,11 @@ class TestEnsembleMoments:
         assert len(ens.times) == {1: 701, 3: 235}[stride]
         first_dead = np.argmin(ens.alive[ens.diverged], axis=1)   # first dead stored time
         assert np.any(first_dead % block == 0) and np.any(first_dead % block != 0)
-        for name in ("diverged_at", "mean_sq", "n_alive", "terminal", "terminal_alive"):
-            a, b = getattr(ens, name), getattr(mom, name)
-            assert same_bits(*((a(), b()) if callable(a) else (a, b))), name
+        for rec in (mom, kept):
+            for name in ("diverged_at", "terminal", "terminal_alive"):
+                assert same_bits(getattr(ens, name), getattr(rec, name)), name
+        assert same_bits(ens.states, kept.states) and same_bits(ens.alive, kept.alive)
+        assert_stats_match_reference(ens, mom, kept)
 
     def test_failing_chunk_raises_and_hangs_nothing(self, monkeypatch):
         # the third chunk waits for the second before it hands on its stored times
@@ -447,10 +438,6 @@ class TestKernelOracle:
         cfg = SimConfig(schedule=SamplingSchedule.parse("uniform:0.005,0.015"), horizon=2.0,
                         dt_sim=0.0005, n_paths=6, seed=3)
         self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg)))
-        fast, ref = self.both(monkeypatch, lambda: simulate_sampled_path(model, cfg, path_index=4))
-        for field in ("times", "states", "held", "instants"):
-            assert same_bits(getattr(fast, field), getattr(ref, field)), field
-        assert same_bits(fast.diverged_at, ref.diverged_at)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sub1_chunks_and_stride(self, monkeypatch, fixtures, workers):
@@ -475,7 +462,10 @@ class TestKernelOracle:
         )
         cfg = cfg_for(0.05, 0.23, dt_sim=0.005, n_paths=_CHUNK + 5, seed=6)
         assert len(sim._grid_for(cfg)[0].steps) == 46
-        self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg, workers=workers)))
+        fast, ref = self.both(monkeypatch, lambda: run_ensemble(model, cfg, workers=workers))
+        self.assert_ensembles(fast, ref)
+        # |x|^2 is x1^2 + x2^2 + x3^2 added in that order, over 47 stored times in blocks of 16
+        assert_stats_match_reference(fast, ensemble_moments(model, cfg, workers=workers))
 
     def test_em_discrete(self, monkeypatch, rng):
         f, g = rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))
@@ -494,7 +484,7 @@ class TestAliveFlags:
         assert 0 < ens.n_diverged < ens.n_paths
         d = ens.diverged_at[:, None]
         assert np.array_equal(ens.alive, np.isnan(d) | (ens.times[None, :] < d))
-        assert np.array_equal(np.isnan(ens.states), np.repeat(~ens.alive[:, :, None], ens.n, axis=2))
+        assert np.array_equal(np.isnan(ens.states), np.repeat(~ens.alive[:, :, None], ens.states.shape[2], axis=2))
 
 
 class TestCounterNoise:
@@ -524,16 +514,16 @@ class TestCounterNoise:
     @pytest.mark.parametrize("m", [1, 2])
     def test_windows_concatenate(self, m):
         paths = np.array([0, 5, 2**33])
-        whole = _noise(11, paths, 0, 37, m)
+        whole = noise(11, paths, 0, 37, m)
         assert whole.shape == (37, m, 3)
         for a in (1, 6, 18, 36):
-            parts = np.concatenate([_noise(11, paths, 0, a, m), _noise(11, paths, a, 37 - a, m)])
+            parts = np.concatenate([noise(11, paths, 0, a, m), noise(11, paths, a, 37 - a, m)])
             assert np.array_equal(whole, parts)
         # a path's noise does not depend on which other paths share the call
-        assert np.array_equal(whole[..., 1], _noise(11, [5], 0, 37, m)[..., 0])
+        assert np.array_equal(whole[..., 1], noise(11, [5], 0, 37, m)[..., 0])
 
     def test_moments(self):
-        z = _noise(3, np.arange(1000), 0, 1000, 1).ravel()
+        z = noise(3, np.arange(1000), 0, 1000, 1).ravel()
         n = z.size
         assert np.isfinite(z).all()
         assert abs(z.mean()) <= 5 / np.sqrt(n)
@@ -548,8 +538,8 @@ class TestCounterNoise:
         assert ens.states.tobytes() == two.states.tobytes()
         assert ens.alive.tobytes() == two.alive.tobytes()
         for p in (_CHUNK, _CHUNK + 3):
-            path = simulate_sampled_path(m, cfg, path_index=p)
-            assert np.array_equal(path.states, ens.states[p])
+            states, _ = path_row(m, cfg, p)
+            assert np.array_equal(states, ens.states[p])
 
 
 class TestGrid:
@@ -665,13 +655,14 @@ class TestEstimators:
         assert ex.median == pytest.approx(-1.0, abs=1e-3)
 
     def test_exponent_zero_paths_excluded(self):
-        m = decay_model()
-        states = np.zeros((3, 4, 2))
-        states[0] = 1.0  # one healthy path, two at exactly zero
-        ens = TrajectoryEnsemble(
+        terminal = np.zeros((3, 2))
+        terminal[0] = 1.0  # one healthy path, two at exactly zero
+        ens = EnsembleMoments(
             times=np.array([0.0, 0.5, 1.0, 2.0]),
-            states=states,
-            alive=np.ones((3, 4), dtype=bool),
+            sum_sq=np.array([2.0, 2.0, 2.0, 2.0]),
+            alive_counts=np.full(4, 3),
+            terminal=terminal,
+            terminal_alive=np.ones(3, dtype=bool),
             instants=np.array([0.0]),
             seed=0,
             diverged_at=np.full(3, np.nan),
@@ -744,10 +735,10 @@ class TestDeterministicCpsEquality:
             B_bar_explicit=np.array([[-1.0, 0.0], [0.0, -1.0]]), x0=np.array([1.0, -0.5]),
         )
         cfg = SimConfig(schedule=SamplingSchedule.periodic(0.1), horizon=1.0, dt_sim=0.01)
-        direct = simulate_sampled_path(m, cfg)
+        states, direct = path_row(m, cfg)
         times, x, y = cps_reference(m, cfg)
         assert np.array_equal(direct.times, times)
-        assert np.abs(direct.states - x).max() <= 1e-12
+        assert np.abs(states - x).max() <= 1e-12
         assert np.all(y[np.isin(times, direct.instants)] == 0.0)
 
 
@@ -759,15 +750,18 @@ class TestStochasticCpsEquality:
     def test_matches_sampled_path(self, fixtures, name, seed):
         m = load_model(fixtures / f"{name}.json")
         cfg = cfg_for(0.0234, 0.5, seed=seed)
-        direct = simulate_sampled_path(m, cfg, path_index=0)
+        states, direct = path_row(m, cfg)
         times, x, y = cps_reference(m, cfg, path_index=0)
         assert np.array_equal(direct.times, times)
-        assert np.abs(direct.states - x).max() <= 1e-12
+        assert np.abs(states - x).max() <= 1e-12
         at_instants = np.isin(times, direct.instants)
         assert at_instants.sum() == len(direct.instants)
         assert np.all(y[at_instants] == 0.0)
-        # between instants y = x - x(t_*) is what the kernel holds
-        assert np.abs(y - (x - direct.held)).max() <= 1e-12
+        # between instants y = x - x(t_*), the hold the kernel applies, with x(t_*)
+        # the reference's own x at the last instant
+        instant_idx = np.flatnonzero(at_instants)
+        last = instant_idx[np.searchsorted(instant_idx, np.arange(len(times)), side="right") - 1]
+        assert np.abs(y - (x - x[last])).max() <= 1e-12
 
 
 class TestUniformScheduleEnsemble:

@@ -75,12 +75,35 @@ def test_json_written_without_nan(path):
     assert json_dumps_allowing_nan(path.read_text(encoding="utf-8")) == []
 
 
+def einsum_calls(source: str) -> list:
+    """Lines of source that read an attribute named einsum or import that name."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if (isinstance(n, ast.Attribute) and n.attr == "einsum")
+                  or (isinstance(n, ast.ImportFrom) and any(a.name == "einsum" for a in n.names)))
+
+
+def test_scan_flags_einsum():
+    source = (
+        "import numpy as np\n"
+        "a = np.einsum('pi,pi->p', x, x)\n"
+        "b = (x * x).sum(axis=1)\n"
+        "f = np.einsum\n"
+        "from numpy import einsum as e\n"
+    )
+    assert einsum_calls(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_einsum(path):
+    # the summation order of einsum depends on the number of terms and on the memory
+    # layout, while the statistics promise the same bits for any chunking or worker count
+    assert einsum_calls(path.read_text(encoding="utf-8")) == []
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 # public names that no CLI path or benchmark file reaches, each kept for the reason given
 TEST_ONLY_KEPT = {
     "reverify_report": "the README documents it as the way to reproduce a run report from the report alone",
-    "simulate_sampled_path": "one path by index: acceptance criterion 6 and the kernel oracle's held check read it",
-    "SinglePath": "the record simulate_sampled_path returns",
 }
 
 
