@@ -17,12 +17,15 @@ The linear synthesis pipeline follows the recipe behind the design LMIs:
    computing the least feasible gamma1 from the Schur complement of the cross
    block, maximizing the resulting sampling bound.
 
-The planar synthesis uses the same exact rate.  Its rate block is the Ito
-rate inequality with diffusion E1/sqrt(b) and an extra shift b, so Nelder-Mead
-over (K, log b) maximizes 2*alpha(K, b), P solves the rate Lyapunov equation at
-alpha_fraction * alpha_max, and each round of the (l1, l2, c) certificate grid
-is one stacked gamma scan.  Every result is re-verified from raw matrices
-before it is returned.
+The planar loop is a shifted linear Ito loop: the S-procedure weights b and
+c turn the sine envelope E1 into a diffusion and a shift, so its rate block is
+that of A_bar + B K + (b/2) I with diffusion E1/sqrt(b), and its cross block
+the linear one with diffusion E1/sqrt(c) and feedback B_bar - (c/2) I.  The
+planar synthesis therefore runs the same steps on that loop: Nelder-Mead over
+(K, log b) for the exact rate, P from the rate Lyapunov equation at
+alpha_fraction * alpha_max, and the same differential evolution, here over the
+cyber certificate shape and log c, each generation one stacked gamma scan.
+Every result is re-verified from raw matrices before it is returned.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ _GAIN_CAP = 9.9  # |K| bound of the design searches (the quality floor is |K| <=
 _GAMMA_SCAN = (1e-4, 1e6)  # box for gamma1 and gamma2
 _B_RANGE = (5e-3, 20.0)  # planar envelope weight b
 _C_RANGE = (1e-1, 1e3)  # planar envelope weight c
-# linear refinement: differential evolution (Storn & Price, J. Global Optim. 11, 1997) with a fixed
-# seed, so a design is deterministic; _POPSIZE rows per coordinate per generation, then a polish
-_SEARCH_SEED, _POPSIZE, _GENERATIONS, _POLISH_EVALS = 0, 10, 50, 150
+# design search: differential evolution (Storn & Price, J. Global Optim. 11, 1997) with a fixed seed,
+# so a design is deterministic; _POPSIZE rows and _GENERATIONS generations per coordinate, then
+# (linear only) a polish of _POLISH_EVALS evaluations
+_SEARCH_SEED, _POPSIZE, _GENERATIONS, _POLISH_EVALS = 0, 10, 10, 150
 # residual-shape Cholesky entries below the diagonal, and log of it (the best shape found for
 # ex1_sub2_control is nearly singular, with log pivot -7.25)
 _SHAPE_BOX = ((-3.0, 3.0), (-8.0, 3.0))
@@ -76,16 +80,16 @@ def extract_alpha_b(P, P_tilde, B_bar):
     return pencil_max_eig(b.swapaxes(-1, -2) @ P @ b, P_tilde)
 
 
-def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
+def _schur_terms(F, G_list, B_bar, P, P_tilde):
     """Per-certificate constants of the least-gamma1 map, for one certificate or a stack.
 
     With R = Pt^{-1/2} and B^T Pt + Pt B = Pt^{1/2} U diag(mu) U^T Pt^{1/2},
-    the Schur corner is S = Pt^{1/2} U diag(mu + gamma2 - shift22) U^T Pt^{1/2},
-    so F^T Pt S^{-1} Pt F = V^T diag(1/(mu + gamma2 - shift22)) V with
-    V = U^T Pt^{1/2} F.  Returns (floor, d0, W, C): the corner is positive
-    definite exactly for gamma2 > floor = shift22 - min mu, d0 = mu - shift22,
-    W = V P^{-1/2}, and C = P^{-1/2} (sum G^T Pt G + lhs_extra) P^{-1/2}.
-    F, B_bar, P and P_tilde may each be a stack; P^{-1/2} is reused when P_tilde is P.
+    the Schur corner is S = Pt^{1/2} U diag(mu + gamma2) U^T Pt^{1/2}, so
+    F^T Pt S^{-1} Pt F = V^T diag(1/(mu + gamma2)) V with V = U^T Pt^{1/2} F.
+    Returns (floor, d0, W, C): the corner is positive definite exactly for
+    gamma2 > floor = -min mu, d0 = mu, W = V P^{-1/2}, and
+    C = P^{-1/2} (sum G^T Pt G) P^{-1/2}.  F, each G, B_bar, P and P_tilde may
+    each be a stack; P^{-1/2} is reused when P_tilde is P.
     """
     pt, b, f = np.asarray(P_tilde, dtype=float), np.asarray(B_bar), np.asarray(F)
     r = sym_inv_sqrt(pt, "P_tilde")
@@ -94,11 +98,9 @@ def _schur_terms(F, G_list, B_bar, P, P_tilde, lhs_extra=None, shift22=0.0):
     w = u.swapaxes(-1, -2) @ (r @ pt) @ f @ p_r
     c = np.zeros(pt.shape)
     for g in G_list:
-        c = c + np.asarray(g).T @ pt @ np.asarray(g)
-    if lhs_extra is not None:
-        c = c + lhs_extra
-    shift = np.asarray(shift22, dtype=float)
-    return shift - mu[..., 0], mu - shift[..., None], w, p_r @ c @ p_r
+        g = np.asarray(g)
+        c = c + g.swapaxes(-1, -2) @ pt @ g
+    return -mu[..., 0], mu, w, p_r @ c @ p_r
 
 
 def _gamma1_at(terms, gamma2) -> np.ndarray:
@@ -127,16 +129,14 @@ def _best_gamma_pair(
     F, G_list, B_bar, P, P_tilde,
     alpha_bar, alpha_b,
     scan: Tuple[float, float],
-    lhs_extra: Optional[np.ndarray] = None,
-    shift22=0.0,
     coarse: int = 120,
     refine_rounds: int = 3,
 ):
     """Scan gamma2, take the exact least gamma1 per point, maximize the bound.
 
     P_tilde is one cyber certificate or a stack of them along a leading cell
-    axis; F, B_bar and P are per cell (a stack) or shared (one matrix), and
-    alpha_bar, alpha_b, lhs_extra and shift22 per cell or shared.  Each cell
+    axis; F, each G, B_bar and P are per cell (a stack) or shared (one
+    matrix), and alpha_bar and alpha_b per cell or shared.  Each cell
     scans its own gamma2 grid, and each round evaluates every cell's grid at
     once.  Per cell the first maximum wins, and a later round replaces the
     best pair only if it beats it.  Returns (gamma1, gamma2, tau_max): floats
@@ -149,7 +149,7 @@ def _best_gamma_pair(
     pt = np.asarray(P_tilde, dtype=float)
     pt = pt.reshape((-1,) + pt.shape[-2:])
     cells = len(pt)
-    floor, *terms = _schur_terms(F, G_list, B_bar, pt if P_tilde is P else P, pt, lhs_extra, shift22)
+    floor, *terms = _schur_terms(F, G_list, B_bar, pt if P_tilde is P else P, pt)
     start = np.maximum(np.maximum(lo, floor * (1 + 1e-9) + _TINY), _TINY)
     live = np.flatnonzero(start < hi)
     if not live.size:
@@ -284,15 +284,23 @@ def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     return k * (_GAIN_CAP / norm) if norm > _GAIN_CAP else k
 
 
+def _rate_loop(model, k_hat, b=None):
+    """(F, G_list) of the Ito loop whose rate block certifies gain k_hat: (A + B K, the diffusion),
+    or for the planar plant at envelope weight b the shifted loop (A_bar + B K + (b/2) I, [E1/sqrt(b)])."""
+    if isinstance(model, NonlinearPlanarModel):
+        shift = 0.5 * b * np.eye(model.n)
+        return model.A_bar + model.B_hat @ k_hat + shift, [model.envelope / math.sqrt(b)]
+    return model.A + model.B_hat @ k_hat, model.diffusion
+
+
 def _rate_optimal_gain(model):
     """Nelder-Mead for the largest exact rate: (K*, b*, 2*alpha_max, nfev).
 
     A linear plant searches the gain, capped at |K| <= _GAIN_CAP, and b* is
-    None.  The planar plant also searches log b, clipped to _B_RANGE: its rate
-    block is the Ito rate inequality with diffusion E1/sqrt(b) and the extra
-    shift b, so 2*alpha(K, b) = -max Re eig(ito_generator(A_bar + B K,
-    [E1/sqrt(b)])) - b.  A generator or abscissa that is not finite certifies
-    no rate and raises InfeasibleError.
+    None.  The planar plant also searches log b, clipped to _B_RANGE, for
+    2*alpha(K, b) = -max Re eig(ito_generator(*_rate_loop(model, K, b))).  A
+    generator or abscissa that is not finite certifies no rate and raises
+    InfeasibleError.
     """
     from scipy.optimize import minimize
 
@@ -305,16 +313,12 @@ def _rate_optimal_gain(model):
         b = math.exp(min(max(v[-1], log_b[0]), log_b[1])) if planar else None
         return _capped_gain(v[:k_dims], shape), b
 
-    def abscissa(v):  # max Re eig of the generator, plus the planar shift: -2*alpha(K, b)
-        k, b = unpack(v)
-        if planar:
-            gen = ito_generator(model.A_bar + model.B_hat @ k, [model.envelope / math.sqrt(b)])
-        else:
-            gen = ito_generator(model.A + model.B_hat @ k, model.diffusion)
+    def abscissa(v):  # max Re eig of the generator: -2*alpha(K, b)
+        gen = ito_generator(*_rate_loop(model, *unpack(v)))
         lam = np.linalg.eigvals(gen).real.max() if np.isfinite(gen).all() else math.inf
         if not math.isfinite(lam):
             raise InfeasibleError("the mean-square rate generator is not finite: no certifiable rate")
-        return lam + b if planar else lam
+        return lam
 
     z = np.zeros(k_dims + planar)
     # first-round steps: half the gain cap, one unit of log b
@@ -382,40 +386,59 @@ def _unpack_points(z: np.ndarray, model, alpha_max: float):
     return k_hat, _unpack_r_shape(z[:, mh * n: -1], n), alpha_max * fraction
 
 
+def _shape_box(n: int) -> list:
+    """(lo, hi) of each entry of a unit-pivot Cholesky shape, in _unpack_r_shape's order."""
+    return [_SHAPE_BOX[j == i] for i in range(1, n) for j in range(i + 1)]
+
+
 def _search_box(model) -> np.ndarray:
     """(lo, hi) rows of the refinement box: gain entries, residual-shape entries, logit."""
     mh, n = model.B_hat.shape[1], model.n
-    shape = [_SHAPE_BOX[j == i] for i in range(1, n) for j in range(i + 1)]
-    return np.array([(-_GAIN_CAP, _GAIN_CAP)] * (mh * n) + shape + [_LOGIT_BOX]).T
+    return np.array([(-_GAIN_CAP, _GAIN_CAP)] * (mh * n) + _shape_box(n) + [_LOGIT_BOX]).T
 
 
-def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter):
+def _objective(score, calls: Counter):
+    """-tau of each column of z by score (one point per row, tau -inf where rejected), 10 where
+    rejected: one stacked call, counted in calls["stacks"] and its points in calls["rows"]."""
+    def objective(z):
+        calls["rows"] += z.shape[1]
+        calls["stacks"] += 1
+        tau = score(z.T)
+        return np.where(np.isfinite(tau), -tau, 10.0)
+
+    return objective
+
+
+def _evolve(objective, lo, hi, z0=None):
+    """Fixed-seed differential evolution over the box [lo, hi] from z0 clipped into it: _GENERATIONS
+    generations per coordinate, each of _POPSIZE points per coordinate in one objective call."""
+    from scipy.optimize import differential_evolution
+
+    return differential_evolution(
+        objective, np.column_stack([lo, hi]), maxiter=_GENERATIONS * len(lo), popsize=_POPSIZE,
+        tol=0.0, rng=_SEARCH_SEED, polish=False, x0=None if z0 is None else np.clip(z0, lo, hi),
+        updating="deferred", vectorized=True,
+    )
+
+
+def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter, calls: Counter):
     """Differential evolution over (gain, residual shape, rate), then a Nelder-Mead polish.
 
     The search seeds (k0, R = I, logit(fraction)), clipped into the box, and
     scores each generation in one stacked call; the polish scores one point
-    per call.  `rejected` counts rejected rows per reason and stacked calls
-    under 'stacks'.  Returns (gain, P, alpha_bar), or None if no candidate
-    certified a bound, and the number of rows scored.
+    per call.  `rejected` counts rejected rows per reason, and `calls` the
+    stacked calls and rows scored.  Returns (gain, P, alpha_bar), or None if
+    no candidate certified a bound.
     """
-    from scipy.optimize import differential_evolution, minimize
+    from scipy.optimize import minimize
 
-    rows = 0
-
-    def objective(z):  # -tau of each column of z, 10 where rejected: one stacked call
-        nonlocal rows
-        rows += z.shape[1]
-        rejected["stacks"] += 1
-        tau = _bound_for_gain(model, *_unpack_points(z.T, model, alpha_max), rejected)[0]
-        return np.where(np.isfinite(tau), -tau, 10.0)
-
+    objective = _objective(
+        lambda z: _bound_for_gain(model, *_unpack_points(z, model, alpha_max), rejected)[0], calls
+    )
     lo, hi = _search_box(model)
     r_dims = len(lo) - np.size(k0) - 1
     z0 = np.concatenate([np.ravel(k0), np.zeros(r_dims), [math.log(fraction / (1.0 - fraction))]])
-    de = differential_evolution(
-        objective, np.column_stack([lo, hi]), maxiter=_GENERATIONS, popsize=_POPSIZE, tol=0.0,
-        rng=_SEARCH_SEED, polish=False, x0=np.clip(z0, lo, hi), updating="deferred", vectorized=True,
-    )
+    de = _evolve(objective, lo, hi, z0)
     steps = np.maximum(de.population.std(axis=0), 1e-6)  # the polish simplex spans the final spread
     res = minimize(
         lambda z: float(objective(z[:, None])[0]), de.x, method="Nelder-Mead",
@@ -424,7 +447,7 @@ def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter
     )
     k_hat, r_mat, alpha_bar = _unpack_points(res.x[None], model, alpha_max)  # the polish keeps its best
     tau, p = _bound_for_gain(model, k_hat, r_mat, alpha_bar, Counter())
-    return ((k_hat[0], p[0], float(alpha_bar[0])) if np.isfinite(tau[0]) else None), rows
+    return (k_hat[0], p[0], float(alpha_bar[0])) if np.isfinite(tau[0]) else None
 
 
 def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
@@ -480,16 +503,15 @@ def synthesize_feedback(
     t1 = time.perf_counter()
     # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
-    point, refine_nfev = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected)
-    stacks = rejected.pop("stacks", 0)
+    calls = Counter()
+    point = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected, calls)
     t2 = time.perf_counter()
     result = None if point is None else _finish_linear_design(model, *point)
     fallback = result is None
     if fallback:
         # closed-form candidate: the rate Lyapunov solve at K* with R = I
         alpha_bar = options.alpha_fraction * alpha_max
-        p = solve_rate_lyapunov(model.A + model.B_hat @ k_star, model.diffusion, 2.0 * alpha_bar,
-                                np.eye(model.n))
+        p = solve_rate_lyapunov(*_rate_loop(model, k_star), 2.0 * alpha_bar, np.eye(model.n))
         if np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails
             result = _finish_linear_design(model, k_star, p, alpha_bar)
     if result is None:
@@ -500,8 +522,8 @@ def synthesize_feedback(
         "fallback": float(fallback),
         "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
                     "finish": time.perf_counter() - t2},
-        "nfev": {"rate_search": float(rate_nfev), "refine": float(refine_nfev)},
-        "stacks": {"refine": float(stacks)},
+        "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
+        "stacks": {"refine": float(calls["stacks"])},
         "rejected": {k: float(v) for k, v in rejected.items()},
     })
     return result
@@ -511,54 +533,27 @@ def synthesize_feedback(
 # nonlinear planar synthesis
 # ---------------------------------------------------------------------------
 
-def _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, rejected: Counter):
-    """Maximize the bound over the cyber certificate shape P_tilde and weight c.
+def _cyber_scores(model, k_hat, p, alpha_bar, z):
+    """(P_tilde, c, alpha_b, (gamma1, gamma2, tau)) per row of z = (P_tilde shape, log c).
 
-    P_tilde enters the bound scale-free, so it is parameterized by a unit
-    Cholesky factor [[1, 0], [l1, l2]].  Each round stacks its whole
-    (l1, l2, c) grid along the cell axis of one gamma scan, which takes the
-    exact least gamma1 per gamma2 from the Schur pencil; the next round
-    refines around the best cell so far.  Returns the successive best cells,
-    in increasing tau, as (tau, P_tilde, alpha_b, gamma1, gamma2, c), and the
-    number of cells evaluated.  Cells with no feasible gamma pair in the box
-    are counted in rejected["gamma_box"].
+    At a fixed planar gain, P and alpha_bar, the cross block at weight c is
+    the linear cross block with diffusion E1/sqrt(c) and feedback
+    B_bar - (c/2) I, so a stack of rows is one gamma scan.  tau is -inf (and
+    the pair NaN) where a row has no feasible gamma pair in the scan box.
     """
-    e1 = model.envelope
-    c_lo, c_hi = _C_RANGE
-    l1g = np.linspace(-4.0, 4.0, 9)
-    l2g = np.exp(np.linspace(math.log(0.02), math.log(5.0), 9))
-    cg = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), 9))
-    best, cells = [], 0
-    for _ in range(3):
-        l1, l2, c = (v.ravel() for v in np.meshgrid(l1g, l2g, cg, indexing="ij"))
-        pt = np.empty((l1.size, 2, 2))
-        pt[:, 0, 0] = 1.0
-        pt[:, 0, 1] = pt[:, 1, 0] = l1
-        pt[:, 1, 1] = l1 * l1 + l2 * l2
-        alpha_b = np.maximum(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
-        cells += l1.size
-        try:
-            g1, g2, tau = _best_gamma_pair(
-                a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
-                lhs_extra=(e1.T @ pt @ e1) / c[:, None, None], shift22=c,
-                coarse=40, refine_rounds=1,
-            )
-        except InfeasibleError:
-            tau = np.full(l1.size, -np.inf)
-        rejected["gamma_box"] += int(np.isinf(tau).sum())
-        i = int(np.argmax(tau))
-        if np.isfinite(tau[i]) and (not best or tau[i] > best[-1][0]):
-            best.append((float(tau[i]), pt[i], float(alpha_b[i]), float(g1[i]), float(g2[i]), float(c[i])))
-            l1c, l2c, cc = l1[i], l2[i], c[i]
-        if not best:
-            break
-        dl = l1g[1] - l1g[0]
-        l1g = np.linspace(l1c - dl, l1c + dl, 7)
-        r2 = l2g[1] / l2g[0]
-        l2g = np.exp(np.linspace(math.log(l2c / r2), math.log(l2c * r2), 7))
-        rc = cg[1] / cg[0]
-        cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
-    return best, cells
+    n = model.n
+    b_bar = model.B_hat @ k_hat
+    pt, c = _unpack_r_shape(z[:, :-1], n), np.exp(z[:, -1])
+    alpha_b = np.maximum(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
+    try:
+        pair = _best_gamma_pair(
+            model.A_bar + b_bar, [model.envelope / np.sqrt(c)[:, None, None]],
+            b_bar - 0.5 * c[:, None, None] * np.eye(n), p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
+            coarse=40, refine_rounds=1,
+        )
+    except InfeasibleError:  # no row has a feasible pair
+        pair = (np.full(len(z), np.nan), np.full(len(z), np.nan), np.full(len(z), -np.inf))
+    return pt, c, alpha_b, pair
 
 
 def synthesize_nonlinear_planar(
@@ -567,14 +562,12 @@ def synthesize_nonlinear_planar(
 ) -> DesignResult:
     """Gain synthesis for the planar sine-envelope plant.
 
-    Nelder-Mead over (K, log b) maximizes the exact rate 2*alpha(K, b) of the
-    planar rate block; alpha_bar is options.alpha_fraction of its maximum and
-    P solves the rate Lyapunov equation there with residual I.  The cyber
-    certificate shape and weight c are then searched to maximize the
-    sampling bound, and the best candidate that passes re-verification at
-    tol=0 is returned.  Raises InfeasibleError if no gain with
-    |K| <= _GAIN_CAP and b in _B_RANGE gives a positive rate, or if no
-    candidate verifies.
+    Nelder-Mead over (K, log b) maximizes the exact rate of the shifted loop
+    _rate_loop(model, K, b); P solves its rate Lyapunov equation with residual
+    I at alpha_bar = options.alpha_fraction of the maximum.  The design's
+    differential evolution then searches the cyber certificate shape and log c.
+    Raises InfeasibleError if no gain with |K| <= _GAIN_CAP and b in _B_RANGE
+    gives a positive rate, or if the best point does not verify at tol=0.
     """
     options = options or DesignOptions()
     model = model or NonlinearPlanarModel(name="planar")
@@ -589,37 +582,41 @@ def synthesize_nonlinear_planar(
             f"over |K| <= {_GAIN_CAP} and b in {_B_RANGE}"
         )
     alpha_bar = 0.5 * options.alpha_fraction * two_alpha_max
-    b_bar = model.B_hat @ k_hat
-    a_tilde = model.A_bar + b_bar
-    p = solve_rate_lyapunov(a_tilde, [model.envelope / math.sqrt(b)], b + 2.0 * alpha_bar, np.eye(2))
+    p = solve_rate_lyapunov(*_rate_loop(model, k_hat, b), 2.0 * alpha_bar, np.eye(model.n))
     if not np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails too
         raise InfeasibleError("the planar rate Lyapunov solve is singular or indefinite")
     p = p * (model.n / float(np.trace(p)))
     t1 = time.perf_counter()
-    rejected = Counter({"gamma_box": 0, "verify": 0})
-    candidates, cells = _planar_gamma_search(model, p, b_bar, a_tilde, alpha_bar, rejected)
+    rejected, calls = Counter({"gamma_box": 0}), Counter()
+
+    def score(z):
+        tau = _cyber_scores(model, k_hat, p, alpha_bar, z)[3][2]
+        rejected["gamma_box"] += int(np.isinf(tau).sum())
+        return tau
+
+    lo, hi = np.array(_shape_box(model.n) + [tuple(np.log(_C_RANGE))]).T
+    best = _evolve(_objective(score, calls), lo, hi).x  # no prior point to seed it with
     t2 = time.perf_counter()
-    for _, pt, alpha_b, g1, g2, c in reversed(candidates):
-        cert = LmiCertificate(
-            alpha_bar=alpha_bar, P=p, P_tilde=pt,
-            alpha_b=alpha_b, gamma1=g1, gamma2=g2, b=b, c=c, K_hat=k_hat,
-        )
-        if verify_planar_certificate(model, cert, tol=0.0).passed:
-            break
-        rejected["verify"] += 1
-    else:
-        raise InfeasibleError("no feasible planar candidate over the (l1, l2, c) box passed re-verification")
-    constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
+    pt, c, alpha_b, (g1, g2, _) = _cyber_scores(model, k_hat, p, alpha_bar, best[None])
+    if not np.isfinite(g1[0]):
+        raise InfeasibleError("no (P_tilde, c) in the search box has a feasible gamma pair")
+    cert = LmiCertificate(
+        alpha_bar=alpha_bar, P=p, P_tilde=pt[0], alpha_b=float(alpha_b[0]),
+        gamma1=float(g1[0]), gamma2=float(g2[0]), b=b, c=float(c[0]), K_hat=k_hat,
+    )
+    if not verify_planar_certificate(model, cert, tol=0.0).passed:
+        raise InfeasibleError("the best planar certificate failed re-verification")
+    constants = cert.two_function_constants
     return DesignResult(
         gain=k_hat, certificate=cert, constants=constants,
         bound=emulation_bound_two(constants),
         trace={
-            "b": b, "c": c, "gain_norm": float(np.linalg.norm(k_hat)),
+            "b": b, "c": cert.c, "gain_norm": float(np.linalg.norm(k_hat)),
             "two_alpha_max": two_alpha_max, "alpha_fraction": options.alpha_fraction,
-            "cells": float(cells),
-            "stage_s": {"rate_search": t1 - t0, "gamma_search": t2 - t1,
+            "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
                         "finish": time.perf_counter() - t2},
-            "nfev": {"rate_search": float(rate_nfev)},
+            "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
+            "stacks": {"refine": float(calls["stacks"])},
             "rejected": {k: float(v) for k, v in rejected.items()},
         },
     )

@@ -5,7 +5,8 @@ explicitly assembled symmetric block matrix, so "margin <= 0" is the matrix
 inequality itself.  The blocks are those of the analysis form (P, P_tilde,
 K_hat); a design-form (Q, Y, c_tilde) file is checked as P = Q^{-1},
 P_tilde = c_tilde Q^{-1}, K_hat = Y Q^{-1}, since its LMIs are congruences of
-these.  File certificates are typically printed to 4-5 significant digits,
+these, and a planar certificate through the same blocks of a shifted loop.
+File certificates are typically printed to 4-5 significant digits,
 so PASS compares each margin against tol * (1 + ||M||_F) with a relative tol
 (default 1e-2), in one margin loop, `_outcome`.
 """
@@ -228,27 +229,6 @@ def assemble_cross_block(F, G_list, B_bar, P, P_tilde, gamma1: float, gamma2: fl
     return 0.5 * (m + m.T)
 
 
-def assemble_planar_rate(A_tilde, E1, P, alpha_bar: float, b: float) -> np.ndarray:
-    if b <= 0:
-        raise DomainError("envelope weight b must be positive")
-    p = np.asarray(P)
-    m = A_tilde.T @ p + p @ A_tilde + b * p + (1.0 / b) * E1.T @ p @ E1 + 2.0 * alpha_bar * p
-    return 0.5 * (m + m.T)
-
-
-def assemble_planar_cross(
-    A_tilde, E1, B_bar, P, P_tilde, gamma1: float, gamma2: float, c: float
-) -> np.ndarray:
-    if c <= 0:
-        raise DomainError("envelope weight c must be positive")
-    p, pt = np.asarray(P), np.asarray(P_tilde)
-    m = np.block([
-        [(1.0 / c) * E1.T @ pt @ E1 - gamma1 * p, A_tilde.T @ pt],
-        [pt @ A_tilde, -B_bar.T @ pt - pt @ B_bar + c * pt - gamma2 * pt],
-    ])
-    return 0.5 * (m + m.T)
-
-
 # ---------------------------------------------------------------------------
 # margin-level verification
 # ---------------------------------------------------------------------------
@@ -347,23 +327,30 @@ def verify_analysis_certificate(
 def verify_planar_certificate(
     model: NonlinearPlanarModel, cert: LmiCertificate, tol: float = 1e-2
 ) -> VerificationOutcome:
-    """Check the nonlinear planar certificate (envelope weights b and c required)."""
+    """Check the nonlinear planar certificate (envelope weights b and c required).
+
+    Weights (b, c) turn the sine envelope E1 into a diffusion and a shift: the
+    rate block is the Ito rate block of A_tilde + (b/2) I with diffusion
+    E1/sqrt(b), and the cross block the linear one with diffusion E1/sqrt(c)
+    and feedback B_bar - (c/2) I.
+    """
     for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c"):
         if getattr(cert, name) is None:
             raise ValidationError(f"planar certificate is missing {name}")
     gain = run_gain(model, cert)
     if gain is None:
         raise ValidationError("planar certificate needs a gain (K_hat)")
+    if not (cert.b > 0.0 and cert.c > 0.0):
+        raise DomainError("envelope weights b and c must be positive")
     work = model.with_gain(gain)
     b_bar = work.B_bar
     a_tilde = work.A_bar + b_bar
-    e1 = work.envelope
+    e1, half = work.envelope, 0.5 * np.eye(2)
     blocks = {
-        "rate": assemble_planar_rate(a_tilde, e1, cert.P, cert.alpha_bar, cert.b),
+        "rate": assemble_lyapunov_ito(a_tilde + cert.b * half, [e1 / np.sqrt(cert.b)], cert.P, cert.alpha_bar),
         "feedback_energy": assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b),
-        "cross": assemble_planar_cross(
-            a_tilde, e1, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2, cert.c
-        ),
+        "cross": assemble_cross_block(a_tilde, [e1 / np.sqrt(cert.c)], b_bar - cert.c * half,
+                                      cert.P, cert.P_tilde, cert.gamma1, cert.gamma2),
     }
     return _outcome(blocks, tol, "planar", cert.two_function_constants)
 

@@ -36,6 +36,8 @@ divergence screen write into buffers of the chunk.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
 at a time, and never on more threads than the CPUs the process may run on.
+A chunk of one path runs beside a copy of itself, so a path's states depend
+only on the model, schedule, seed and path index, not on the path count.
 The kernel hands its stored states on in blocks of stored times, path-major,
 and a chunk hands on a block only after the chunk before it has handed on
 those stored times.  One fold adds each block's |x|^2 (the squares summed in
@@ -480,19 +482,23 @@ def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
     def work(c):
         rows = slice(starts[c], min(starts[c] + _CHUNK, cfg.n_paths))
         sink = sink_for(rows)
+        npaths = rows.stop - rows.start
+        # numpy multiplies a (1, n) state by another kernel than a (k, n) one, and the
+        # last bits differ: a lone path runs beside a copy of itself, which is dropped
+        paths = np.arange(rows.start, rows.stop).repeat(2 if npaths == 1 else 1)
 
         def in_turn(s0, states, alive):
             s1 = s0 + states.shape[1]
             with turn:
                 turn.wait_for(lambda: c == 0 or handed[c - 1] >= s1)
-            sink(s0, states, alive)
+            sink(s0, states[:npaths], alive[:npaths])
             with turn:
                 handed[c] = s1
                 turn.notify_all()
 
         try:
-            return rows, _integrate_chunk(model, b_bar, grid, x0, np.arange(rows.start, rows.stop),
-                                          cfg.seed, store_idx, in_turn)
+            died = _integrate_chunk(model, b_bar, grid, x0, paths, cfg.seed, store_idx, in_turn)
+            return rows, died[:npaths]
         finally:
             with turn:
                 handed[c] = nstore

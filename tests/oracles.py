@@ -3,9 +3,8 @@
 These deliberately re-derive every quantity from scratch (plain bisection,
 brute-force grids, sphere sampling, cyclic Jacobi rotations in place of
 LAPACK, a symmetric-basis Lyapunov solve) so they share no code with the
-implementation paths they check.  There are three exceptions: planar_gamma_loop reuses the single-cell
-gamma scan to check only how the planar search stacks its cells, bound_for_gain reuses it to check
-only how the linear design stacks its candidates, and em_reference and
+implementation paths they check.  There are two exceptions: bound_for_gain reuses the single-cell
+gamma scan to check only how the linear design stacks its candidates, and em_reference and
 cps_reference step on the simulator's own grid, since agreement path by path is what they
 check.  Their drift comes from the plain formulas (drift_reference) and their normals from
 noise_reference, a Philox generator with one array per word and np.stack Box-Muller.
@@ -216,49 +215,26 @@ def design_rate_block(A, G_list, B_hat, Q, Y, alpha_bar):
     return np.block(rows)
 
 
-def planar_gamma_loop(model, p, b_bar, a_tilde, alpha_bar):
-    """The planar (l1, l2, c) certificate search one cell at a time.
+def planar_rate_block(A_tilde, E1, P, alpha_bar, b):
+    """The planar rate block as the paper writes it, with the S-procedure weight b:
+    A~^T P + P A~ + b P + (1/b) E1^T P E1 + 2 alpha P.  Verification assembles
+    it as the Ito rate block of A~ + (b/2) I with diffusion E1/sqrt(b)."""
+    p = np.asarray(P, dtype=float)
+    m = A_tilde.T @ p + p @ A_tilde + b * p + (1.0 / b) * E1.T @ p @ E1 + 2.0 * alpha_bar * p
+    return 0.5 * (m + m.T)
 
-    Same grids, refinement and first-maximum rule as the stacked search, but
-    each cell makes its own single-certificate gamma scan, so it checks only
-    the stacking; the scan itself is checked against a per-point loop in
-    test_design.  Returns (tau, P_tilde, alpha_b, gamma1, gamma2, c) of the
-    best cell, or None when no cell is feasible.
-    """
-    from sdstab.design import _C_RANGE, _GAMMA_SCAN, _INFLATE, _TINY, _best_gamma_pair, extract_alpha_b
-    from sdstab.errors import InfeasibleError
 
-    e1 = model.envelope
-    c_lo, c_hi = _C_RANGE
-    l1g = np.linspace(-4.0, 4.0, 9)
-    l2g = np.exp(np.linspace(math.log(0.02), math.log(5.0), 9))
-    cg = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), 9))
-    best = center = None
-    for _ in range(3):
-        for l1 in l1g:
-            for l2 in l2g:
-                for c in cg:
-                    pt = np.array([[1.0, l1], [l1, l1 * l1 + l2 * l2]])
-                    alpha_b = max(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
-                    try:
-                        g1, g2, tau = _best_gamma_pair(
-                            a_tilde, (), b_bar, p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
-                            lhs_extra=(e1.T @ pt @ e1) / c, shift22=c, coarse=40, refine_rounds=1,
-                        )
-                    except InfeasibleError:
-                        continue
-                    if best is None or tau > best[0]:
-                        best, center = (tau, pt, alpha_b, g1, g2, float(c)), (l1, l2, c)
-        if best is None:
-            return None
-        l1c, l2c, cc = center
-        dl = l1g[1] - l1g[0]
-        l1g = np.linspace(l1c - dl, l1c + dl, 7)
-        r2 = l2g[1] / l2g[0]
-        l2g = np.exp(np.linspace(math.log(l2c / r2), math.log(l2c * r2), 7))
-        rc = cg[1] / cg[0]
-        cg = np.exp(np.linspace(math.log(max(cc / rc, c_lo)), math.log(min(cc * rc, c_hi)), 7))
-    return best
+def planar_cross_block(A_tilde, E1, B_bar, P, P_tilde, gamma1, gamma2, c):
+    """The planar cross block as the paper writes it, with the S-procedure weight c:
+    [[(1/c) E1^T Pt E1 - gamma1 P, A~^T Pt], [Pt A~, -B^T Pt - Pt B + c Pt - gamma2 Pt]].
+    Verification assembles it as the linear cross block with diffusion
+    E1/sqrt(c) and feedback B_bar - (c/2) I."""
+    p, pt = np.asarray(P, dtype=float), np.asarray(P_tilde, dtype=float)
+    m = np.block([
+        [(1.0 / c) * E1.T @ pt @ E1 - gamma1 * p, A_tilde.T @ pt],
+        [pt @ A_tilde, -B_bar.T @ pt - pt @ B_bar + c * pt - gamma2 * pt],
+    ])
+    return 0.5 * (m + m.T)
 
 
 def bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import sdstab.lmi as lmi
 from sdstab.design import DesignOptions, synthesize_feedback, synthesize_nonlinear_planar
@@ -19,7 +20,7 @@ from sdstab.lmi import (
 from sdstab.models import LinearSampledModel, NonlinearPlanarModel, load_model
 from sdstab.numerics import is_pos_def, lam_max
 
-from oracles import bisect, design_rate_block, jacobi_eigh
+from oracles import bisect, design_rate_block, jacobi_eigh, planar_cross_block, planar_rate_block
 
 
 def random_hurwitz(rng, n):
@@ -216,21 +217,56 @@ class TestReportedCertificates:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_planar_margin_continuity_in_b(self, fixtures):
-        from sdstab.lmi import assemble_planar_rate
-
-        model = load_model(fixtures / "planar.json").with_gain(
-            np.array([[-27.5776, -8.2817]])
-        )
-        p = np.array([[3.0050, 0.4509], [0.4509, 0.0983]])
-        a_tilde = model.A_bar + model.B_bar
+        model = load_model(fixtures / "planar.json")
+        cert = load_certificate(fixtures / "cert_planar.json")
         bs = np.linspace(0.3, 0.7, 81)
-        vals = np.array([
-            lam_max(assemble_planar_rate(a_tilde, model.envelope, p, 3.4369, float(b)))
-            for b in bs
-        ])
+        outs = [verify_planar_certificate(model, dataclasses.replace(cert, b=float(b))) for b in bs]
+        vals = np.array([out.margins["rate"] for out in outs])
         # d margin / d b is bounded by ||P|| + ||E1' P E1|| / b^2 on this range
-        lip = np.linalg.norm(p, 2) + np.linalg.norm(model.envelope.T @ p @ model.envelope, 2) / 0.3**2
+        p, e1 = cert.P, model.envelope
+        lip = np.linalg.norm(p, 2) + np.linalg.norm(e1.T @ p @ e1, 2) / 0.3**2
         assert np.abs(np.diff(vals)).max() <= lip * (bs[1] - bs[0]) * 1.01
+        a_tilde = model.A_bar + model.B_hat @ cert.K_hat
+        for b, out in zip(bs, outs):  # the margin is that of the paper's block
+            want = lam_max(planar_rate_block(a_tilde, e1, p, cert.alpha_bar, b))
+            assert abs(out.margins["rate"] - want) <= 1e-12 * out.scales["rate"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+        log_b=st.floats(-6.0, 4.0), log_c=st.floats(-3.0, 8.0),
+    )
+    def test_planar_margins_match_the_paper_blocks(self, seed, k, log_b, log_c):
+        # the shifted linear Ito blocks verify assembles are the paper's planar blocks
+        rng = np.random.default_rng(seed)
+        p, pt = (m @ m.T + 0.1 * np.eye(2) for m in rng.normal(size=(2, 2, 2)))
+        b, c = np.exp(log_b), np.exp(log_c)
+        alpha_bar, alpha_b, g1, g2 = np.exp(rng.uniform(-3.0, 3.0, 4))
+        gain = np.array([k])
+        cert = LmiCertificate(alpha_bar=alpha_bar, P=p, P_tilde=pt, alpha_b=alpha_b,
+                              gamma1=g1, gamma2=g2, b=b, c=c, K_hat=gain)
+        model = NonlinearPlanarModel(name="planar")
+        b_bar = model.B_hat @ gain
+        a_tilde, e1 = model.A_bar + b_bar, model.envelope
+        want = {
+            "rate": planar_rate_block(a_tilde, e1, p, alpha_bar, b),
+            "feedback_energy": b_bar.T @ p @ b_bar - alpha_b * pt,
+            "cross": planar_cross_block(a_tilde, e1, b_bar, p, pt, g1, g2, c),
+        }
+        out = verify_planar_certificate(model, cert, tol=0.0)
+        assert set(out.margins) == set(want)
+        for name, m in want.items():
+            m = 0.5 * (m + m.T)
+            assert abs(out.margins[name] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * (1.0 + np.linalg.norm(m))
+
+    @pytest.mark.parametrize("field", ["b", "c"])
+    def test_planar_weights_must_be_positive(self, fixtures, field):
+        model = load_model(fixtures / "planar.json")
+        cert = load_certificate(fixtures / "cert_planar.json")
+        for value in (0.0, -1.0):
+            with pytest.raises(DomainError, match="must be positive"):
+                verify_certificate(model, dataclasses.replace(cert, **{field: value}))
 
 
 class TestCertificateSchema:

@@ -541,6 +541,19 @@ class TestCounterNoise:
             states, _ = path_row(m, cfg, p)
             assert np.array_equal(states, ens.states[p])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_does_not_depend_on_path_count(self, fixtures, workers):
+        # a path's bits depend only on (model, schedule, seed, path index); a one-path
+        # chunk (1 path, or _CHUNK + 1) multiplied its (1, n) state by another numpy
+        # kernel, and its last bits moved from stored time 227 of this horizon on
+        m = load_model(fixtures / "ex1_sub1.json")
+        cfg = cfg_for(0.0234, 1.0, seed=7)
+        ref = run_ensemble(m, dataclasses.replace(cfg, n_paths=_CHUNK + 2), workers=workers)
+        for n in (1, 2, 3, 5, 64, _CHUNK + 1):
+            ens = run_ensemble(m, dataclasses.replace(cfg, n_paths=n), workers=workers)
+            for name in ("states", "alive", "diverged_at"):
+                assert same_bits(getattr(ens, name), getattr(ref, name)[:n]), (n, name)
+
 
 class TestGrid:
     @pytest.mark.parametrize("schedule, horizon", [
