@@ -53,6 +53,7 @@ from .models import (
     load_model,
     model_from_dict,
     model_to_dict,
+    read_input,
 )
 from .sim import (
     SimConfig,
@@ -62,6 +63,8 @@ from .sim import (
     export_ensemble_stats_csv,
     export_trajectories_csv,
     run_ensemble,
+    _BLOCK,
+    _WINDOW,
     _sq_norm,
 )
 
@@ -78,12 +81,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read_input(report: dict, name: str, path, what: str) -> bytes:
+    """The bytes of an input file, read once: the command parses these bytes,
+    and their sha256 goes in report["inputs"][name]."""
+    data = read_input(path, what)
+    report["inputs"][name] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return data
 
 
 def _report_skeleton(command, args_list) -> dict:
@@ -250,12 +253,8 @@ def _plain(obj):
 
 def cmd_verify(args, argv) -> int:
     report = _report_skeleton("verify", argv)
-    model = load_model(args.model)
-    cert = load_certificate(args.cert)
-    report["inputs"] = {
-        "model": {"path": str(args.model), "sha256": _sha256(args.model)},
-        "cert": {"path": str(args.cert), "sha256": _sha256(args.cert)},
-    }
+    model = load_model(args.model, _read_input(report, "model", args.model, "model"))
+    cert = load_certificate(args.cert, _read_input(report, "cert", args.cert, "certificate"))
     t0 = time.perf_counter()
     outcome = verify_certificate(model, cert, tol=args.tol)
     report["results"] = {
@@ -314,8 +313,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def cmd_design(args, argv) -> int:
     report = _report_skeleton("design", argv)
-    model = load_model(args.model)
-    report["inputs"] = {"model": {"path": str(args.model), "sha256": _sha256(args.model)}}
+    model = load_model(args.model, _read_input(report, "model", args.model, "model"))
     options = DesignOptions(alpha_fraction=args.alpha_fraction)
     t0 = time.perf_counter()
     if isinstance(model, NonlinearPlanarModel):
@@ -354,11 +352,9 @@ def cmd_design(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     report = _report_skeleton("simulate", argv)
-    model = load_model(args.model)
-    report["inputs"] = {"model": {"path": str(args.model), "sha256": _sha256(args.model)}}
+    model = load_model(args.model, _read_input(report, "model", args.model, "model"))
     if args.cert:
-        cert = load_certificate(args.cert)
-        report["inputs"]["cert"] = {"path": str(args.cert), "sha256": _sha256(args.cert)}
+        cert = load_certificate(args.cert, _read_input(report, "cert", args.cert, "certificate"))
         gain = run_gain(model, cert)  # refuses a certificate gain other than the one run
         if gain is not None:
             model = model.with_gain(gain)
@@ -391,6 +387,9 @@ def cmd_simulate(args, argv) -> int:
         "horizon": args.horizon,
         "dt_sim": dt_sim,
         "seed": args.seed,
+        # the normals of a seed are those of this numpy: NEP 19 fixes the raw Philox words
+        # across numpy versions, but not Generator.standard_normal
+        "noise": {"B": _BLOCK, "W": _WINDOW, "numpy": np.__version__},
         "terminal_mean_sq": None if np.isnan(terminal) else terminal,
         "terminal_mean_sq_se": _terminal_mean_sq_se(ens),
     }

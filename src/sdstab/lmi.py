@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import TwoFunctionConstants, emulation_bound_two
 from .errors import DomainError, FormatError, ValidationError
-from .models import LinearSampledModel, Model, NonlinearPlanarModel
+from .models import LinearSampledModel, Model, NonlinearPlanarModel, read_json
 from .numerics import is_pos_def, lam_max
 
 _CERT_KEYS = {
@@ -166,15 +166,9 @@ class LmiCertificate:
         return out
 
 
-def load_certificate(path) -> LmiCertificate:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"cannot read certificate file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"certificate file {path} is not valid JSON: {exc}") from exc
-    return LmiCertificate.from_dict(doc)
+def load_certificate(path, data: Optional[bytes] = None) -> LmiCertificate:
+    """Load a certificate file, from data, its bytes, when the caller has read them."""
+    return LmiCertificate.from_dict(read_json(path, "certificate", data))
 
 
 def save_certificate(cert: LmiCertificate, path) -> None:

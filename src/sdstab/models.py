@@ -381,13 +381,26 @@ def model_from_dict(doc: dict) -> Model:
     )
 
 
-def load_model(path) -> Model:
-    """Load and validate a model file (see module docstring for the schema)."""
+def read_input(path, what: str) -> bytes:
+    """The bytes of the input file at path; an unreadable file is a FormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
-        raise FormatError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+        raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_json(path, what: str, data: Optional[bytes] = None):
+    """The JSON document of the input file at path, parsed from data, its bytes, when given."""
+    if data is None:
+        data = read_input(path, what)
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:   # undecodable bytes or invalid JSON
+        raise FormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_model(path, data: Optional[bytes] = None) -> Model:
+    """Load and validate a model file (see module docstring for the schema),
+    from data, its bytes, when the caller has read them."""
+    return model_from_dict(read_json(path, "model", data))

@@ -1,21 +1,20 @@
 """Euler-Maruyama simulation of sampled-data loops.
 
-Brownian increments are counter-addressed: normal k = step * m + j of path p
-is a pure function of (seed, p, k), so every path's increments are
-reproducible independently of chunking, worker count, or execution order.
-Its raw words come from Philox4x64-10 (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11), numpy's Philox bit generator under
-the key (seed mod 2^64, p): normal k is word k mod 4 of counter block k // 4,
-where block b equals np.random.Philox(key=(seed, p), counter=b).random_raw(4).
-Box-Muller turns each word pair (0, 1) and (2, 3) of a block into two
-normals, so every block yields exactly four.  The generator is written in
-numpy uint64 array arithmetic, so a whole chunk of paths draws its noise in
-one vectorized pass that releases the GIL, a window of steps at a time.  The
-two words a round multiplies ride on one leading lane axis and paths run
-along the last axis, so each pass is one in-place ufunc over contiguous
-rows, in word arrays allocated once per chunk; Box-Muller writes the normals
-time-major, and the kernel scales each window by sqrt(h) in place.
-Random sampling instants come from a numpy generator on a stream of their own.
+Brownian increments are counter-addressed: normal j of step k of path p is
+entry ((p mod B) W + (k mod W)) m + j of the stream (seed, p // B, k // W),
+the standard normals of numpy's Philox generator (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) under the key (seed mod 2^64,
+p // B) from the counter (0, k // W, 0, 0), drawn by numpy's ziggurat
+(Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000).  B = _BLOCK paths and
+W = _WINDOW steps share a stream, path-major, so a path's increments are
+reproducible independently of chunking, worker count, path count, horizon or
+execution order, and one stream's cost spreads over B W m normals.  A draw
+takes only the prefix of each stream that its last path and step need, so a
+one-path run draws no normal it does not use, and the counter's word 0 never
+reaches the next window's stream.  The bits are those of the installed numpy:
+NEP 19 keeps a bit generator's raw words across numpy versions, but not
+Generator.standard_normal.  Random sampling instants come from the stream
+(seed, 2^63, 0), a key that no block of paths reaches.
 
 Sampling instants are knots of the integration grid: local substeps shrink so
 each instant is hit exactly and the zero-order-hold input switches at the
@@ -67,126 +66,73 @@ _MASK64 = (1 << 64) - 1
 _SCHEDULE_STREAM = 1 << 63
 _DIVERGENCE_CAP = 1e150
 _CHUNK = 4096
-_WINDOW_NORMALS = 1 << 16   # normals per noise window, entries per stored or summed block: bounds temporaries
-_LO32 = np.uint64(0xFFFFFFFF)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
-# the multipliers of the two lanes (c0, c2): whole, low and high 32-bit halves
-_LANE_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None, None]
-_LANE_M_LO = _LANE_M & _LO32
-_LANE_M_HI = _LANE_M >> np.uint64(32)
-_NOISE_BUFFERS = 8   # (2, blocks, paths) word arrays of _noise: six for _philox, two for the normals
+_BLOCK = 1024    # B: paths that share a noise stream; divides _CHUNK, so no two chunks draw one stream
+_WINDOW = 16     # W: steps that share a noise stream
+_WINDOW_NORMALS = 1 << 16   # entries per stored or summed block: bounds the store buffers
 
 
-def _path_generator(seed: int, stream: int) -> np.random.Generator:
-    """numpy generator of one stream: the random sampling instants."""
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed: int, key: int, window: int = 0, gen: Optional[np.random.Generator] = None):
+    """numpy's Philox generator under the key (seed mod 2^64, key), from the counter (0, window, 0, 0).
 
-
-def _mulhilo(x, m, m_lo, m_hi, hi, lo, t, u):
-    """hi, lo <- high and low words of the 128-bit products m * x, from 32-bit
-    halves of x and m; t and u are scratch, and so is lo until the last pass."""
-    np.bitwise_and(x, _LO32, out=lo)
-    np.right_shift(x, np.uint64(32), out=hi)
-    np.multiply(lo, m_lo, out=t)
-    t >>= np.uint64(32)
-    np.multiply(lo, m_hi, out=u)
-    t += u                              # x_lo m_hi + (x_lo m_lo >> 32)
-    np.bitwise_and(t, _LO32, out=u)
-    t >>= np.uint64(32)
-    np.multiply(hi, m_lo, out=lo)
-    u += lo                             # x_hi m_lo + (t & 0xFFFFFFFF)
-    u >>= np.uint64(32)
-    hi *= m_hi
-    hi += t
-    hi += u
-    np.multiply(x, m, out=lo)
-
-
-def _noise_work(npaths: int, nsteps: int, m: int) -> np.ndarray:
-    """A work array for _noise calls of up to nsteps steps that start on a block."""
-    return np.empty(_NOISE_BUFFERS * 2 * -(-nsteps * m // 4) * npaths, dtype=np.uint64)
-
-
-def _words(work: np.ndarray, nb: int, npaths: int, i: int) -> np.ndarray:
-    """Word array i of work, shape (2, nb, npaths), contiguous."""
-    size = 2 * nb * npaths
-    return work[i * size:(i + 1) * size].reshape(2, nb, npaths)
-
-
-def _philox(seed: int, paths, b0: int, nb: int, work: np.ndarray):
-    """Philox4x64-10 blocks b0 .. b0 + nb - 1 of each path's stream.
-
-    Returns two (2, nb, len(paths)) views into word arrays 0 and 1 of work:
-    the words (0, 2) and the words (3, 1) of each block.  It uses word arrays
-    0 to 5.  Block b of path p equals np.random.Philox(key=(seed, p),
-    counter=b).random_raw(4): numpy increments the counter before it
-    encrypts, so block b encrypts b + 1.  The two multiplied words (c0, c2)
-    ride on one leading lane axis, so each pass of a round is one ufunc over
-    both, and paths run along the last axis, so the per-path key is a row.
+    gen, a generator of an earlier call, is reset to that stream in place,
+    which costs a fraction of a new generator and gives the same numbers.
     """
-    key0 = int(seed) & _MASK64
-    key1 = np.asarray(paths, dtype=np.uint64)
-    # x holds (c0, c2); y holds the low words of the round before, (c3, c1)
-    x, y, lo, hi, t, u = (_words(work, nb, len(key1), i) for i in range(6))
-    # round 1 on the counter (b + 1, 0, 0, 0) leaves (key0, 0, hi ^ key1, lo)
-    ctr = np.arange(b0 + 1, b0 + 1 + nb, dtype=np.uint64)[:, None]
-    c_hi, c_lo, c_t, c_u = (np.empty_like(ctr) for _ in range(4))
-    _mulhilo(ctr, _LANE_M[0], _LANE_M_LO[0], _LANE_M_HI[0], c_hi, c_lo, c_t, c_u)
-    # round 2: c0 = key0 is one number, multiplied once as a Python int
-    p0 = _PHILOX_M[0] * key0
-    np.bitwise_xor(c_hi, key1, out=x[1])
-    _mulhilo(x[1:], _LANE_M[1:], _LANE_M_LO[1:], _LANE_M_HI[1:], hi[1:], y[1:], t[1:], u[1:])
-    np.bitwise_xor(hi[1], np.uint64((key0 + _PHILOX_W[0]) & _MASK64), out=x[0])
-    np.bitwise_xor(key1 + np.uint64(_PHILOX_W[1]), c_lo ^ np.uint64(p0 >> 64), out=x[1])
-    y[0] = p0 & _MASK64
-    # rounds 3 .. 10: (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0)
-    for r in range(2, 10):
-        _mulhilo(x, _LANE_M, _LANE_M_LO, _LANE_M_HI, hi, lo, t, u)
-        hi ^= y
-        np.bitwise_xor(hi[1], np.uint64((key0 + r * _PHILOX_W[0]) & _MASK64), out=x[0])
-        np.bitwise_xor(hi[0], key1 + np.uint64((r * _PHILOX_W[1]) & _MASK64), out=x[1])
-        y, lo = lo, y
-    return x, y
+    words = np.array([0, window, 0, 0, int(seed) & _MASK64, int(key) & _MASK64], dtype=np.uint64)
+    counter, keys = words[:4], words[4:]
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=keys, counter=counter))
+    # buffer_pos 4 marks the word buffer empty, so its words are never read
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": keys},
+                               "buffer": counter, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
-def _noise(seed: int, paths, step0: int, nsteps: int, m: int, work: np.ndarray) -> np.ndarray:
-    """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path, time-major.
+def _as_slice(rows: np.ndarray):
+    """rows as a slice where they are an ascending run or one row repeated, which
+    broadcasts, so that indexing by them makes a view."""
+    if np.all(rows == rows[0]):
+        return slice(int(rows[0]), int(rows[0]) + 1)
+    return slice(int(rows[0]), int(rows[-1]) + 1) if np.all(np.diff(rows) == 1) else rows
 
-    Shape (nsteps, m, len(paths)); entry [i, j, r] is normal
-    k = (step0 + i) * m + j of path paths[r]: word k mod 4 of _philox block
-    k // 4, after Box-Muller on the word pairs (0, 1) and (2, 3) with
-    u = ((w >> 11) + 0.5) 2^-53 in (0, 1] (1 only by rounding), so ln u is
-    finite.  work must hold _NOISE_BUFFERS (2, nb, len(paths)) word arrays,
-    nb the blocks the call touches (see _noise_work); the result is a
-    contiguous view into it, which the next call overwrites.
+
+def _noise(seed: int, paths, m: int):
+    """draw(step0, nsteps, scale, out): the standard normals driving steps
+    step0 .. step0 + nsteps - 1 of each path, those of step step0 + i times
+    scale[i], written time-major into out, shape (nsteps, m, len(paths)), and
+    returned.
+
+    Normal j of step k of path p is entry ((p mod B) W + (k mod W)) m + j of
+    stream (seed, p // B, k // W): the standard normals of _stream(seed,
+    p // B, k // W), path-major.  A draw takes only the prefix of each stream
+    that its last path and step need, and resets one generator per call of
+    _noise from stream to stream.
     """
-    k0 = step0 * m
-    b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
-    nb, npaths = b1 - b0, len(paths)
-    x, y = _philox(seed, paths, b0, nb, work)
-    rad, ang, trig = (_words(work, nb, npaths, i).view(float) for i in (3, 4, 5))
-    # radii from words (0, 2), angles from words (1, 3)
-    x >>= np.uint64(11)
-    np.add(x, 0.5, out=rad)
-    rad *= 2.0 ** -53
-    np.log(rad, out=rad)
-    rad *= -2.0
-    np.sqrt(rad, out=rad)
-    np.right_shift(y[1], np.uint64(11), out=x[0])
-    np.right_shift(y[0], np.uint64(11), out=x[1])
-    np.add(x, 0.5, out=ang)
-    ang *= 2.0 ** -53
-    ang *= 2.0 * np.pi
-    # normals 4b .. 4b + 3: r01 cos a01, r01 sin a01, r23 cos a23, r23 sin a23
-    z = work[6 * x.size:8 * x.size].view(float).reshape(nb, 2, 2, npaths)
-    np.cos(ang, out=trig)
-    np.multiply(trig, rad, out=z[:, :, 0].transpose(1, 0, 2))
-    np.sin(ang, out=trig)
-    np.multiply(trig, rad, out=z[:, :, 1].transpose(1, 0, 2))
-    first = k0 - 4 * b0
-    return z.reshape(4 * nb, npaths)[first:first + nsteps * m].reshape(nsteps, m, npaths)
+    paths = np.asarray(paths, dtype=np.int64)
+    blocks = paths // _BLOCK
+    # each run of columns in one block: (block, its columns of out, their rows of the
+    # stream's (paths, W, m) layout, the last row the run needs)
+    edges = [0, *(np.flatnonzero(np.diff(blocks)) + 1), len(paths)]
+    groups = []
+    for c0, c1 in zip(edges[:-1], edges[1:]):
+        rows = paths[c0:c1] - blocks[c0] * _BLOCK
+        groups.append((int(blocks[c0]), slice(c0, c1), _as_slice(rows), int(rows.max())))
+    buf = np.empty((max(g[3] for g in groups) + 1) * _WINDOW * m)
+    gen = None
+
+    def draw(step0: int, nsteps: int, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+        nonlocal gen
+        for w in range(step0 // _WINDOW, -(-(step0 + nsteps) // _WINDOW)):
+            k0 = w * _WINDOW
+            a, e = max(step0, k0) - k0, min(step0 + nsteps, k0 + _WINDOW) - k0
+            i0, i1 = k0 + a - step0, k0 + e - step0   # the window's steps in out
+            for b, cols, rows, last in groups:
+                gen = _stream(seed, b, w, gen)
+                gen.standard_normal(out=buf[:(last * _WINDOW + e) * m])
+                z = buf[:(last + 1) * _WINDOW * m].reshape(last + 1, _WINDOW, m)
+                np.multiply(z[rows, a:e].transpose(1, 2, 0), scale[i0:i1, None, None],
+                            out=out[i0:i1, :, cols])
+        return out
+    return draw
 
 
 @dataclass(frozen=True)
@@ -366,8 +312,6 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
     m = model.m
     nsteps = len(grid.steps)
     nstore = len(store_idx)
-    # steps per noise window, a multiple of 4 so every window starts on a block
-    window = 4 * max(1, _WINDOW_NORMALS // (4 * npaths * max(m, 1)))
     block = max(2, _WINDOW_NORMALS // npaths)
 
     def block_end(s0):
@@ -393,7 +337,8 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
     steps, refresh = grid.steps, grid.refresh
     sqrt_h = np.sqrt(steps)
     if m > 0:
-        work = _noise_work(npaths, min(window, nsteps), m)
+        draw = _noise(seed, path_indices, m)
+        dw = np.empty((_WINDOW, m, npaths))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):
@@ -414,12 +359,11 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
             upd += hold
             upd *= steps[i]
             if m > 0:
-                k = i % window
+                k = i % _WINDOW
                 if k == 0:
                     # sqrt(h) dW of a window of steps, time-major: step k is one (m, paths) slab
-                    w = min(window, nsteps - i)
-                    dw = _noise(seed, path_indices, i, w, m, work)
-                    dw *= sqrt_h[i:i + w, None, None]
+                    w = min(_WINDOW, nsteps - i)
+                    draw(i, w, sqrt_h[i:i + w], dw[:w])
                 for j, gt in enumerate(gts):
                     np.matmul(x, gt, out=tmp)
                     tmp *= dw[k, j, :, None]
@@ -442,7 +386,7 @@ def _grid_for(cfg: SimConfig) -> Tuple[_Grid, np.ndarray]:
     # dt_sim <= underline_dt / 10, so this count also bounds the sampling instants
     check_grid_length(cfg.horizon / cfg.dt_sim + 1.0, "the integration grid")
     instants = schedule_instants(
-        cfg.schedule, cfg.horizon, rng=_path_generator(cfg.seed, _SCHEDULE_STREAM)
+        cfg.schedule, cfg.horizon, rng=_stream(cfg.seed, _SCHEDULE_STREAM)
     )
     grid = _build_grid(instants, cfg.horizon, cfg.dt_sim)
     last = len(grid.times) - 1

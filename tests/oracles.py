@@ -7,7 +7,8 @@ implementation paths they check.  There are two exceptions: bound_for_gain reuse
 gamma scan to check only how the linear design stacks its candidates, and em_reference and
 cps_reference step on the simulator's own grid, since agreement path by path is what they
 check.  Their drift comes from the plain formulas (drift_reference) and their normals from
-noise_reference, a Philox generator with one array per word and np.stack Box-Muller.
+noise_reference, which builds numpy's generator of each noise stream and indexes it normal by
+normal.
 """
 
 import math
@@ -287,61 +288,30 @@ def bound_for_gain(model, k_hat, r_mat, alpha_bar, rejected):
     return tau, p
 
 
-_MASK64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # Philox4x64 round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl increments of the key
-
-
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products m * x, from 32-bit halves of x."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
-    t = x_lo * m_hi + ((x_lo * m_lo) >> np.uint64(32))
-    u = x_hi * m_lo + (t & _LO32)
-    return x_hi * m_hi + (t >> np.uint64(32)) + (u >> np.uint64(32)), x * np.uint64(m)
-
-
-def _philox_blocks(seed, paths, b0, nblocks):
-    """Philox4x64-10 blocks b0 .. b0 + nblocks - 1 of each path's stream.
-
-    Returns the four words, each of shape (len(paths), nblocks).  Block b of
-    path p equals np.random.Philox(key=(seed, p), counter=b).random_raw(4):
-    numpy increments the counter before it encrypts, so block b encrypts b + 1.
-    """
-    k0 = int(seed) & _MASK64
-    k1 = np.asarray(paths, dtype=np.uint64)[:, None]
-    shape = (len(k1), nblocks)
-    hi, lo = _mulhilo(_PHILOX_M[0], np.arange(b0 + 1, b0 + 1 + nblocks, dtype=np.uint64))
-    # round 1: counter words 1..3 are zero
-    c = [np.full(shape, k0, dtype=np.uint64), np.zeros(shape, dtype=np.uint64),
-         hi ^ k1, np.broadcast_to(lo, shape)]
-    for r in range(1, 10):
-        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
-        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
-        c = [hi1 ^ c[1] ^ key0, lo1, hi0 ^ c[3] ^ key1, lo0]
-    return c
-
-
 def noise_reference(seed, paths, step0, nsteps, m):
     """Standard normals driving steps step0 .. step0 + nsteps - 1 of each path.
 
-    Shape (len(paths), nsteps, m); entry [r, i, j] is normal
-    k = (step0 + i) * m + j of path paths[r].  Box-Muller on the word pairs
-    (0, 1) and (2, 3) of a block, with u = ((w >> 11) + 0.5) 2^-53 in (0, 1]
-    (1 only by rounding), so ln u is finite.
+    Shape (len(paths), nsteps, m); entry [r, i, j] is normal j of step
+    k = step0 + i of path p = paths[r]: entry ((p mod B) W + (k mod W)) m + j
+    of the standard normals of numpy's Philox under the key (seed mod 2^64,
+    p // B) from the counter (0, k // W, 0, 0), with B and W of sdstab.sim.
+    Each stream is drawn whole, once, and indexed normal by normal.
     """
-    k0 = step0 * m
-    b0, b1 = k0 // 4, -(-(k0 + nsteps * m) // 4)
-    u = [((w >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
-         for w in _philox_blocks(seed, paths, b0, b1 - b0)]
-    r01, r23 = np.sqrt(-2.0 * np.log(u[0])), np.sqrt(-2.0 * np.log(u[2]))
-    a01, a23 = 2.0 * np.pi * u[1], 2.0 * np.pi * u[3]
-    z = np.stack([r01 * np.cos(a01), r01 * np.sin(a01), r23 * np.cos(a23), r23 * np.sin(a23)],
-                 axis=-1).reshape(len(u[0]), -1)
-    return z[:, k0 - 4 * b0:k0 - 4 * b0 + nsteps * m].reshape(-1, nsteps, m)
+    from sdstab.sim import _BLOCK, _WINDOW
+
+    streams = {}
+    out = np.empty((len(paths), nsteps, m))
+    for r, p in enumerate(int(p) for p in paths):
+        for i in range(nsteps):
+            k = step0 + i
+            key = (p // _BLOCK, k // _WINDOW)
+            if key not in streams:
+                bits = np.random.Philox(key=np.array([int(seed) % 2**64, key[0]], dtype=np.uint64),
+                                        counter=np.array([0, key[1], 0, 0], dtype=np.uint64))
+                streams[key] = np.random.Generator(bits).standard_normal(_BLOCK * _WINDOW * m)
+            for j in range(m):
+                out[r, i, j] = streams[key][((p % _BLOCK) * _WINDOW + k % _WINDOW) * m + j]
+    return out
 
 
 def drift_reference(model, x):

@@ -143,6 +143,8 @@ class TestSimulateCommand:
         rep = json.loads(out.read_text())
         res = rep["results"]
         assert 0 < res["terminal_mean_sq_se"] < res["terminal_mean_sq"]
+        # the noise streams' layout and the numpy whose normals the seed names
+        assert res["noise"] == {"B": 1024, "W": 16, "numpy": np.__version__}
         stages = rep["stage_s"]
         assert set(stages) == {"integrate", "estimate"} and min(stages.values()) > 0
         assert sum(stages.values()) == pytest.approx(rep["wall_time_s"])
@@ -169,7 +171,11 @@ class TestSimulateCommand:
             outs.append((code, strict_json(out.read_text())["results"], stats.read_bytes()))
         assert outs[0] == outs[1]
         if model == "gbm":
-            # the alive terminal |x|^2 reach ~1e294: their deviations' squares would overflow
+            # at least two alive paths with |x(T)|^2 >= 1e280: their deviations' squares
+            # would overflow, and the error needs two alive paths
+            rows = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
+            terminal = rows[rows[:, 0] == rows[:, 0].max(), 2]
+            assert np.sum(terminal ** 2 >= 1e280) >= 2   # NaN, a dead path, compares False
             assert 0 < outs[0][1]["n_diverged"] < 10
             assert outs[0][1]["terminal_mean_sq_se"] > 1e280
 
@@ -625,3 +631,37 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, sdstab.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["verify", "design", "simulate"])
+    def test_inputs_read_once_and_hashed_as_parsed(self, command, monkeypatch, tmp_path):
+        # a second read of an input could hash other bytes than the ones checked
+        import builtins
+        import collections
+        import hashlib
+
+        model, cert = f"{FX}/ex1_sub1_control.json", f"{FX}/cert_ex1_sub1_design.json"
+        inputs = {"model": model} if command == "design" else {"model": model, "cert": cert}
+        flags = [arg for name, path in inputs.items() for arg in (f"--{name}", path)]
+        extra = {"verify": [], "design": [],
+                 "simulate": ["--schedule", "periodic:0.0234", "--horizon", "0.1"]}[command]
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[file] += 1
+            return real_open(file, *args, **kwargs)
+
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code = run([command, *flags, *extra, "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        report = strict_json(out.read_text())
+        for name, path in inputs.items():
+            data = pathlib.Path(path).read_bytes()
+            assert opened[path] == 1, name
+            assert report["inputs"][name] == {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        if command != "simulate":   # the report holds the model it parsed
+            assert report["results"]["model"] == json.loads(pathlib.Path(model).read_bytes())

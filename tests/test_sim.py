@@ -21,7 +21,7 @@ from sdstab.sim import (
     export_trajectories_csv,
     run_ensemble,
 )
-from sdstab.sim import _CHUNK, _noise, _noise_work, _philox
+from sdstab.sim import _BLOCK, _CHUNK, _SCHEDULE_STREAM, _WINDOW, _noise, _stream
 
 from oracles import (
     build_grid_reference,
@@ -74,9 +74,8 @@ def path_row(model, cfg, p=0):
 
 
 def noise(seed, paths, step0, nsteps, m):
-    """_noise with a work array of four more steps: at least the one more block
-    that a call starting off a block may touch."""
-    return _noise(seed, paths, step0, nsteps, m, _noise_work(len(paths), nsteps + 4, m))
+    """The (nsteps, m, len(paths)) normals of _noise, drawn in one call; a scale of 1 is exact."""
+    return _noise(seed, paths, m)(step0, nsteps, np.ones(nsteps), np.empty((nsteps, m, len(paths))))
 
 
 def em_path(f, g_list, h, n_steps, x0, seed=0):
@@ -179,7 +178,8 @@ class TestEnsemble:
             name="gbm", n=1, A=np.array([[a]]), diffusion=(np.array([[10.0]]),),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
-        cfg = cfg_for(0.1, horizon, dt_sim=0.01, n_paths=n_paths, seed=2, store_stride=stride)
+        # seed 0: some paths of each case pass the divergence cap, not all
+        cfg = cfg_for(0.1, horizon, dt_sim=0.01, n_paths=n_paths, seed=0, store_stride=stride)
         ens = run_ensemble(m, cfg)
         assert 0 < ens.n_diverged < ens.n_paths
         assert len(ens.times) > 4 * max(2, sim._WINDOW_NORMALS // n_paths)
@@ -259,7 +259,8 @@ class TestEnsembleMoments:
     ])
     def test_block_boundaries_bit_identical(self, monkeypatch, block, stride, workers):
         # the kernel hands on blocks of max(2, _WINDOW_NORMALS // rows) stored times
-        cfg = dataclasses.replace(gbm_cfg(store_stride=stride, n_paths=22), horizon=7.0)
+        # seed 0: paths die at stored times on and off each block boundary
+        cfg = dataclasses.replace(gbm_cfg(store_stride=stride, n_paths=22, seed=0), horizon=7.0)
         ens = run_ensemble(gbm_model(), cfg)   # one chunk, one block
         monkeypatch.setattr(sim, "_CHUNK", 7)   # three chunks of 7 paths, then one of 1
         monkeypatch.setattr(sim, "_WINDOW_NORMALS", 7 * block)
@@ -452,8 +453,8 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_three_channels_across_chunks(self, monkeypatch, workers):
-        # m = 3 normals a step; 46 steps is no multiple of the 4-step noise window
-        # of a full chunk, and the last chunk of 5 paths draws one 46-step window
+        # m = 3 normals a step; 46 steps is no multiple of the 16-step noise window,
+        # and the last chunk of 5 paths starts a new block of paths
         rng = np.random.default_rng(11)
         model = LinearSampledModel(
             name="three", n=3, A=-np.eye(3) + 0.3 * rng.normal(size=(3, 3)),
@@ -487,29 +488,56 @@ class TestAliveFlags:
         assert np.array_equal(np.isnan(ens.states), np.repeat(~ens.alive[:, :, None], ens.states.shape[2], axis=2))
 
 
+def assert_standard_normal(z):
+    """Mean, variance and kurtosis of z within 5 standard errors of a standard normal's."""
+    n = z.size
+    assert np.isfinite(z).all()
+    assert abs(z.mean()) <= 5 / np.sqrt(n)
+    assert abs((z * z).mean() - 1.0) <= 5 * np.sqrt(2.0 / n)
+    assert abs((z ** 4).mean() - 3.0) <= 5 * np.sqrt(96.0 / n)
+
+
+def assert_uncorrelated(a, b):
+    """The sample correlation of a and b within 5 standard errors of 0."""
+    assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) <= 5 / np.sqrt(a.size)
+
+
 class TestCounterNoise:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
-    def test_blocks_match_numpy_philox(self, seed):
-        for path in (0, 3, 2**40 + 1):
-            x, y = _philox(seed, [path, path + 1], 3, 5, _noise_work(2, 20, 1))
-            words = np.stack([x[0], y[1], x[1], y[0]], axis=-1)   # words 0, 1, 2, 3
-            for col, p in enumerate((path, path + 1)):
-                key = np.array([seed, p], dtype=np.uint64)
-                for b in range(3, 8):
-                    ref = np.random.Philox(key=key, counter=b).random_raw(4)
-                    assert np.array_equal(words[b - 3, col], ref)
+    def test_matches_reference_generator(self, seed):
+        # the one-path pad, paths across a block boundary, out of order, and far out
+        subsets = ([5, 5], [0, 3, 2**40 + 1], [1022, 1023, 1024, 2049], [1030, 2, 1024])
+        # ranges inside one window, on its edges, and across several windows
+        ranges = ((0, 1), (0, 16), (15, 2), (3, 13), (9, 37), (16, 16), (30, 50))
+        for m in (1, 2, 3):
+            for paths in subsets:
+                # one draw for every range, as the kernel reuses its generator
+                draw = _noise(seed, paths, m)
+                for step0, nsteps in ranges:
+                    got = draw(step0, nsteps, np.ones(nsteps), np.empty((nsteps, m, len(paths))))
+                    ref = noise_reference(seed, paths, step0, nsteps, m).transpose(1, 2, 0)
+                    assert same_bits(got, np.ascontiguousarray(ref)), (m, paths, step0, nsteps)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
-    def test_matches_reference_generator(self, seed):
-        paths = np.array([0, 3, 2**40 + 1])
-        for m in (1, 2, 3):
-            # one work array for every call, as the kernel reuses it; it fits 37 steps from any offset
-            work = _noise_work(len(paths), 38, m)
-            for step0 in (0, 1, 6, 9):
-                for nsteps in range(1, 38):
-                    got = _noise(seed, paths, step0, nsteps, m, work)
-                    ref = noise_reference(seed, paths, step0, nsteps, m).transpose(1, 2, 0)
-                    assert same_bits(got, np.ascontiguousarray(ref)), (m, step0, nsteps)
+    def test_streams_are_distinct(self, seed):
+        # the schedule stream is numpy's Philox under the key (seed, 2^63) from counter 0
+        key = np.array([seed, 2**63], dtype=np.uint64)
+        schedule = _stream(seed, _SCHEDULE_STREAM)
+        assert np.array_equal(schedule.random(8), np.random.Generator(np.random.Philox(key=key)).random(8))
+        first = {"schedule": _stream(seed, _SCHEDULE_STREAM).standard_normal(4)}
+        for block in (0, 1, 2):
+            for window in (0, 1, 2):
+                gen = _stream(seed, block, window)
+                first[block, window] = gen.standard_normal(4)
+                # a whole stream of three channels leaves the window's counter word alone,
+                # so it never runs into the next window's stream
+                gen.standard_normal(_BLOCK * _WINDOW * 3)
+                assert gen.bit_generator.state["state"]["counter"][1] == window
+        heads = [z[0] for z in first.values()]
+        assert len(set(heads)) == len(heads)
+        # the kernel's first normal of each block and window is its stream's first
+        z = noise(seed, [0, _BLOCK, 2 * _BLOCK], 0, 3 * _WINDOW, 1)
+        assert same_bits(z[::_WINDOW, 0].T.ravel(), np.array([first[b, w][0] for b in range(3) for w in range(3)]))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_windows_concatenate(self, m):
@@ -523,12 +551,24 @@ class TestCounterNoise:
         assert np.array_equal(whole[..., 1], noise(11, [5], 0, 37, m)[..., 0])
 
     def test_moments(self):
-        z = noise(3, np.arange(1000), 0, 1000, 1).ravel()
-        n = z.size
-        assert np.isfinite(z).all()
-        assert abs(z.mean()) <= 5 / np.sqrt(n)
-        assert abs((z * z).mean() - 1.0) <= 5 * np.sqrt(2.0 / n)
-        assert abs((z ** 4).mean() - 3.0) <= 5 * np.sqrt(96.0 / n)
+        assert_standard_normal(noise(3, np.arange(1000), 0, 1000, 1))
+
+    def test_block_boundary_statistics(self):
+        # paths B - 1 and B draw from two streams; 4096 steps cross 255 window boundaries
+        z = noise(5, [_BLOCK - 1, _BLOCK], 0, 4096, 2)
+        for col in (0, 1):
+            assert_standard_normal(z[..., col])
+            assert_uncorrelated(z[1:, :, col], z[:-1, :, col])   # neighbouring steps
+        assert_uncorrelated(z[..., 0], z[..., 1])                 # neighbouring paths
+        assert_uncorrelated(z[:, 0], z[:, 1])                     # the two channels
+
+    def test_window_boundary_statistics(self):
+        # steps W - 1 and W of 8 blocks of paths draw from two streams each
+        z = noise(5, np.arange(8 * _BLOCK), _WINDOW - 1, 2, 1)[:, 0]
+        for step in (0, 1):
+            assert_standard_normal(z[step])
+            assert_uncorrelated(z[step, 1:], z[step, :-1])   # neighbouring paths, across blocks too
+        assert_uncorrelated(z[0], z[1])                      # neighbouring steps
 
     def test_sampled_path_is_row_of_multichunk_ensemble(self, fixtures):
         m = load_model(fixtures / "ex1_sub1.json")
@@ -549,10 +589,28 @@ class TestCounterNoise:
         m = load_model(fixtures / "ex1_sub1.json")
         cfg = cfg_for(0.0234, 1.0, seed=7)
         ref = run_ensemble(m, dataclasses.replace(cfg, n_paths=_CHUNK + 2), workers=workers)
-        for n in (1, 2, 3, 5, 64, _CHUNK + 1):
+        for n in (1, 2, 3, 5, 64, _BLOCK + 1, _CHUNK + 1):
             ens = run_ensemble(m, dataclasses.replace(cfg, n_paths=n), workers=workers)
             for name in ("states", "alive", "diverged_at"):
                 assert same_bits(getattr(ens, name), getattr(ref, name)[:n]), (n, name)
+
+    @pytest.mark.parametrize("schedule", [SamplingSchedule.periodic(0.05),
+                                          SamplingSchedule.uniform_random(0.03, 0.07)])
+    def test_shorter_horizon_is_prefix(self, fixtures, schedule):
+        # up to its last sampling instant, the grid of a shorter horizon is a prefix of a
+        # longer one's, and so are its stored states, although its last noise window is cut short
+        m = load_model(fixtures / "ex1_sub1.json")
+        cfg = SimConfig(schedule=schedule, horizon=2.0, dt_sim=0.003, n_paths=3, seed=9)
+        long = run_ensemble(m, cfg)
+        short = run_ensemble(m, dataclasses.replace(cfg, horizon=0.53))
+        k = int(np.searchsorted(short.times, short.instants[-1])) + 1
+        assert (k - 1) % _WINDOW != 0 and len(short.times) > k
+        assert same_bits(short.times[:k], long.times[:k])
+        assert same_bits(short.states[:, :k], long.states[:, :k])
+
+    def test_chunks_hold_whole_blocks(self):
+        # so each chunk draws the noise streams of its own paths, and no other chunk draws them
+        assert _CHUNK % _BLOCK == 0
 
 
 class TestGrid:

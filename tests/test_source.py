@@ -192,3 +192,60 @@ def test_tracer_plan_resolves():
     assert ("sdstab.design", "emulation_bound_two") in plan and ("scipy.optimize", "minimize") in plan
     missing = [(m, a) for m, a in plan if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def philox_builders(source: str) -> list:
+    """Name of the top-level function around each call of an attribute named Philox ('' at module level)."""
+    out = []
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+        out += [name for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == "Philox"]
+    return out
+
+
+BIT_UFUNCS = {"bitwise_and", "bitwise_or", "bitwise_xor", "left_shift", "right_shift", "invert"}
+
+
+def word_arithmetic(source: str) -> list:
+    """Lines of source that build a uint64 scalar, read a numpy bit ufunc, or shift or xor
+    anything but two literals."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "uint64":
+            lines.add(n.lineno)
+        elif isinstance(n, ast.Attribute) and n.attr in BIT_UFUNCS:
+            lines.add(n.lineno)
+        elif isinstance(n, ast.AugAssign) and isinstance(n.op, (ast.LShift, ast.RShift, ast.BitXor)):
+            lines.add(n.lineno)
+        elif (isinstance(n, ast.BinOp) and isinstance(n.op, (ast.LShift, ast.RShift, ast.BitXor))
+              and not (isinstance(n.left, ast.Constant) and isinstance(n.right, ast.Constant))):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_philox_and_word_arithmetic():
+    source = (
+        "import numpy as np\n"
+        "g = np.random.Philox(key=1)\n"
+        "def stream(k):\n    return np.random.Generator(np.random.Philox(key=k))\n"
+        "x = np.array([1], dtype=np.uint64) * np.uint64(3)\n"
+        "y = np.right_shift(x, 2)\n"
+        "x >>= 1\n"
+        "z = 3 & 1 | 4\n"
+        "w = 1 << 63\n"
+        "v = w ^ z\n"
+    )
+    assert philox_builders(source) == ["", "stream"]
+    assert word_arithmetic(source) == [5, 6, 7, 10]
+
+
+def test_one_keyed_stream_helper():
+    # numpy's Philox is built in one helper, which the schedule stream and the noise streams
+    # share, and the simulator does no 64-bit word arithmetic of its own
+    builders = {p.name: philox_builders(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert [(m, f) for m, names in builders.items() for f in names] == [("sim.py", "_stream")]
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    callers = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and "_stream" in _reads(n)}
+    assert {"_grid_for", "_noise"} <= callers
+    assert word_arithmetic((SRC / "sim.py").read_text(encoding="utf-8")) == []
