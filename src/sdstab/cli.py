@@ -54,6 +54,7 @@ from .models import (
     model_from_dict,
     model_to_dict,
     read_input,
+    read_json,
 )
 from .sim import (
     SimConfig,
@@ -131,11 +132,7 @@ def _print_kv(key: str, value) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_constants_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read constants file {path}: {exc}") from exc
+    doc = read_json(path, "constants")
     if not isinstance(doc, dict):
         raise FormatError("constants file must hold a JSON object")
     return doc

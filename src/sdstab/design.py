@@ -1,31 +1,24 @@
 """Envelope-constant extraction and state-feedback gain synthesis.
 
-The linear synthesis pipeline follows the recipe behind the design LMIs:
+Both plants are designed on the linear Ito loops of lmi.rate_loop and
+lmi.cross_loop (the planar one shifted by its envelope weights b and c),
+following the recipe behind the design LMIs:
 
-1. the rate-optimal gain K* maximizes the exact mean-square decay rate
-   2*alpha(K) = -max Re eig(ito_generator(A + B K, G)) over |K| <= _GAIN_CAP,
-   by Nelder-Mead; at a fixed gain this is the optimum of the rate LMI, so no
-   SDP solver is needed;
-2. a fixed-seed differential evolution seeded with K*, then a short
-   Nelder-Mead polish, searches the gain, the shape of the Lyapunov residual
-   and the rate alpha_bar = alpha_max * sigmoid(u) for the largest sampling
-   bound, scoring each generation as one stacked call (P solves the rate
-   Lyapunov equation at alpha_bar);
-3. the feedback-energy constant alpha_b is extracted exactly as a symmetric
-   pencil eigenvalue;
-4. the cross-gain pair (gamma1, gamma2) is fitted by scanning gamma2 and
-   computing the least feasible gamma1 from the Schur complement of the cross
-   block, maximizing the resulting sampling bound.
-
-The planar loop is a shifted linear Ito loop: the S-procedure weights b and
-c turn the sine envelope E1 into a diffusion and a shift, so its rate block is
-that of A_bar + B K + (b/2) I with diffusion E1/sqrt(b), and its cross block
-the linear one with diffusion E1/sqrt(c) and feedback B_bar - (c/2) I.  The
-planar synthesis therefore runs the same steps on that loop: Nelder-Mead over
-(K, log b) for the exact rate, P from the rate Lyapunov equation at
-alpha_fraction * alpha_max, and the same differential evolution, here over the
-cyber certificate shape and log c, each generation one stacked gamma scan.
-Every result is re-verified from raw matrices before it is returned.
+1. Nelder-Mead maximizes the exact mean-square decay rate
+   2*alpha = -max Re eig(ito_generator(*rate_loop(...))) over |K| <= _GAIN_CAP,
+   and for the planar plant over log b; at a fixed gain this is the optimum of
+   the rate LMI, so no SDP solver is needed;
+2. a fixed-seed differential evolution scores each generation as one stacked
+   call: the linear design searches the gain, the shape of the Lyapunov
+   residual and the rate alpha_bar (P solves the rate Lyapunov equation at
+   alpha_bar), then a short Nelder-Mead polish follows; the planar design keeps
+   the rate-optimal gain and P, and searches the cyber certificate shape and c;
+3. both searches score through _cross_scores: alpha_b exactly as a symmetric
+   pencil eigenvalue, then (gamma1, gamma2) by scanning gamma2 and taking the
+   least feasible gamma1 from the Schur complement of the cross block, for the
+   largest sampling bound;
+4. both plants finish through _finish: the full gamma scan at the best point,
+   and lmi.verify_certificate at tol 0 before anything is returned.
 """
 
 from __future__ import annotations
@@ -40,12 +33,7 @@ import numpy as np
 
 from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau
 from .errors import InfeasibleError, ValidationError
-from .lmi import (
-    LmiCertificate,
-    assemble_lyapunov_ito,
-    verify_analysis_certificate,
-    verify_planar_certificate,
-)
+from .lmi import LmiCertificate, assemble_lyapunov_ito, cross_loop, rate_loop, verify_certificate
 from .models import LinearSampledModel, NonlinearPlanarModel
 from .numerics import pencil_max_eig, sym_inv_sqrt
 
@@ -66,6 +54,7 @@ _LOGIT_BOX = (-3.0, 8.0)  # u, with alpha_bar = alpha_max * sigmoid(u)
 
 # perfbench/tracer.py looks these names up by getattr; they go with the tracer's rows (ROADMAP item 1)
 minimize_gevp = solve_feasibility = build_affine_map = verify_design_certificate = None
+verify_planar_certificate = None
 
 
 def extract_alpha_b(P, P_tilde, B_bar):
@@ -284,23 +273,14 @@ def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     return k * (_GAIN_CAP / norm) if norm > _GAIN_CAP else k
 
 
-def _rate_loop(model, k_hat, b=None):
-    """(F, G_list) of the Ito loop whose rate block certifies gain k_hat: (A + B K, the diffusion),
-    or for the planar plant at envelope weight b the shifted loop (A_bar + B K + (b/2) I, [E1/sqrt(b)])."""
-    if isinstance(model, NonlinearPlanarModel):
-        shift = 0.5 * b * np.eye(model.n)
-        return model.A_bar + model.B_hat @ k_hat + shift, [model.envelope / math.sqrt(b)]
-    return model.A + model.B_hat @ k_hat, model.diffusion
-
-
 def _rate_optimal_gain(model):
     """Nelder-Mead for the largest exact rate: (K*, b*, 2*alpha_max, nfev).
 
     A linear plant searches the gain, capped at |K| <= _GAIN_CAP, and b* is
     None.  The planar plant also searches log b, clipped to _B_RANGE, for
-    2*alpha(K, b) = -max Re eig(ito_generator(*_rate_loop(model, K, b))).  A
-    generator or abscissa that is not finite certifies no rate and raises
-    InfeasibleError.
+    2*alpha(K, b) = -max Re eig(ito_generator(*rate_loop(model, B K, b))).  A
+    generator or abscissa that is not finite, or a best rate that is not
+    positive, certifies no rate and raises InfeasibleError.
     """
     from scipy.optimize import minimize
 
@@ -314,7 +294,8 @@ def _rate_optimal_gain(model):
         return _capped_gain(v[:k_dims], shape), b
 
     def abscissa(v):  # max Re eig of the generator: -2*alpha(K, b)
-        gen = ito_generator(*_rate_loop(model, *unpack(v)))
+        k, b = unpack(v)
+        gen = ito_generator(*rate_loop(model, model.B_hat @ k, b))
         lam = np.linalg.eigvals(gen).real.max() if np.isfinite(gen).all() else math.inf
         if not math.isfinite(lam):
             raise InfeasibleError("the mean-square rate generator is not finite: no certifiable rate")
@@ -330,8 +311,11 @@ def _rate_optimal_gain(model):
             options={"initial_simplex": simplex, "maxfev": 2000, "xatol": 1e-10, "fatol": 1e-13},
         )
         z, nfev = res.x, nfev + int(res.nfev)
-    k, b = unpack(z)
-    return k, b, -float(res.fun), nfev
+    if not res.fun < 0.0:
+        box = f" and b in {_B_RANGE}" if planar else ""
+        raise InfeasibleError(f"plant not stabilizable: best exact mean-square rate 2*alpha = "
+                              f"{-res.fun:.6g} over |K| <= {_GAIN_CAP}{box}")
+    return (*unpack(z), -float(res.fun), nfev)
 
 
 def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: np.ndarray, rejected: Counter):
@@ -356,23 +340,18 @@ def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: np.n
 
     keep(np.linalg.norm(k_hat, axis=(1, 2)) <= _GAIN_CAP, "gain_cap")
     b_bar = model.B_hat @ k_hat[live]
-    f = model.A + b_bar
-    p = solve_rate_lyapunov(f, model.diffusion, 2.0 * alpha_bar[live], r_mat[live])
+    f, g = rate_loop(model, b_bar)
+    p = solve_rate_lyapunov(f, g, 2.0 * alpha_bar[live], r_mat[live])
     tr = np.trace(p, axis1=-2, axis2=-1)
     b_bar, f, p, tr = keep(tr > 0.0, "singular_solve", b_bar, f, p, tr)  # NaN: a singular solve
     p = p * (n / tr)[:, None, None]
     w = np.linalg.eigvalsh(p)
     b_bar, f, p = keep(w[:, 0] > 1e-12 * w[:, -1], "singular_solve", b_bar, f, p)
-    rate = assemble_lyapunov_ito(f, model.diffusion, p, alpha_bar[live])
-    b_bar, f, p = keep(np.linalg.eigvalsh(rate)[:, -1] <= -1e-9, "rate_check", b_bar, f, p)
+    rate = assemble_lyapunov_ito(f, g, p, alpha_bar[live])
+    b_bar, p = keep(np.linalg.eigvalsh(rate)[:, -1] <= -1e-9, "rate_check", b_bar, p)
     if not live.size:
         return tau, p_out
-    alpha_b = np.maximum(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
-    try:
-        t = _best_gamma_pair(f, model.diffusion, b_bar, p, p, alpha_bar[live], alpha_b, _GAMMA_SCAN,
-                             coarse=36, refine_rounds=1)[2]
-    except InfeasibleError:  # no row has a feasible pair
-        t = np.full(live.size, -np.inf)
+    t = _cross_scores(model, b_bar, p, p, alpha_bar[live], coarse=36, refine_rounds=1)[1][2]
     t, p = keep(np.isfinite(t), "gamma_box", t, p)
     tau[live], p_out[live] = t, p
     return tau, p_out
@@ -450,31 +429,73 @@ def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter
     return (k_hat[0], p[0], float(alpha_bar[0])) if np.isfinite(tau[0]) else None
 
 
-def _finish_linear_design(model, k_hat, p, alpha_bar) -> Optional[DesignResult]:
-    """Steps 3-4 plus re-verification for a fixed (gain, positive definite P, alpha_bar).
+def _cross_scores(model, b_bar, p, pt, alpha_bar, c=None, coarse: int = 120, refine_rounds: int = 3):
+    """(alpha_b, (gamma1, gamma2, tau)) of the cross loop at feedback b_bar, P, P_tilde and alpha_bar.
 
-    P is rescaled to trace n, which leaves every margin sign unchanged, so the
-    certificate (P, P_tilde = P, K_hat) comes out at unit scale.
+    alpha_b is the exact pencil constant, inflated by _INFLATE; the pair is
+    the gamma scan of _best_gamma_pair over cross_loop(model, b_bar, c).
+    b_bar, P, P_tilde, alpha_bar and c may each be a stack, as the scan takes
+    them.  tau is -inf (and the pair NaN) where no gamma pair in the scan box
+    is feasible.
+    """
+    alpha_b = np.maximum(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
+    try:
+        pair = _best_gamma_pair(*cross_loop(model, b_bar, c), p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
+                                coarse=coarse, refine_rounds=refine_rounds)
+    except InfeasibleError:  # no row has a feasible pair
+        pair = tuple(np.full(np.shape(alpha_b), v) for v in (np.nan, np.nan, -np.inf))
+    return alpha_b, pair
+
+
+def _finish(model, k_hat, p, alpha_bar, pt=None, b=None, c=None) -> Optional[DesignResult]:
+    """Step 4: the full gamma scan and tol-0 re-verification at a gain, positive definite P and alpha_bar.
+
+    P_tilde defaults to P; the planar plant passes its cyber certificate
+    P_tilde and envelope weights (b, c).  P is rescaled to trace n, which
+    leaves every margin sign unchanged, so a linear certificate
+    (P, P_tilde = P, K_hat) comes out at unit scale.  Returns None if no gamma
+    pair is feasible or the certificate fails.
     """
     p = p * (model.n / float(np.trace(p)))
-    b_bar = model.B_hat @ k_hat
-    f = model.A + b_bar
-    alpha_b = max(extract_alpha_b(p, p, b_bar) * (1 + _INFLATE), _TINY)
-    try:
-        g1, g2, _ = _best_gamma_pair(f, model.diffusion, b_bar, p, p, alpha_bar, alpha_b, _GAMMA_SCAN)
-    except InfeasibleError:
+    pt = p if pt is None else pt
+    alpha_b, (g1, g2, _) = _cross_scores(model, model.B_hat @ k_hat, p, pt, alpha_bar, c)
+    if not np.isfinite(g1):
         return None
     cert = LmiCertificate(
-        alpha_bar=alpha_bar, P=p, P_tilde=p,
-        alpha_b=alpha_b, gamma1=g1, gamma2=g2, K_hat=k_hat,
+        alpha_bar=alpha_bar, P=p, P_tilde=pt,
+        alpha_b=float(alpha_b), gamma1=g1, gamma2=g2, b=b, c=c, K_hat=k_hat,
     )
-    if not verify_analysis_certificate(model, cert, tol=0.0).passed:
+    if not verify_certificate(model, cert, tol=0.0).passed:
         return None
-    constants = TwoFunctionConstants(alpha_bar, alpha_b, g1, g2)
+    constants = cert.two_function_constants
     return DesignResult(
         gain=k_hat, certificate=cert, constants=constants, bound=emulation_bound_two(constants),
         trace={"gain_norm": float(np.linalg.norm(k_hat))},
     )
+
+
+def _traced(result: DesignResult, two_alpha_max, times, rate_nfev, calls: Counter, rejected: Counter,
+            **extra) -> DesignResult:
+    """result, its trace filled in; times are the perf_counter readings at the start and after the
+    rate search and the refinement, and extra the plant's own entries."""
+    t0, t1, t2 = times
+    result.trace.update({
+        "two_alpha_max": two_alpha_max,
+        "alpha_fraction": result.constants.alpha_bar / (0.5 * two_alpha_max),
+        **extra,
+        "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1, "finish": time.perf_counter() - t2},
+        "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
+        "stacks": {"refine": float(calls["stacks"])},
+        "rejected": {k: float(v) for k, v in rejected.items()},
+    })
+    return result
+
+
+def _unit_rate_solve(model, k_hat, alpha_bar, b=None) -> Optional[np.ndarray]:
+    """P of the rate Lyapunov solve of rate_loop(model, B K, b) at alpha_bar with residual I, or
+    None where it is not positive definite (NaN, a singular solve, fails too)."""
+    p = solve_rate_lyapunov(*rate_loop(model, model.B_hat @ k_hat, b), 2.0 * alpha_bar, np.eye(model.n))
+    return p if np.linalg.eigvalsh(p)[0] > 0.0 else None
 
 
 def synthesize_feedback(
@@ -493,68 +514,28 @@ def synthesize_feedback(
 
     t0 = time.perf_counter()
     k_star, _, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
-    if two_alpha_max <= 0.0:
-        raise InfeasibleError(
-            f"plant not stabilizable: best exact mean-square rate 2*alpha = {two_alpha_max:.6g} "
-            f"over |K| <= {_GAIN_CAP}"
-        )
     alpha_max = 0.5 * two_alpha_max
-
     t1 = time.perf_counter()
     # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
     calls = Counter()
     point = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected, calls)
     t2 = time.perf_counter()
-    result = None if point is None else _finish_linear_design(model, *point)
+    result = None if point is None else _finish(model, *point)
     fallback = result is None
     if fallback:
         # closed-form candidate: the rate Lyapunov solve at K* with R = I
         alpha_bar = options.alpha_fraction * alpha_max
-        p = solve_rate_lyapunov(*_rate_loop(model, k_star), 2.0 * alpha_bar, np.eye(model.n))
-        if np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails
-            result = _finish_linear_design(model, k_star, p, alpha_bar)
+        p = _unit_rate_solve(model, k_star, alpha_bar)
+        result = None if p is None else _finish(model, k_star, p, alpha_bar)
     if result is None:
         raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
-    result.trace.update({
-        "two_alpha_max": two_alpha_max,
-        "alpha_fraction": result.constants.alpha_bar / alpha_max,
-        "fallback": float(fallback),
-        "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
-                    "finish": time.perf_counter() - t2},
-        "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
-        "stacks": {"refine": float(calls["stacks"])},
-        "rejected": {k: float(v) for k, v in rejected.items()},
-    })
-    return result
+    return _traced(result, two_alpha_max, (t0, t1, t2), rate_nfev, calls, rejected, fallback=float(fallback))
 
 
 # ---------------------------------------------------------------------------
 # nonlinear planar synthesis
 # ---------------------------------------------------------------------------
-
-def _cyber_scores(model, k_hat, p, alpha_bar, z):
-    """(P_tilde, c, alpha_b, (gamma1, gamma2, tau)) per row of z = (P_tilde shape, log c).
-
-    At a fixed planar gain, P and alpha_bar, the cross block at weight c is
-    the linear cross block with diffusion E1/sqrt(c) and feedback
-    B_bar - (c/2) I, so a stack of rows is one gamma scan.  tau is -inf (and
-    the pair NaN) where a row has no feasible gamma pair in the scan box.
-    """
-    n = model.n
-    b_bar = model.B_hat @ k_hat
-    pt, c = _unpack_r_shape(z[:, :-1], n), np.exp(z[:, -1])
-    alpha_b = np.maximum(extract_alpha_b(p, pt, b_bar) * (1 + _INFLATE), _TINY)
-    try:
-        pair = _best_gamma_pair(
-            model.A_bar + b_bar, [model.envelope / np.sqrt(c)[:, None, None]],
-            b_bar - 0.5 * c[:, None, None] * np.eye(n), p, pt, alpha_bar, alpha_b, _GAMMA_SCAN,
-            coarse=40, refine_rounds=1,
-        )
-    except InfeasibleError:  # no row has a feasible pair
-        pair = (np.full(len(z), np.nan), np.full(len(z), np.nan), np.full(len(z), -np.inf))
-    return pt, c, alpha_b, pair
-
 
 def synthesize_nonlinear_planar(
     options: Optional[DesignOptions] = None,
@@ -563,11 +544,12 @@ def synthesize_nonlinear_planar(
     """Gain synthesis for the planar sine-envelope plant.
 
     Nelder-Mead over (K, log b) maximizes the exact rate of the shifted loop
-    _rate_loop(model, K, b); P solves its rate Lyapunov equation with residual
+    rate_loop(model, B K, b); P solves its rate Lyapunov equation with residual
     I at alpha_bar = options.alpha_fraction of the maximum.  The design's
-    differential evolution then searches the cyber certificate shape and log c.
-    Raises InfeasibleError if no gain with |K| <= _GAIN_CAP and b in _B_RANGE
-    gives a positive rate, or if the best point does not verify at tol=0.
+    differential evolution then searches the cyber certificate shape and
+    log c, each generation one stacked _cross_scores call.  Raises
+    InfeasibleError if no gain with |K| <= _GAIN_CAP and b in _B_RANGE gives a
+    positive rate, or if the best point does not verify at tol=0.
     """
     options = options or DesignOptions()
     model = model or NonlinearPlanarModel(name="planar")
@@ -576,47 +558,26 @@ def synthesize_nonlinear_planar(
 
     t0 = time.perf_counter()
     k_hat, b, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
-    if two_alpha_max <= 0.0:
-        raise InfeasibleError(
-            f"plant not stabilizable: best exact planar rate 2*alpha = {two_alpha_max:.6g} "
-            f"over |K| <= {_GAIN_CAP} and b in {_B_RANGE}"
-        )
     alpha_bar = 0.5 * options.alpha_fraction * two_alpha_max
-    p = solve_rate_lyapunov(*_rate_loop(model, k_hat, b), 2.0 * alpha_bar, np.eye(model.n))
-    if not np.linalg.eigvalsh(p)[0] > 0.0:  # NaN, a singular solve, fails too
+    p = _unit_rate_solve(model, k_hat, alpha_bar, b)
+    if p is None:
         raise InfeasibleError("the planar rate Lyapunov solve is singular or indefinite")
-    p = p * (model.n / float(np.trace(p)))
+    unit = p * (model.n / float(np.trace(p)))  # the P that _finish certifies
+    b_bar = model.B_hat @ k_hat
     t1 = time.perf_counter()
     rejected, calls = Counter({"gamma_box": 0}), Counter()
 
-    def score(z):
-        tau = _cyber_scores(model, k_hat, p, alpha_bar, z)[3][2]
+    def score(z):  # one row per (P_tilde shape, log c)
+        pt, c = _unpack_r_shape(z[:, :-1], model.n), np.exp(z[:, -1])
+        tau = _cross_scores(model, b_bar, unit, pt, alpha_bar, c, coarse=40, refine_rounds=1)[1][2]
         rejected["gamma_box"] += int(np.isinf(tau).sum())
         return tau
 
     lo, hi = np.array(_shape_box(model.n) + [tuple(np.log(_C_RANGE))]).T
-    best = _evolve(_objective(score, calls), lo, hi).x  # no prior point to seed it with
+    best = _evolve(_objective(score, calls), lo, hi).x[None]  # no prior point to seed it with
     t2 = time.perf_counter()
-    pt, c, alpha_b, (g1, g2, _) = _cyber_scores(model, k_hat, p, alpha_bar, best[None])
-    if not np.isfinite(g1[0]):
-        raise InfeasibleError("no (P_tilde, c) in the search box has a feasible gamma pair")
-    cert = LmiCertificate(
-        alpha_bar=alpha_bar, P=p, P_tilde=pt[0], alpha_b=float(alpha_b[0]),
-        gamma1=float(g1[0]), gamma2=float(g2[0]), b=b, c=float(c[0]), K_hat=k_hat,
-    )
-    if not verify_planar_certificate(model, cert, tol=0.0).passed:
-        raise InfeasibleError("the best planar certificate failed re-verification")
-    constants = cert.two_function_constants
-    return DesignResult(
-        gain=k_hat, certificate=cert, constants=constants,
-        bound=emulation_bound_two(constants),
-        trace={
-            "b": b, "c": cert.c, "gain_norm": float(np.linalg.norm(k_hat)),
-            "two_alpha_max": two_alpha_max, "alpha_fraction": options.alpha_fraction,
-            "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1,
-                        "finish": time.perf_counter() - t2},
-            "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
-            "stacks": {"refine": float(calls["stacks"])},
-            "rejected": {k: float(v) for k, v in rejected.items()},
-        },
-    )
+    pt, c = _unpack_r_shape(best[:, :-1], model.n)[0], float(np.exp(best[:, -1])[0])
+    result = _finish(model, k_hat, p, alpha_bar, pt, b, c)
+    if result is None:
+        raise InfeasibleError("the best (P_tilde, c) of the search gave no verifiable planar certificate")
+    return _traced(result, two_alpha_max, (t0, t1, t2), rate_nfev, calls, rejected, b=b, c=c)

@@ -1,11 +1,15 @@
-"""Certificate schema, assembled LMI blocks, and certificate verification.
+"""Certificate schema, the Ito loops each plant is certified on, LMI blocks, and verification.
 
 Every verification margin here is literally the largest eigenvalue of an
 explicitly assembled symmetric block matrix, so "margin <= 0" is the matrix
 inequality itself.  The blocks are those of the analysis form (P, P_tilde,
 K_hat); a design-form (Q, Y, c_tilde) file is checked as P = Q^{-1},
 P_tilde = c_tilde Q^{-1}, K_hat = Y Q^{-1}, since its LMIs are congruences of
-these, and a planar certificate through the same blocks of a shifted loop.
+these.  rate_loop and cross_loop map a plant to the linear Ito loops whose
+blocks certify it: a linear plant is its own loop, and the planar plant is a
+shifted one, its envelope weights b and c turning the sine envelope E1 into a
+diffusion and a shift.  One verify_certificate checks every plant and form
+through them, and design scores its candidates through the same two maps.
 File certificates are typically printed to 4-5 significant digits,
 so PASS compares each margin against tol * (1 + ||M||_F) with a relative tol
 (default 1e-2), in one margin loop, `_outcome`.
@@ -21,7 +25,7 @@ import numpy as np
 
 from .bounds import TwoFunctionConstants, emulation_bound_two
 from .errors import DomainError, FormatError, ValidationError
-from .models import LinearSampledModel, Model, NonlinearPlanarModel, read_json
+from .models import Model, NonlinearPlanarModel, read_json
 from .numerics import is_pos_def, lam_max
 
 _CERT_KEYS = {
@@ -292,69 +296,59 @@ def run_gain(model: Model, cert: LmiCertificate) -> Optional[np.ndarray]:
     return run
 
 
-def verify_analysis_certificate(
-    model: LinearSampledModel, cert: LmiCertificate, tol: float = 1e-2
-) -> VerificationOutcome:
-    """Check a certificate, (Q, Y) through analysis_form(), for a linear model with feedback.
+def rate_loop(model: Model, b_bar, b: Optional[float] = None):
+    """(F, G_list) of the Ito loop whose rate block certifies feedback b_bar (one or a stack):
+    (A + b_bar, the diffusion), or for the planar plant at envelope weight b the shifted loop
+    (A_bar + b_bar + (b/2) I, [E1/sqrt(b)])."""
+    if isinstance(model, NonlinearPlanarModel):
+        return model.A_bar + b_bar + 0.5 * b * np.eye(model.n), [model.envelope / np.sqrt(b)]
+    return model.A + b_bar, model.diffusion
 
-    Margins: the decay-rate inequality, the feedback-energy inequality
-    B^T P B <= alpha_b P_tilde, and the cross block against diag(g1 P, g2 P_tilde).
+
+def cross_loop(model: Model, b_bar, c=None):
+    """(F, G_list, B) of the Ito loop whose cross block certifies feedback b_bar: (A + b_bar, the
+    diffusion, b_bar), or for the planar plant at envelope weight c (one or a stack, which G and B
+    then carry) the shifted loop (A_bar + b_bar, [E1/sqrt(c)], b_bar - (c/2) I)."""
+    if isinstance(model, NonlinearPlanarModel):
+        c = np.asarray(c, dtype=float)[..., None, None]
+        return model.A_bar + b_bar, [model.envelope / np.sqrt(c)], b_bar - 0.5 * c * np.eye(model.n)
+    return model.A + b_bar, model.diffusion, b_bar
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed block or norm raises DomainError
+def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
+    """Check a certificate, (Q, Y) through analysis_form(), for a model with feedback.
+
+    Margins: the decay-rate inequality of rate_loop, the feedback-energy
+    inequality B^T P B <= alpha_b P_tilde, and the cross block of cross_loop
+    against diag(g1 P, g2 P_tilde).  A planar certificate needs every
+    two-function field, a gain and positive envelope weights b and c; a
+    linear model refuses a certificate that carries b or c.
     """
+    planar = isinstance(model, NonlinearPlanarModel)
+    for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c") if planar else ():
+        if getattr(cert, name) is None:
+            raise ValidationError(f"planar certificate is missing {name}")
+    if not planar and (cert.b is not None or cert.c is not None):
+        raise ValidationError("envelope weights b and c certify the planar plant, not a linear model")
     gain = run_gain(model, cert)
     b_bar = model.B_bar if gain is None else model.B_hat @ gain
-    form, cert = "analysis" if cert.Q is None else "design", cert.analysis_form()
     if b_bar is None:
         raise ValidationError("model gain is unresolved and the certificate carries no K_hat")
-    f = model.A + b_bar
-    blocks = {"rate": assemble_lyapunov_ito(f, model.diffusion, cert.P, cert.alpha_bar)}
+    if planar and not (cert.b > 0.0 and cert.c > 0.0):
+        raise DomainError("envelope weights b and c must be positive")
+    form = "planar" if planar else "analysis" if cert.Q is None else "design"
+    cert = cert.analysis_form()
+    blocks = {"rate": assemble_lyapunov_ito(*rate_loop(model, b_bar, cert.b), cert.P, cert.alpha_bar)}
     constants = cert.two_function_constants
     if constants is not None:
         if cert.P_tilde is None:
             raise ValidationError("two-function certificate needs P_tilde")
         blocks["feedback_energy"] = assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b)
         blocks["cross"] = assemble_cross_block(
-            f, model.diffusion, b_bar, cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
+            *cross_loop(model, b_bar, cert.c), cert.P, cert.P_tilde, cert.gamma1, cert.gamma2
         )
     return _outcome(blocks, tol, form, constants)
-
-
-def verify_planar_certificate(
-    model: NonlinearPlanarModel, cert: LmiCertificate, tol: float = 1e-2
-) -> VerificationOutcome:
-    """Check the nonlinear planar certificate (envelope weights b and c required).
-
-    Weights (b, c) turn the sine envelope E1 into a diffusion and a shift: the
-    rate block is the Ito rate block of A_tilde + (b/2) I with diffusion
-    E1/sqrt(b), and the cross block the linear one with diffusion E1/sqrt(c)
-    and feedback B_bar - (c/2) I.
-    """
-    for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c"):
-        if getattr(cert, name) is None:
-            raise ValidationError(f"planar certificate is missing {name}")
-    gain = run_gain(model, cert)
-    if gain is None:
-        raise ValidationError("planar certificate needs a gain (K_hat)")
-    if not (cert.b > 0.0 and cert.c > 0.0):
-        raise DomainError("envelope weights b and c must be positive")
-    work = model.with_gain(gain)
-    b_bar = work.B_bar
-    a_tilde = work.A_bar + b_bar
-    e1, half = work.envelope, 0.5 * np.eye(2)
-    blocks = {
-        "rate": assemble_lyapunov_ito(a_tilde + cert.b * half, [e1 / np.sqrt(cert.b)], cert.P, cert.alpha_bar),
-        "feedback_energy": assemble_feedback_energy(b_bar, cert.P, cert.P_tilde, cert.alpha_b),
-        "cross": assemble_cross_block(a_tilde, [e1 / np.sqrt(cert.c)], b_bar - cert.c * half,
-                                      cert.P, cert.P_tilde, cert.gamma1, cert.gamma2),
-    }
-    return _outcome(blocks, tol, "planar", cert.two_function_constants)
-
-
-def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
-    """Dispatch on model type."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed block or norm raises DomainError
-        if isinstance(model, NonlinearPlanarModel):
-            return verify_planar_certificate(model, cert, tol)
-        return verify_analysis_certificate(model, cert, tol)
 
 
 # perfbench/tracer.py looks this name up by getattr; it goes with the tracer's rows (ROADMAP item 1)

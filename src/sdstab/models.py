@@ -391,13 +391,25 @@ def read_input(path, what: str) -> bytes:
 
 
 def read_json(path, what: str, data: Optional[bytes] = None):
-    """The JSON document of the input file at path, parsed from data, its bytes, when given."""
+    """The JSON document of the input file at path, parsed from data, its bytes, when given.
+
+    No model, certificate or constants file holds a boolean, and Python reads
+    true as the number 1, so a boolean anywhere in the document is a FormatError.
+    """
     if data is None:
         data = read_input(path, what)
     try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as exc:   # undecodable bytes or invalid JSON
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # undecodable bytes, invalid or too deeply nested JSON
         raise FormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    todo = [doc]
+    while todo:  # a loop, not recursion, so any depth json.loads accepts is walked
+        value = todo.pop()
+        if isinstance(value, bool):
+            raise FormatError(f"{what} file {path} holds a boolean where a number or text belongs")
+        if isinstance(value, (dict, list)):
+            todo.extend(value.values() if isinstance(value, dict) else value)
+    return doc
 
 
 def load_model(path, data: Optional[bytes] = None) -> Model:

@@ -29,7 +29,11 @@ def strict_json(text):
 
 
 def _write(path, doc):
-    path.write_text(json.dumps(doc))
+    return _write_text(path, json.dumps(doc))
+
+
+def _write_text(path, text):
+    path.write_text(text)
     return str(path)
 
 
@@ -264,6 +268,8 @@ class TestExitCodes:
         "single_v_tau_not_finite", "horizon_inf", "cert_p_overflow", "cert_norm_overflow", "verify_tol_inf",
         "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
         "paths_unindexable", "schedule_explicit_nan", "schedule_explicit_inf",
+        "model_boolean", "cert_boolean", "constants_boolean", "model_deeply_nested",
+        "planar_cert_linear_model",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -322,6 +328,17 @@ class TestExitCodes:
             "model_diffusion": lambda: verify(diffusion=5),
             "constants_file": lambda: ["bound", "--single-v", "--constants", _write(
                 tmp_path / "c.json", {"alpha": "x", "alpha_b": 1.0, "alpha_f": 1.0})],
+            # Python reads JSON true as 1, so a boolean would pass as a number (A[0][0] is 1.0)
+            "model_boolean": lambda: verify(A=[[True, -1.0], [1.0, -5.0]]),
+            "cert_boolean": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json",
+                                     "--cert", patched("cert_ex1_sub1_analysis", gamma1=True)],
+            "constants_boolean": lambda: ["bound", "--two-v", "--constants", _write(
+                tmp_path / "c.json", {"alpha": True, "alpha_b": 1.0, "gamma1": 1.0, "gamma2": 1.0})],
+            "model_deeply_nested": lambda: verify()[:2] + [
+                _write_text(tmp_path / "deep.json", "[" * 100_000 + "]" * 100_000)] + verify()[3:],
+            # the envelope weights b and c mean nothing to a linear loop, so verify refuses them
+            "planar_cert_linear_model": lambda: ["verify", "--model", f"{FX}/ex1_sub1_control.json",
+                                                 "--cert", f"{FX}/cert_planar.json"],
             "verify_tol_nan": lambda: verify() + ["--tol", "nan"],
             # an infinite tol would pass any margin
             "verify_tol_inf": lambda: verify() + ["--tol", "inf"],

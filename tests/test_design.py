@@ -19,7 +19,7 @@ from sdstab.design import (
     synthesize_feedback,
 )
 from sdstab.errors import InfeasibleError, ValidationError
-from sdstab.lmi import load_certificate, run_gain, verify_analysis_certificate, verify_certificate
+from sdstab.lmi import load_certificate, run_gain, verify_certificate
 from sdstab.models import LinearSampledModel, load_model
 
 from oracles import bisect, planar_rate_block, rate_lyapunov_basis, sphere_ratio_max
@@ -82,7 +82,7 @@ class TestFitGamma:
         # the returned pair is feasible
         import dataclasses
         refit = dataclasses.replace(cert, gamma1=g1, gamma2=g2)
-        out = verify_analysis_certificate(model, refit, tol=0.0)
+        out = verify_certificate(model, refit, tol=0.0)
         assert out.margins["cross"] <= 0.0
 
     def test_zero_feedback_feasible_at_gamma2_of_two(self):
@@ -282,7 +282,7 @@ class TestExactRateDesign:
                 alpha_bar=k.alpha_bar, P=cert.P, P_tilde=c * cert.P,
                 alpha_b=k.alpha_b / c, gamma1=c * k.gamma1, gamma2=k.gamma2, K_hat=res.gain,
             )
-            assert verify_analysis_certificate(model, scaled, tol=0.0).passed
+            assert verify_certificate(model, scaled, tol=0.0).passed
             tau = emulation_bound_two(TwoFunctionConstants(k.alpha_bar, k.alpha_b / c, c * k.gamma1, k.gamma2))
             assert tau.tau_max == pytest.approx(res.bound.tau_max, rel=1e-12)
 
@@ -429,7 +429,7 @@ class TestSynthesize:
         )
         res = synthesize_feedback(model)
         assert res.bound.tau_max > 0
-        out = verify_analysis_certificate(model.with_gain(res.gain), res.certificate, tol=0.0)
+        out = verify_certificate(model.with_gain(res.gain), res.certificate, tol=0.0)
         assert out.passed
 
     def test_requires_design_mode(self, fixtures):
@@ -474,13 +474,13 @@ class TestPlanarRate:
     def test_exact_rate_is_the_planar_lmi_threshold(self, rng):
         # 2*alpha(K, b) = -max Re eig(L) - b: just below it the rate Lyapunov solve of
         # the shifted loop certifies the planar rate block, just above it no P > 0 exists
-        from sdstab.design import _rate_loop
+        from sdstab.lmi import rate_loop
 
         for model, k, b, two_alpha in _random_planar_loops(rng, 50):
             a_tilde = model.A_bar + model.B_hat @ k
             e1 = model.envelope
             low = two_alpha * (1 - 1e-6)
-            p = solve_rate_lyapunov(*_rate_loop(model, k, b), low, np.eye(2))
+            p = solve_rate_lyapunov(*rate_loop(model, model.B_hat @ k, b), low, np.eye(2))
             assert np.linalg.eigvalsh(p)[0] > 0.0
             assert np.linalg.eigvalsh(planar_rate_block(a_tilde, e1, p, 0.5 * low, b))[-1] < 0.0
             high = two_alpha * (1 + 1e-6)
@@ -491,13 +491,12 @@ class TestPlanarRate:
 class TestPlanarSynthesis:
     def test_default_options_beat_floor(self):
         from sdstab.design import synthesize_nonlinear_planar
-        from sdstab.lmi import verify_planar_certificate
         from sdstab.models import NonlinearPlanarModel
 
         res = synthesize_nonlinear_planar(DesignOptions())
         assert res.bound.tau_max >= 0.0285
         assert np.linalg.norm(res.gain) < 10.0
-        out = verify_planar_certificate(NonlinearPlanarModel(name="planar"), res.certificate, tol=0.0)
+        out = verify_certificate(NonlinearPlanarModel(name="planar"), res.certificate, tol=0.0)
         assert out.passed
         # envelope holds for the synthesized closed loop on random states
         model = NonlinearPlanarModel(name="planar").with_gain(res.gain)
@@ -512,14 +511,49 @@ class TestPlanarSynthesis:
 
     def test_reported_gain_replay(self, fixtures):
         # replaying the reported planar certificate reproduces its bound
-        from sdstab.lmi import load_certificate, verify_planar_certificate
+        from sdstab.lmi import load_certificate
         from sdstab.models import load_model
 
         model = load_model(fixtures / "planar.json")
         cert = load_certificate(fixtures / "cert_planar.json")
-        out = verify_planar_certificate(model, cert, tol=1e-2)
+        out = verify_certificate(model, cert, tol=1e-2)
         assert out.passed
         assert out.tau_max == pytest.approx(0.0175, abs=1e-4)
+
+
+    def test_stacked_cross_scores_match_one_certificate(self, fixtures):
+        # a generation of the (P_tilde, c) search is one stacked gamma scan; each row must
+        # score the tau its certificate scores alone
+        from sdstab.design import _cross_scores
+
+        model = load_model(fixtures / "planar.json")
+        cert = load_certificate(fixtures / "cert_planar.json")
+        b_bar = model.B_hat @ cert.K_hat
+        rng = np.random.default_rng(5)
+        pts = np.array([cert.P_tilde] + [random_spd(rng, 2, 0.1) * 100.0 for _ in range(11)])
+        # the last two weights leave no feasible gamma pair in the scan box
+        cs = np.concatenate([cert.c * np.exp(rng.uniform(-3.0, 3.0, len(pts) - 2)), [1e-9, 1e7]])
+        for scan in ({"coarse": 40, "refine_rounds": 1}, {}):
+            alpha_b, (_, _, tau) = _cross_scores(model, b_bar, cert.P, pts, cert.alpha_bar, cs, **scan)
+            assert 2 <= np.isfinite(tau).sum() < len(pts)  # feasible and infeasible rows alike
+            for i, (pt, c) in enumerate(zip(pts, cs)):
+                one_b, (_, _, one) = _cross_scores(model, b_bar, cert.P, pt, cert.alpha_bar, float(c), **scan)
+                assert alpha_b[i] == pytest.approx(one_b, rel=1e-12)
+                assert tau[i] == (-np.inf if one == -np.inf else pytest.approx(one, rel=1e-12))
+
+    def test_failed_reverification_is_infeasible(self, monkeypatch, capsys):
+        # the design returns only what verify passes at tol 0: a FAIL there leaves no design
+        import dataclasses
+
+        import sdstab.design as design
+        from sdstab.cli import main
+
+        real = design.verify_certificate
+        monkeypatch.setattr(design, "verify_certificate",
+                            lambda model, cert, tol: dataclasses.replace(real(model, cert, tol), passed=False))
+        with pytest.raises(InfeasibleError, match="no verifiable planar certificate"):
+            design.synthesize_nonlinear_planar()
+        assert main(["design", "--model", str(FIXTURES / "planar.json")]) == 2
 
 
 class TestExtractMinimality:

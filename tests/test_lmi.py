@@ -12,10 +12,10 @@ from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
     LmiCertificate,
     assemble_lyapunov_ito,
+    cross_loop,
     load_certificate,
-    verify_analysis_certificate,
+    rate_loop,
     verify_certificate,
-    verify_planar_certificate,
 )
 from sdstab.models import LinearSampledModel, NonlinearPlanarModel, load_model
 from sdstab.numerics import is_pos_def, lam_max
@@ -30,7 +30,7 @@ def random_hurwitz(rng, n):
 
 class TestVerifyLyapunovIto:
     """The Ito rate block F^T P + P F + sum G^T P G + 2 alpha_bar P, whose
-    lambda_max is the rate margin of verify_analysis_certificate."""
+    lambda_max is the rate margin of verify_certificate."""
 
     @staticmethod
     def margin(F, G_list, P, alpha_bar):
@@ -65,7 +65,7 @@ class TestReportedCertificates:
         ):
             model = load_model(fixtures / f"{mname}.json")
             cert = load_certificate(fixtures / f"{cname}.json")
-            out = verify_analysis_certificate(model, cert, tol=1e-2)
+            out = verify_certificate(model, cert, tol=1e-2)
             assert out.passed
             assert out.implies_almost_sure
             assert all(m <= 1e-2 * out.scales[k] for k, m in out.margins.items())
@@ -144,7 +144,7 @@ class TestReportedCertificates:
     def test_planar_pass(self, fixtures):
         model = load_model(fixtures / "planar.json")
         cert = load_certificate(fixtures / "cert_planar.json")
-        out = verify_planar_certificate(model, cert, tol=1e-2)
+        out = verify_certificate(model, cert, tol=1e-2)
         assert out.passed
         assert out.tau_max == pytest.approx(0.0175, abs=1e-4)
 
@@ -180,7 +180,7 @@ class TestReportedCertificates:
         cert = LmiCertificate(
             alpha_bar=alpha, P=p, P_tilde=p, alpha_b=1.0, gamma1=g1, gamma2=g2
         )
-        out = verify_analysis_certificate(model, cert, tol=0.0)
+        out = verify_certificate(model, cert, tol=0.0)
         assert out.margins["cross"] <= 1e-10
 
     def test_missing_p_tilde_rejected(self, fixtures):
@@ -191,7 +191,7 @@ class TestReportedCertificates:
             alpha_b=241.9335, gamma1=1.2491, gamma2=60.5024,
         )
         with pytest.raises(ValidationError):
-            verify_analysis_certificate(model, cert)
+            verify_certificate(model, cert)
 
     def test_design_y_zero_stable_plant(self):
         model = LinearSampledModel(
@@ -220,7 +220,7 @@ class TestReportedCertificates:
         model = load_model(fixtures / "planar.json")
         cert = load_certificate(fixtures / "cert_planar.json")
         bs = np.linspace(0.3, 0.7, 81)
-        outs = [verify_planar_certificate(model, dataclasses.replace(cert, b=float(b))) for b in bs]
+        outs = [verify_certificate(model, dataclasses.replace(cert, b=float(b))) for b in bs]
         vals = np.array([out.margins["rate"] for out in outs])
         # d margin / d b is bounded by ||P|| + ||E1' P E1|| / b^2 on this range
         p, e1 = cert.P, model.envelope
@@ -254,7 +254,7 @@ class TestReportedCertificates:
             "feedback_energy": b_bar.T @ p @ b_bar - alpha_b * pt,
             "cross": planar_cross_block(a_tilde, e1, b_bar, p, pt, g1, g2, c),
         }
-        out = verify_planar_certificate(model, cert, tol=0.0)
+        out = verify_certificate(model, cert, tol=0.0)
         assert set(out.margins) == set(want)
         for name, m in want.items():
             m = 0.5 * (m + m.T)
@@ -267,6 +267,40 @@ class TestReportedCertificates:
         for value in (0.0, -1.0):
             with pytest.raises(DomainError, match="must be positive"):
                 verify_certificate(model, dataclasses.replace(cert, **{field: value}))
+
+
+class TestPlantLoops:
+    """rate_loop and cross_loop, the linear Ito loops whose blocks certify each plant."""
+
+    def test_linear_plant_is_its_own_loop(self, fixtures):
+        model = load_model(fixtures / "ex1_sub1.json")
+        b_bar = model.B_bar
+        f, g = rate_loop(model, b_bar)
+        assert np.array_equal(f, model.A + b_bar) and g is model.diffusion
+        fc, gc, bc = cross_loop(model, b_bar)
+        assert np.array_equal(fc, f) and gc is model.diffusion and bc is b_bar
+
+    def test_cross_loop_stack_matches_scalar_calls(self, rng):
+        # the design scores a stack of envelope weights c in one call; each row must be
+        # the loop the verifier assembles for that c alone, bit for bit
+        model = NonlinearPlanarModel(name="planar")
+        b_bar = model.B_hat @ rng.normal(scale=5.0, size=(1, 2))
+        cs = np.exp(rng.uniform(-3.0, 8.0, 9))
+        f, (g,), b = cross_loop(model, b_bar, cs)
+        assert g.shape == b.shape == (len(cs), 2, 2)
+        for i, c in enumerate(cs):
+            f1, (g1,), b1 = cross_loop(model, b_bar, float(c))
+            assert f1.tobytes() == f.tobytes()
+            assert g1.tobytes() == g[i].tobytes() and b1.tobytes() == b[i].tobytes()
+
+    def test_planar_rate_loop_is_the_paper_block(self, rng):
+        model = NonlinearPlanarModel(name="planar")
+        b_bar = model.B_hat @ rng.normal(scale=5.0, size=(1, 2))
+        p = np.array([[2.0, 0.3], [0.3, 0.5]])
+        for b in (0.01, 0.46, 7.0):
+            block = assemble_lyapunov_ito(*rate_loop(model, b_bar, b), p, 1.5)
+            want = planar_rate_block(model.A_bar + b_bar, model.envelope, p, 1.5, b)
+            assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCertificateSchema:

@@ -249,3 +249,39 @@ def test_one_keyed_stream_helper():
     callers = {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and "_stream" in _reads(n)}
     assert {"_grid_for", "_noise"} <= callers
     assert word_arithmetic((SRC / "sim.py").read_text(encoding="utf-8")) == []
+
+
+LOOP_FIELDS = {"envelope", "A_bar"}
+
+
+def loop_field_reads(source: str) -> list:
+    """(top-level def or class name, line) of each read of an attribute named envelope or A_bar
+    ('' at module level)."""
+    out = []
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else ""
+        out += [(name, n.lineno) for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and n.attr in LOOP_FIELDS and isinstance(n.ctx, ast.Load)]
+    return sorted(out)
+
+
+def test_scan_flags_loop_field_reads():
+    source = (
+        "E = model.envelope\n"
+        "def rate_loop(model, b):\n    return model.A_bar + b, [model.envelope]\n"
+        "def other(model):\n    model.A_bar = 1\n    return model.A + getattr(model, 'A_bar')\n"
+        "class Plant:\n    A_bar: int = 0\n    def shift(self):\n        return self.A_bar\n"
+    )
+    assert loop_field_reads(source) == [("", 1), ("Plant", 10), ("rate_loop", 3), ("rate_loop", 3)]
+
+
+def test_one_plant_adapter():
+    # the planar plant reaches the certificate blocks and the design searches only as the
+    # shifted linear Ito loop that lmi.rate_loop and lmi.cross_loop build, and one verifier
+    # checks every plant
+    readers = {p.name: sorted({f for f, _ in loop_field_reads(p.read_text(encoding="utf-8"))})
+               for p in MODULES if p.name != "models.py"}
+    assert {m: f for m, f in readers.items() if f} == {"lmi.py": ["cross_loop", "rate_loop"]}
+    tree = ast.parse((SRC / "lmi.py").read_text(encoding="utf-8"))
+    verifiers = [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("verify_")]
+    assert verifiers == ["verify_certificate"]
