@@ -316,11 +316,16 @@ def two_v_tau(alpha_bar, alpha_b, gamma1, gamma2):
     DomainError names the first element that is not, or whose q* is not
     representable.  Scalar inputs give floats.
     """
-    a, ab, g1, g2 = args = [np.asarray(v, dtype=float) for v in (alpha_bar, alpha_b, gamma1, gamma2)]
+    args = [np.asarray(v, dtype=float) for v in (alpha_bar, alpha_b, gamma1, gamma2)]
     for name, v in zip(("alpha_bar", "alpha_b", "gamma1", "gamma2"), args):
         ok = np.isfinite(v) & (v > 0)
         if not ok.all():
             raise DomainError(f"{name} must be positive and finite, got {v[~ok].flat[0]}")
+    return two_v_tau_core(*args)
+
+
+def two_v_tau_core(a, ab, g1, g2):
+    """two_v_tau of float arrays already known to be positive and finite, without checking them."""
     with np.errstate(over="ignore"):  # an overflowed product fails in _stationary_q
         q = np.asarray(_stationary_q(ab * g1, a * a * g2))
     tau = _two_v_at(q, a, ab, g1, g2)

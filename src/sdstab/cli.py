@@ -317,6 +317,8 @@ def cmd_design(args, argv) -> int:
         result = synthesize_nonlinear_planar(options, model=model)
     else:
         result = synthesize_feedback(model, options)
+    import scipy  # loaded by the design search already; `import sdstab.cli` loads no scipy
+
     report["results"] = {
         "gain": result.gain.tolist(),
         "gain_norm": float(np.linalg.norm(result.gain)),
@@ -329,6 +331,9 @@ def cmd_design(args, argv) -> int:
             "gamma2": result.constants.gamma2,
         },
         "trace": _plain(result.trace),
+        # the design's bits depend on scipy's differential_evolution and lambertw, and on
+        # numpy's LAPACK
+        "search": {"numpy": np.__version__, "scipy": scipy.__version__},
         "model": model_to_dict(model),
         "certificate": result.certificate.to_dict(),
     }

@@ -4,15 +4,17 @@ Both plants are designed on the linear Ito loops of lmi.rate_loop and
 lmi.cross_loop (the planar one shifted by its envelope weights b and c),
 following the recipe behind the design LMIs:
 
-1. Nelder-Mead maximizes the exact mean-square decay rate
-   2*alpha = -max Re eig(ito_generator(*rate_loop(...))) over |K| <= _GAIN_CAP,
-   and for the planar plant over log b; at a fixed gain this is the optimum of
-   the rate LMI, so no SDP solver is needed;
+1. Nelder-Mead (_nelder_mead: scipy's steps bit for bit, each iteration's
+   four probe points scored as one stack) maximizes the exact mean-square
+   decay rate 2*alpha = -max Re eig(ito_generator(*rate_loop(...))) over
+   |K| <= _GAIN_CAP, and for the planar plant over log b; at a fixed gain this
+   is the optimum of the rate LMI, so no SDP solver is needed;
 2. a fixed-seed differential evolution scores each generation as one stacked
    call: the linear design searches the gain, the shape of the Lyapunov
    residual and the rate alpha_bar (P solves the rate Lyapunov equation at
-   alpha_bar), then a short Nelder-Mead polish follows; the planar design keeps
-   the rate-optimal gain and P, and searches the cyber certificate shape and c;
+   alpha_bar), then a _nelder_mead polish of _POLISH_EVALS evaluations
+   follows; the planar design keeps the rate-optimal gain and P, and
+   searches the cyber certificate shape and c;
 3. both searches score through _cross_scores: alpha_b exactly as a symmetric
    pencil eigenvalue, then (gamma1, gamma2) by scanning gamma2 and taking the
    least feasible gamma1 from the Schur complement of the cross block, for the
@@ -31,11 +33,11 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau
+from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau_core
 from .errors import InfeasibleError, ValidationError
 from .lmi import LmiCertificate, assemble_lyapunov_ito, cross_loop, rate_loop, verify_certificate
 from .models import LinearSampledModel, NonlinearPlanarModel
-from .numerics import pencil_max_eig, sym_inv_sqrt
+from .numerics import pencil_max_eig, sym_eigvals, sym_inv_sqrt
 
 _TINY = 1e-12
 _INFLATE = 1e-7  # relative safety margin applied to exact pencil optima
@@ -106,7 +108,7 @@ def _gamma1_at(terms, gamma2) -> np.ndarray:
     inv = 1.0 / np.where(ok[..., None], d, 1.0)
     w = w[..., None, :, :]
     lhs = c[..., None, :, :] + (w.swapaxes(-1, -2) * inv[..., None, :]) @ w
-    return np.where(ok, np.linalg.eigvalsh(lhs)[..., -1], np.nan).reshape(g2.shape)
+    return np.where(ok, sym_eigvals(lhs)[..., -1], np.nan).reshape(g2.shape)
 
 
 def _log_grid(lo, hi, num: int) -> np.ndarray:
@@ -151,7 +153,7 @@ def _best_gamma_pair(
     for r in range(refine_rounds + 1):
         g1 = np.maximum(_gamma1_at(terms, grid) * (1 + _INFLATE), max(_TINY, lo))
         ok = g1 <= hi  # NaN, an infeasible corner, compares False
-        _, tau = two_v_tau(a_bar, a_b, np.where(ok, g1, hi), grid)
+        _, tau = two_v_tau_core(a_bar, a_b, np.where(ok, g1, hi), grid)
         tau[~ok] = -np.inf
         i = tau.argmax(axis=1)
         row_best = (g1[rows, i], grid[rows, i], tau[rows, i])
@@ -266,56 +268,113 @@ def ito_generator(F, G_list) -> np.ndarray:
     return out.reshape(f.shape[:-2] + (n * n, n * n))
 
 
-def _capped_gain(z: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    """The gain z scaled back onto the ball |K| <= _GAIN_CAP."""
-    k = np.asarray(z, dtype=float).reshape(shape)
-    norm = float(np.linalg.norm(k))
-    return k * (_GAIN_CAP / norm) if norm > _GAIN_CAP else k
+def _nelder_mead(values, simplex, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead minimization, (x, fun, nfev) bit for bit scipy's non-adaptive method.
+
+    The float operations of scipy.optimize.minimize(method="Nelder-Mead")
+    (Lagarias et al., SIAM J. Optim. 9, 1998): its coefficients, argsort
+    reordering and maxfev cut, also inside an iteration or a shrink.  simplex
+    is the (N + 1, N) start, or a point x0 for scipy's default simplex about
+    it.  values(points) returns the value of each row of a (k, N) stack: the
+    reflection, expansion and both contractions of an iteration are scored
+    as one stack before any is read, then read in scipy's order, and a shrink
+    is one stack.  nfev counts the values read, as scipy counts them.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # probe k is a[k] xbar - b[k] x_worst: reflection, expansion, outside and inside contraction
+    # (x - (-y) is x + y exactly, so the inside one matches scipy's (1 - psi) xbar + psi x_worst)
+    a, b = np.array([[1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi],
+                     [rho, rho * chi, psi * rho, -psi]], dtype=float)[:, :, None]
+    sim = np.array(simplex, dtype=float)
+    if sim.ndim == 1:
+        x0, sim = sim, np.tile(sim, (len(sim) + 1, 1))
+        for k in range(len(x0)):
+            sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = values(sim[:nfev])
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        probes = a * (np.add.reduce(sim[:-1], 0) / n) - b * sim[-1]
+        fxr, fxe, fxc, fxcc = values(probes)
+        nfev += 1 if not fxr < fsim[0] and fxr < fsim[-2] else 2  # the reflection, then one more?
+        if nfev > maxfev:  # scipy stops before the second read and keeps the simplex
+            nfev = maxfev
+        else:
+            if fxr < fsim[0]:
+                new = (probes[1], fxe) if fxe < fxr else (probes[0], fxr)
+            elif fxr < fsim[-2]:
+                new = (probes[0], fxr)
+            elif fxr < fsim[-1]:
+                new = (probes[2], fxc) if fxc <= fxr else None
+            else:
+                new = (probes[3], fxcc) if fxcc < fsim[-1] else None
+            if new is not None:
+                sim[-1], fsim[-1] = new
+            else:  # shrink toward the best vertex; a cut moves one vertex more than it scores
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                k = min(n, maxfev - nfev)
+                sim[1: k + 2] = shrunk[: k + 1]
+                if k:
+                    fsim[1: k + 1] = values(shrunk[:k])
+                nfev += k
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev
 
 
 def _rate_optimal_gain(model):
-    """Nelder-Mead for the largest exact rate: (K*, b*, 2*alpha_max, nfev).
+    """Nelder-Mead for the largest exact rate: (K*, b*, 2*alpha_max, counts).
 
     A linear plant searches the gain, capped at |K| <= _GAIN_CAP, and b* is
     None.  The planar plant also searches log b, clipped to _B_RANGE, for
-    2*alpha(K, b) = -max Re eig(ito_generator(*rate_loop(model, B K, b))).  A
+    2*alpha(K, b) = -max Re eig(ito_generator(*rate_loop(model, B K, b))).
+    Each stack of points is one batched generator and eigenvalue call, and
+    counts holds the search's nfev, rows and stacks.  A stack with a
     generator or abscissa that is not finite, or a best rate that is not
     positive, certifies no rate and raises InfeasibleError.
     """
-    from scipy.optimize import minimize
-
     planar = isinstance(model, NonlinearPlanarModel)
     shape = (model.B_hat.shape[1], model.n)
     k_dims = shape[0] * shape[1]
     log_b = np.log(_B_RANGE)
+    calls = Counter()
 
-    def unpack(v):
-        b = math.exp(min(max(v[-1], log_b[0]), log_b[1])) if planar else None
-        return _capped_gain(v[:k_dims], shape), b
+    def unpack(v):  # per row: the gain scaled back onto |K| <= _GAIN_CAP, and b
+        z = v[:, :k_dims]
+        norm = np.sqrt(np.vecdot(z, z))  # bit for bit np.linalg.norm of each row
+        k = (z * (_GAIN_CAP / np.maximum(norm, _GAIN_CAP))[:, None]).reshape((-1,) + shape)
+        b = np.array([math.exp(x) for x in np.clip(v[:, -1], *log_b)]) if planar else None
+        return k, b
 
-    def abscissa(v):  # max Re eig of the generator: -2*alpha(K, b)
+    def abscissa(v):  # max Re eig of the generator: -2*alpha(K, b), one per row of v
+        calls["rows"] += len(v)
+        calls["stacks"] += 1
         k, b = unpack(v)
         gen = ito_generator(*rate_loop(model, model.B_hat @ k, b))
-        lam = np.linalg.eigvals(gen).real.max() if np.isfinite(gen).all() else math.inf
-        if not math.isfinite(lam):
+        lam = np.linalg.eigvals(gen).real.max(axis=-1) if np.isfinite(gen).all() else np.inf
+        if not np.isfinite(lam).all():
             raise InfeasibleError("the mean-square rate generator is not finite: no certifiable rate")
         return lam
 
     z = np.zeros(k_dims + planar)
     # first-round steps: half the gain cap, one unit of log b
     steps = np.concatenate([np.full(k_dims, 0.5 * _GAIN_CAP), np.ones(int(planar))])
-    nfev = 0
     for simplex in (np.vstack([z, z + np.diag(steps)]), None):
-        res = minimize(
-            abscissa, z, method="Nelder-Mead",
-            options={"initial_simplex": simplex, "maxfev": 2000, "xatol": 1e-10, "fatol": 1e-13},
-        )
-        z, nfev = res.x, nfev + int(res.nfev)
-    if not res.fun < 0.0:
+        z, fun, nfev = _nelder_mead(abscissa, z if simplex is None else simplex, 2000, 1e-10, 1e-13)
+        calls["nfev"] += nfev
+    if not fun < 0.0:
         box = f" and b in {_B_RANGE}" if planar else ""
         raise InfeasibleError(f"plant not stabilizable: best exact mean-square rate 2*alpha = "
-                              f"{-res.fun:.6g} over |K| <= {_GAIN_CAP}{box}")
-    return (*unpack(z), -float(res.fun), nfev)
+                              f"{-fun:.6g} over |K| <= {_GAIN_CAP}{box}")
+    k, b = unpack(z[None])
+    return k[0], None if b is None else float(b[0]), -float(fun), calls
 
 
 def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: np.ndarray, rejected: Counter):
@@ -345,10 +404,10 @@ def _bound_for_gain(model, k_hat: np.ndarray, r_mat: np.ndarray, alpha_bar: np.n
     tr = np.trace(p, axis1=-2, axis2=-1)
     b_bar, f, p, tr = keep(tr > 0.0, "singular_solve", b_bar, f, p, tr)  # NaN: a singular solve
     p = p * (n / tr)[:, None, None]
-    w = np.linalg.eigvalsh(p)
+    w = sym_eigvals(p)
     b_bar, f, p = keep(w[:, 0] > 1e-12 * w[:, -1], "singular_solve", b_bar, f, p)
     rate = assemble_lyapunov_ito(f, g, p, alpha_bar[live])
-    b_bar, p = keep(np.linalg.eigvalsh(rate)[:, -1] <= -1e-9, "rate_check", b_bar, p)
+    b_bar, p = keep(sym_eigvals(rate)[:, -1] <= -1e-9, "rate_check", b_bar, p)
     if not live.size:
         return tau, p_out
     t = _cross_scores(model, b_bar, p, p, alpha_bar[live], coarse=36, refine_rounds=1)[1][2]
@@ -377,54 +436,57 @@ def _search_box(model) -> np.ndarray:
 
 
 def _objective(score, calls: Counter):
-    """-tau of each column of z by score (one point per row, tau -inf where rejected), 10 where
+    """-tau of each row of z by score (one point per row, tau -inf where rejected), 10 where
     rejected: one stacked call, counted in calls["stacks"] and its points in calls["rows"]."""
     def objective(z):
-        calls["rows"] += z.shape[1]
+        calls["rows"] += len(z)
         calls["stacks"] += 1
-        tau = score(z.T)
+        tau = score(z)
         return np.where(np.isfinite(tau), -tau, 10.0)
 
     return objective
 
 
-def _evolve(objective, lo, hi, z0=None):
-    """Fixed-seed differential evolution over the box [lo, hi] from z0 clipped into it: _GENERATIONS
-    generations per coordinate, each of _POPSIZE points per coordinate in one objective call."""
+def _evolve(score, lo, hi, calls: Counter, z0=None):
+    """Fixed-seed differential evolution of _objective(score, calls) over the box [lo, hi] from z0
+    clipped into it: _GENERATIONS generations per coordinate, each of _POPSIZE points per
+    coordinate in one stacked call."""
     from scipy.optimize import differential_evolution
 
-    return differential_evolution(
-        objective, np.column_stack([lo, hi]), maxiter=_GENERATIONS * len(lo), popsize=_POPSIZE,
-        tol=0.0, rng=_SEARCH_SEED, polish=False, x0=None if z0 is None else np.clip(z0, lo, hi),
-        updating="deferred", vectorized=True,
+    objective = _objective(score, calls)
+    de = differential_evolution(
+        lambda z: objective(z.T), np.column_stack([lo, hi]), maxiter=_GENERATIONS * len(lo),
+        popsize=_POPSIZE, tol=0.0, rng=_SEARCH_SEED, polish=False,
+        x0=None if z0 is None else np.clip(z0, lo, hi), updating="deferred", vectorized=True,
     )
+    calls["nfev"] = calls["rows"]  # it reads every point it scores
+    return de
 
 
-def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter, calls: Counter):
+def _refine_gain(model, k0, alpha_max: float, fraction: float, rejected: Counter, calls: dict):
     """Differential evolution over (gain, residual shape, rate), then a Nelder-Mead polish.
 
     The search seeds (k0, R = I, logit(fraction)), clipped into the box, and
-    scores each generation in one stacked call; the polish scores one point
-    per call.  `rejected` counts rejected rows per reason, and `calls` the
-    stacked calls and rows scored.  Returns (gain, P, alpha_bar), or None if
+    scores each generation in one stacked call; the polish (_nelder_mead,
+    _POLISH_EVALS evaluations) scores each iteration's four probe points, or
+    its shrink, in one stacked call.  `rejected` counts rejected rows per
+    reason, and calls["refine"] and calls["polish"] the evaluations, rows and
+    stacked calls of each search.  Returns (gain, P, alpha_bar), or None if
     no candidate certified a bound.
     """
-    from scipy.optimize import minimize
+    def score(z):
+        return _bound_for_gain(model, *_unpack_points(z, model, alpha_max), rejected)[0]
 
-    objective = _objective(
-        lambda z: _bound_for_gain(model, *_unpack_points(z, model, alpha_max), rejected)[0], calls
-    )
     lo, hi = _search_box(model)
     r_dims = len(lo) - np.size(k0) - 1
     z0 = np.concatenate([np.ravel(k0), np.zeros(r_dims), [math.log(fraction / (1.0 - fraction))]])
-    de = _evolve(objective, lo, hi, z0)
+    de = _evolve(score, lo, hi, calls["refine"], z0)
     steps = np.maximum(de.population.std(axis=0), 1e-6)  # the polish simplex spans the final spread
-    res = minimize(
-        lambda z: float(objective(z[:, None])[0]), de.x, method="Nelder-Mead",
-        options={"initial_simplex": np.vstack([de.x, de.x + np.diag(steps)]),
-                 "maxfev": _POLISH_EVALS, "xatol": 1e-10, "fatol": 1e-13},
+    x, _, calls["polish"]["nfev"] = _nelder_mead(
+        _objective(score, calls["polish"]), np.vstack([de.x, de.x + np.diag(steps)]),
+        _POLISH_EVALS, 1e-10, 1e-13,
     )
-    k_hat, r_mat, alpha_bar = _unpack_points(res.x[None], model, alpha_max)  # the polish keeps its best
+    k_hat, r_mat, alpha_bar = _unpack_points(x[None], model, alpha_max)  # the polish keeps its best
     tau, p = _bound_for_gain(model, k_hat, r_mat, alpha_bar, Counter())
     return (k_hat[0], p[0], float(alpha_bar[0])) if np.isfinite(tau[0]) else None
 
@@ -474,18 +536,19 @@ def _finish(model, k_hat, p, alpha_bar, pt=None, b=None, c=None) -> Optional[Des
     )
 
 
-def _traced(result: DesignResult, two_alpha_max, times, rate_nfev, calls: Counter, rejected: Counter,
+def _traced(result: DesignResult, two_alpha_max, times, calls: dict, rejected: Counter,
             **extra) -> DesignResult:
     """result, its trace filled in; times are the perf_counter readings at the start and after the
-    rate search and the refinement, and extra the plant's own entries."""
+    rate search and the refinement, calls the nfev, rows and stacks of each search, and extra the
+    plant's own entries."""
     t0, t1, t2 = times
     result.trace.update({
         "two_alpha_max": two_alpha_max,
         "alpha_fraction": result.constants.alpha_bar / (0.5 * two_alpha_max),
         **extra,
         "stage_s": {"rate_search": t1 - t0, "refine": t2 - t1, "finish": time.perf_counter() - t2},
-        "nfev": {"rate_search": float(rate_nfev), "refine": float(calls["rows"])},
-        "stacks": {"refine": float(calls["stacks"])},
+        **{count: {search: float(c[count]) for search, c in calls.items()}
+           for count in ("nfev", "rows", "stacks")},
         "rejected": {k: float(v) for k, v in rejected.items()},
     })
     return result
@@ -495,7 +558,7 @@ def _unit_rate_solve(model, k_hat, alpha_bar, b=None) -> Optional[np.ndarray]:
     """P of the rate Lyapunov solve of rate_loop(model, B K, b) at alpha_bar with residual I, or
     None where it is not positive definite (NaN, a singular solve, fails too)."""
     p = solve_rate_lyapunov(*rate_loop(model, model.B_hat @ k_hat, b), 2.0 * alpha_bar, np.eye(model.n))
-    return p if np.linalg.eigvalsh(p)[0] > 0.0 else None
+    return p if sym_eigvals(p)[0] > 0.0 else None
 
 
 def synthesize_feedback(
@@ -513,12 +576,12 @@ def synthesize_feedback(
         raise ValidationError("synthesize_feedback needs a linear model in design mode")
 
     t0 = time.perf_counter()
-    k_star, _, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
+    k_star, _, two_alpha_max, rate_calls = _rate_optimal_gain(model)
     alpha_max = 0.5 * two_alpha_max
     t1 = time.perf_counter()
     # singular_solve: the rate Lyapunov solve is singular, indefinite or ill-conditioned
     rejected = Counter({"singular_solve": 0, "rate_check": 0, "gamma_box": 0, "gain_cap": 0})
-    calls = Counter()
+    calls = {"rate_search": rate_calls, "refine": Counter(), "polish": Counter()}
     point = _refine_gain(model, k_star, alpha_max, options.alpha_fraction, rejected, calls)
     t2 = time.perf_counter()
     result = None if point is None else _finish(model, *point)
@@ -530,7 +593,7 @@ def synthesize_feedback(
         result = None if p is None else _finish(model, k_star, p, alpha_bar)
     if result is None:
         raise InfeasibleError("neither the refined nor the rate-optimal gain gave a verifiable design")
-    return _traced(result, two_alpha_max, (t0, t1, t2), rate_nfev, calls, rejected, fallback=float(fallback))
+    return _traced(result, two_alpha_max, (t0, t1, t2), calls, rejected, fallback=float(fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +620,7 @@ def synthesize_nonlinear_planar(
         raise ValidationError("model already carries a gain; synthesis needs design mode")
 
     t0 = time.perf_counter()
-    k_hat, b, two_alpha_max, rate_nfev = _rate_optimal_gain(model)
+    k_hat, b, two_alpha_max, rate_calls = _rate_optimal_gain(model)
     alpha_bar = 0.5 * options.alpha_fraction * two_alpha_max
     p = _unit_rate_solve(model, k_hat, alpha_bar, b)
     if p is None:
@@ -565,7 +628,7 @@ def synthesize_nonlinear_planar(
     unit = p * (model.n / float(np.trace(p)))  # the P that _finish certifies
     b_bar = model.B_hat @ k_hat
     t1 = time.perf_counter()
-    rejected, calls = Counter({"gamma_box": 0}), Counter()
+    rejected, calls = Counter({"gamma_box": 0}), {"rate_search": rate_calls, "refine": Counter()}
 
     def score(z):  # one row per (P_tilde shape, log c)
         pt, c = _unpack_r_shape(z[:, :-1], model.n), np.exp(z[:, -1])
@@ -574,10 +637,10 @@ def synthesize_nonlinear_planar(
         return tau
 
     lo, hi = np.array(_shape_box(model.n) + [tuple(np.log(_C_RANGE))]).T
-    best = _evolve(_objective(score, calls), lo, hi).x[None]  # no prior point to seed it with
+    best = _evolve(score, lo, hi, calls["refine"]).x[None]  # no prior point to seed it with
     t2 = time.perf_counter()
     pt, c = _unpack_r_shape(best[:, :-1], model.n)[0], float(np.exp(best[:, -1])[0])
     result = _finish(model, k_hat, p, alpha_bar, pt, b, c)
     if result is None:
         raise InfeasibleError("the best (P_tilde, c) of the search gave no verifiable planar certificate")
-    return _traced(result, two_alpha_max, (t0, t1, t2), rate_nfev, calls, rejected, b=b, c=c)
+    return _traced(result, two_alpha_max, (t0, t1, t2), calls, rejected, b=b, c=c)

@@ -296,11 +296,12 @@ def run_gain(model: Model, cert: LmiCertificate) -> Optional[np.ndarray]:
     return run
 
 
-def rate_loop(model: Model, b_bar, b: Optional[float] = None):
+def rate_loop(model: Model, b_bar, b=None):
     """(F, G_list) of the Ito loop whose rate block certifies feedback b_bar (one or a stack):
-    (A + b_bar, the diffusion), or for the planar plant at envelope weight b the shifted loop
-    (A_bar + b_bar + (b/2) I, [E1/sqrt(b)])."""
+    (A + b_bar, the diffusion), or for the planar plant at envelope weight b (one or a stack,
+    which G then carries) the shifted loop (A_bar + b_bar + (b/2) I, [E1/sqrt(b)])."""
     if isinstance(model, NonlinearPlanarModel):
+        b = np.asarray(b, dtype=float)[..., None, None]
         return model.A_bar + b_bar + 0.5 * b * np.eye(model.n), [model.envelope / np.sqrt(b)]
     return model.A + b_bar, model.diffusion
 

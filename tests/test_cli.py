@@ -520,15 +520,26 @@ class TestDesignCommand:
         # the report records where the time went and what the search decided
         trace = json.loads((tmp_path / "rep.json").read_text())["results"]["trace"]
         assert set(trace["stage_s"]) == {"rate_search", "refine", "finish"}
-        assert set(trace["nfev"]) == {"rate_search", "refine"}
+        for count in ("nfev", "rows", "stacks"):
+            assert set(trace[count]) == {"rate_search", "refine", "polish"}
         assert set(trace["rejected"]) == {"singular_solve", "rate_check", "gamma_box", "gain_cap"}
-        for group in ("stage_s", "nfev", "stacks", "rejected"):
+        for group in ("stage_s", "nfev", "rows", "stacks", "rejected"):
             assert all(type(v) is float and v >= 0.0 for v in trace[group].values())
-        assert trace["nfev"]["rate_search"] > 0 and trace["nfev"]["refine"] > 0
-        # the refinement scores whole generations per call: fewer calls than rows
-        assert 0 < trace["stacks"]["refine"] < trace["nfev"]["refine"]
+        nfev, rows, stacks = trace["nfev"], trace["rows"], trace["stacks"]
+        # the differential evolution reads every row it scores, whole generations per call
+        assert nfev["refine"] == rows["refine"] > stacks["refine"] > 0
+        # the Nelder-Mead searches score each step's probes as one stack, so they score more rows
+        # than their iterates read, in fewer calls
+        assert 0 < nfev["polish"] <= 150
+        for search in ("rate_search", "polish"):
+            assert 0 < stacks[search] < nfev[search] < rows[search]
         assert type(trace["two_alpha_max"]) is float and trace["two_alpha_max"] > 0.0
         assert 0.0 < trace["alpha_fraction"] < 1.0
+        # a design's bits depend on scipy's search and lambertw and on numpy's LAPACK
+        import scipy
+
+        search = json.loads((tmp_path / "rep.json").read_text())["results"]["search"]
+        assert search == {"numpy": np.__version__, "scipy": scipy.__version__}
         # the written certificate verifies against the model
         assert run(["verify", "--model", str(mp), "--cert", str(cert)]) == 0
         # the search is random only through a fixed seed: a second run writes the same bytes
@@ -616,18 +627,21 @@ class TestPlanarCliRoundTrip:
         # linear design's stages and counts
         trace = json.loads((tmp_path / "rep.json").read_text())["results"]["trace"]
         assert set(trace) == {"b", "c", "gain_norm", "two_alpha_max", "alpha_fraction",
-                              "stage_s", "nfev", "stacks", "rejected"}
+                              "stage_s", "nfev", "rows", "stacks", "rejected"}
         assert set(trace["stage_s"]) == {"rate_search", "refine", "finish"}
-        assert set(trace["nfev"]) == {"rate_search", "refine"}
-        assert set(trace["stacks"]) == {"refine"}
+        for count in ("nfev", "rows", "stacks"):
+            assert set(trace[count]) == {"rate_search", "refine"}
         assert set(trace["rejected"]) == {"gamma_box"}
-        for group in ("stage_s", "nfev", "stacks", "rejected"):
+        for group in ("stage_s", "nfev", "rows", "stacks", "rejected"):
             assert all(type(v) is float and v >= 0.0 for v in trace[group].values())
         for key in ("b", "c", "gain_norm", "two_alpha_max", "alpha_fraction"):
             assert type(trace[key]) is float and trace[key] > 0.0
         # 3 search coordinates: 30 generations of 30 rows, plus the first population
-        assert trace["nfev"]["rate_search"] > 0 and trace["nfev"]["refine"] == 31 * 30
+        assert trace["nfev"]["refine"] == trace["rows"]["refine"] == 31 * 30
         assert trace["stacks"]["refine"] == 31
+        # the rate search's evaluations, as scipy's Nelder-Mead counted them at the same steps
+        assert trace["nfev"]["rate_search"] == 579
+        assert trace["stacks"]["rate_search"] < trace["nfev"]["rate_search"] < trace["rows"]["rate_search"]
         assert trace["alpha_fraction"] == 0.9 and trace["gain_norm"] < 10.0
         assert run(["verify", "--model", f"{FX}/planar.json", "--cert", str(cert)]) == 0
         capsys.readouterr()

@@ -12,6 +12,7 @@ from sdstab.design import (
     DesignOptions,
     _best_gamma_pair,
     _gamma1_at,
+    _nelder_mead,
     _schur_terms,
     extract_alpha_b,
     ito_generator,
@@ -311,10 +312,74 @@ class TestExactRateDesign:
         assert np.linalg.norm(res.gain) <= 10.0
         assert verify_certificate(model, res.certificate, tol=0.0).passed
 
+    def test_three_state_design(self):
+        # a 3-state plant: every symmetric eigenvalue of its search is eigvalsh's own, not the 2x2
+        # closed form; tau is the bit pattern the one-point-per-call search designed
+        model = LinearSampledModel(
+            name="three", n=3, A=np.array([[1.0, -1.0, 0.2], [1.0, -5.0, 0.0], [0.0, 0.5, -1.0]]),
+            diffusion=(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.3]]),),
+            B_hat=np.array([[1.0], [0.0], [0.0]]),
+        )
+        res = synthesize_feedback(model)
+        assert verify_certificate(model, res.certificate, tol=0.0).passed
+        assert res.bound.tau_max == 0.01015665966567561
+
     def test_alpha_fraction_outside_unit_interval_rejected(self):
         for bad in (0.0, 1.0, 1.5, float("nan")):
             with pytest.raises(ValidationError):
                 DesignOptions(alpha_fraction=bad)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _kinked(x):  # nonsmooth, with plateaus that make the simplex shrink
+    return float(np.max(np.abs(x - 0.3)) + np.floor(4.0 * np.abs(x[0])) + 0.1 * np.abs(x).sum())
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy.optimize.minimize(method="Nelder-Mead"), bit for bit."""
+
+    @staticmethod
+    def _pair(f, x0, simplex, maxfev, xatol=1e-10, fatol=1e-13):
+        from scipy.optimize import minimize
+
+        stacks = []
+
+        def values(points):
+            stacks.append(len(points))
+            return np.array([f(p) for p in points])
+
+        x, fun, nfev = _nelder_mead(values, x0 if simplex is None else simplex, maxfev, xatol, fatol)
+        ref = minimize(f, x0, method="Nelder-Mead",
+                       options={"initial_simplex": simplex, "maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+        assert x.tobytes() == ref.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert nfev == ref.nfev
+        return stacks
+
+    @pytest.mark.parametrize("f", [_rosenbrock, _kinked], ids=["smooth", "nonsmooth"])
+    def test_given_and_default_simplex(self, f, rng):
+        for n in (1, 2, 3, 5):
+            x0 = rng.normal(size=n)
+            x0[0] = 0.0  # the default simplex steps a zero coordinate by 0.00025, others by 5%
+            self._pair(f, x0, None, 2000)
+            self._pair(f, x0, np.vstack([x0, x0 + np.diag(rng.uniform(0.1, 2.0, n))]), 2000, 1e-6, 1e-8)
+
+    @pytest.mark.parametrize("f", [_rosenbrock, _kinked], ids=["smooth", "nonsmooth"])
+    def test_every_maxfev_cut(self, f):
+        # every budget from 1 to 120 evaluations: cuts in the first simplex, after a reflection
+        # (before its expansion or contraction) and inside a shrink, where one vertex more moves
+        # than is scored
+        x0 = np.array([-1.2, 1.0, 0.5])
+        simplex = np.vstack([x0, x0 + np.diag([0.5, 0.5, 0.5])])
+        sizes = set()
+        for maxfev in range(1, 121):
+            sizes |= set(self._pair(f, x0, simplex, maxfev))
+        if f is _kinked:
+            assert {1, 2, 3} <= sizes  # shrinks of 3 vertices, and shrinks cut after 1 and 2
+        assert 4 in sizes  # the four probes of an iteration, one stack
 
 
 def _scalar_scores(model, k_hat, r_mat, alpha_bar):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdstab.errors import DomainError
-from sdstab.numerics import is_pos_def, lam_max, pencil_max_eig
+from sdstab.numerics import _RANGE, is_pos_def, lam_max, pencil_max_eig, sym_eigvals
 
 from oracles import jacobi_eigh
 
@@ -164,3 +164,43 @@ class TestPencilMaxEig:
                 pencil_max_eig(bad, np.eye(2))
             with pytest.raises(DomainError):
                 pencil_max_eig(np.eye(2), bad)
+
+
+def _same_bits(m):
+    ref, got = np.linalg.eigvalsh(m), sym_eigvals(m)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestSymEigvals:
+    """sym_eigvals against np.linalg.eigvalsh, bit for bit in both eigenvalues."""
+
+    BLOCKS = 1_200_000  # about 1e6 of them inside the closed form's range
+
+    @pytest.mark.parametrize("case", ["symmetric", "psd", "off_1e-9", "off_1e-17", "off_0",
+                                      "equal_diagonal", "zero_trace"])
+    def test_two_by_two_blocks(self, case, rng):
+        x = rng.normal(size=(self.BLOCKS, 2, 2))
+        m = x @ x.swapaxes(1, 2) if case == "psd" else x + x.swapaxes(1, 2)
+        if case.startswith("off_"):
+            m[:, 0, 1] = m[:, 1, 0] = m[:, 1, 0] * float(case[4:])
+        elif case == "equal_diagonal":
+            m[:, 1, 1] = m[:, 0, 0]
+        elif case == "zero_trace":
+            m[:, 1, 1] = -m[:, 0, 0]
+        m *= 10.0 ** rng.uniform(-110.0, 120.0, size=(self.BLOCKS, 1, 1))
+        big = np.abs(m[:, (0, 1, 1), (0, 0, 1)]).max(axis=1)
+        inside = (big >= _RANGE[0]) & (big <= _RANGE[1])
+        assert inside.sum() >= 1_000_000
+        _same_bits(m[inside])  # the closed form
+        _same_bits(m[~inside])  # eigvalsh, where LAPACK scales first
+        _same_bits(m[:1000])  # a stack that mixes both
+
+    def test_non_finite_rows_and_other_sizes(self, rng):
+        m = rng.normal(size=(1_000_000, 2, 2))
+        m[::1000, 0, 0] = np.nan
+        m[1::1000, 1, 0] = np.inf
+        m[2::1000, 1, 1] = -np.inf
+        _same_bits(m)
+        for shape in ((300, 1, 1), (300, 3, 3), (4, 36, 3, 3), (1, 36, 2, 2), (50, 36, 2, 2), (2, 2)):
+            a = rng.normal(size=shape)
+            _same_bits(a + a.swapaxes(-1, -2))

@@ -285,3 +285,58 @@ def test_one_plant_adapter():
     tree = ast.parse((SRC / "lmi.py").read_text(encoding="utf-8"))
     verifiers = [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("verify_")]
     assert verifiers == ["verify_certificate"]
+
+
+def minimize_uses(source: str) -> list:
+    """Lines of source that import scipy.optimize's minimize or read it as scipy.optimize.minimize."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if (isinstance(n, ast.ImportFrom) and (n.module or "").startswith("scipy.optimize")
+                      and any(a.name == "minimize" for a in n.names))
+                  or (isinstance(n, ast.Attribute) and n.attr == "minimize"
+                      and ast.unparse(n.value).endswith("optimize")))
+
+
+def test_scan_flags_scipy_minimize():
+    source = (
+        "import scipy.optimize\n"
+        "from scipy.optimize import minimize\n"
+        "from scipy.optimize import differential_evolution\n"
+        "res = scipy.optimize.minimize(f, x0)\n"
+        "from scipy.optimize._minimize import minimize as m\n"
+        "x = design.minimize_gevp\n"
+    )
+    assert minimize_uses(source) == [2, 4, 5]
+
+
+def test_no_scipy_minimize():
+    # both Nelder-Mead searches run through design._nelder_mead, which scores each step's
+    # probe points as one stack
+    uses = {p.name: minimize_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {m: lines for m, lines in uses.items() if lines} == {}
+
+
+def eigvalsh_readers(source: str) -> list:
+    """Name of the top-level def around each read or import of a name eigvalsh ('' at module level)."""
+    out = []
+    for node in ast.parse(source).body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else ""
+        out += [name for n in ast.walk(node)
+                if (isinstance(n, ast.Attribute) and n.attr == "eigvalsh")
+                or (isinstance(n, ast.ImportFrom) and any(a.name == "eigvalsh" for a in n.names))]
+    return out
+
+
+def test_scan_flags_eigvalsh():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def f(m):\n    return np.linalg.eigvalsh(m)[-1]\n"
+        "def g(m):\n    return np.linalg.eigh(m)\n"
+    )
+    assert eigvalsh_readers(source) == ["", "f"]
+
+
+def test_one_symmetric_eigensolver_entry_point():
+    # every symmetric eigenvalue goes through numerics.sym_eigvals, which is eigvalsh bit for bit
+    readers = {p.name: eigvalsh_readers(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {m: sorted(set(f)) for m, f in readers.items() if f} == {"numerics.py": ["sym_eigvals"]}
