@@ -392,6 +392,7 @@ def cmd_simulate(args, argv) -> int:
         # the normals of a seed are those of this numpy: NEP 19 fixes the raw Philox words
         # across numpy versions, but not Generator.standard_normal
         "noise": {"B": _BLOCK, "W": _WINDOW, "numpy": np.__version__},
+        "integration": {"steps": ens.steps, "stored_times": len(ens.times)},
         "terminal_mean_sq": None if np.isnan(terminal) else terminal,
         "terminal_mean_sq_se": _terminal_mean_sq_se(ens),
     }
@@ -420,6 +421,7 @@ def cmd_simulate(args, argv) -> int:
     t_done = time.perf_counter()
     report["wall_time_s"] = t_done - t0
     report["stage_s"] = {"integrate": t_integrated - t0, "estimate": t_done - t_integrated}
+    report["ns_per_path_step"] = (t_integrated - t0) * 1e9 / (ens.n_paths * ens.steps)
     if args.traj_out:
         _save(args.traj_out, partial(export_trajectories_csv, ens))
         print(f"trajectories written to {args.traj_out}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,9 +109,10 @@ class LinearSampledModel:
             raise ValidationError("model has no input map to apply a gain to")
         return replace(self, K_hat=_matrix(K_hat, self.B_hat.shape[1], self.n, "K_hat"))
 
-    def drift(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Open-loop drift A x (batch-capable: x may be (..., n)), written to out if given."""
-        return np.matmul(x, self.A.T, out=out)
+    def drift_step(self, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+        """A function of no arguments that writes the open-loop drift A x of each row of x
+        into out, for these x and out arrays of shape (..., n)."""
+        return partial(np.matmul, x, self.A.T, out)
 
 
 @dataclass(frozen=True)
@@ -163,27 +165,64 @@ class NonlinearPlanarModel:
     def with_gain(self, K_hat: np.ndarray) -> "NonlinearPlanarModel":
         return replace(self, K_hat=_matrix(K_hat, 1, 2, "K_hat"))
 
-    def _sine(self, x: np.ndarray):
-        """s = x1 sin(K x * x2) of each row of x."""
+    def _phi_step(self, x: np.ndarray, phi: np.ndarray) -> Callable[[], None]:
+        """A function of no arguments that writes phi(x) into phi, state-major: phi[j] holds
+        component j of each row of x.
+
+        s = x1 sin(K x * x2) is formed in one (rows,) buffer.  K x is a gemv on a C-ordered
+        copy of x, so it rounds the same whatever the memory order of x.
+        """
         if self.K_hat is None:
             raise ValidationError("phi requires a resolved gain")
-        # on C-ordered rows, so the product rounds the same whatever the memory order of x
-        x = np.ascontiguousarray(x, dtype=float)
-        s = np.sin((x @ self.K_hat[0]) * x[..., 1])
-        s *= x[..., 0]
-        return s
+        k = self.K_hat[0]
+        rows = np.empty(x.shape)
+        s = np.empty(x.shape[:-1])
+        x1, x2 = x[..., 0], x[..., 1]
+        w = np.array(_PHI_WEIGHTS).reshape((2,) + (1,) * s.ndim)
+        copyto, matmul, multiply, sin = np.copyto, np.matmul, np.multiply, np.sin
+
+        def step():
+            copyto(rows, x)
+            matmul(rows, k, s)
+            multiply(s, x2, s)
+            sin(s, s)
+            multiply(s, x1, s)
+            multiply(w, s, phi)
+        return step
 
     def phi(self, x: np.ndarray) -> np.ndarray:
         """Sine nonlinearity; requires a resolved gain. Batch-capable."""
-        return self._sine(x)[..., None] * np.array(_PHI_WEIGHTS)
+        x = np.asarray(x, dtype=float)
+        phi = np.empty((2,) + x.shape[:-1])
+        self._phi_step(x, phi)()
+        return np.moveaxis(phi, 0, -1)
 
     def drift(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A_bar x + phi(x), written to out if given; phi is added column by column."""
-        out = np.matmul(x, self.A_bar.T, out=out)
-        s = self._sine(x)
-        for j, w in enumerate(_PHI_WEIGHTS):
-            out[..., j] += s * w
-        return out
+        """A_bar x + phi(x), written to out if given."""
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty(x.shape)
+        return self.drift_step(x, out)()
+
+    def drift_step(self, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+        """A function of no arguments that writes drift(x) into out, for these x and out
+        arrays of shape (..., 2), with every temporary allocated here.
+
+        phi(x) is added through a state-major view of out: where out is a (rows, 2) view of a
+        state-major array, as in the simulator, each add runs over one contiguous row.
+        """
+        phi = np.empty((2,) + x.shape[:-1])
+        phi_step = self._phi_step(x, phi)
+        a_t = self.A_bar.T
+        base = np.moveaxis(out, -1, 0)
+        matmul, add = np.matmul, np.add
+
+        def step():
+            matmul(x, a_t, out)
+            phi_step()
+            add(base, phi, base)
+            return out
+        return step
 
 
 Model = Union[LinearSampledModel, NonlinearPlanarModel]

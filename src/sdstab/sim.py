@@ -25,13 +25,16 @@ ensemble_moments.  It integrates the paper's physical/cyber (impulsive) form
 of the loop in its hold form: the cyber state y = x - x(t_*) resets to 0 at
 each sampling instant, so the drift drift(x) + (x - y) B_bar^T is
 drift(x) + x(t_*) B_bar^T.  It forms that hold term once per sampling
-interval, screens the batch for divergence with one scalar test per step (the
-row-by-row check runs only when that test fails or a path is already dead),
-and writes the stored alive flags once per block and when a path dies.  A
-step allocates nothing: the state and its temporaries are (paths, n) views of
-state-major arrays, so every product, broadcast and store runs over
-contiguous path columns, and the drift, the diffusion products and the
-divergence screen write into buffers of the chunk.
+interval, screens the batch for divergence with one dot product x.x per
+_SCREEN_RUN state entries against fl(cap^2) (the row-by-row check runs only
+when that test fails or a path is already dead), and writes the stored alive
+flags once per block and when a path dies.  A step allocates nothing: the
+state and its temporaries are (paths, n) views of state-major arrays, so each
+state component is one contiguous row; the model's drift step
+(model.drift_step), built once per chunk on the chunk's state and drift
+buffers, and the diffusion products write into buffers of the chunk, and a
+broadcast runs one contiguous row at a time, since numpy buffers a ufunc that
+broadcasts across a block.
 
 An ensemble is integrated in chunks of _CHUNK paths, at most one per worker
 at a time, and never on more threads than the CPUs the process may run on.
@@ -65,6 +68,10 @@ from .models import Model, SamplingSchedule, check_grid_length, schedule_instant
 _MASK64 = (1 << 64) - 1
 _SCHEDULE_STREAM = 1 << 63
 _DIVERGENCE_CAP = 1e150
+_SCREEN = _DIVERGENCE_CAP * _DIVERGENCE_CAP   # fl(cap^2)
+# entries per dot product of the divergence screen: OpenBLAS runs a longer dot on all its
+# threads (past 10,000 entries on x86-64), and waking them every step costs more than the dot
+_SCREEN_RUN = 8192
 _CHUNK = 4096
 _BLOCK = 1024    # B: paths that share a noise stream; divides _CHUNK, so no two chunks draw one stream
 _WINDOW = 16     # W: steps that share a noise stream
@@ -118,6 +125,7 @@ def _noise(seed: int, paths, m: int):
         groups.append((int(blocks[c0]), slice(c0, c1), _as_slice(rows), int(rows.max())))
     buf = np.empty((max(g[3] for g in groups) + 1) * _WINDOW * m)
     gen = None
+    copyto, multiply = np.copyto, np.multiply
 
     def draw(step0: int, nsteps: int, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
         nonlocal gen
@@ -129,8 +137,11 @@ def _noise(seed: int, paths, m: int):
                 gen = _stream(seed, b, w, gen)
                 gen.standard_normal(out=buf[:(last * _WINDOW + e) * m])
                 z = buf[:(last + 1) * _WINDOW * m].reshape(last + 1, _WINDOW, m)
-                np.multiply(z[rows, a:e].transpose(1, 2, 0), scale[i0:i1, None, None],
-                            out=out[i0:i1, :, cols])
+                copyto(out[i0:i1, :, cols], z[rows, a:e].transpose(1, 2, 0))
+        # one step's (m, paths) slab at a time: numpy buffers a multiply that broadcasts
+        # scale across a block of out, and this allocates nothing
+        for i in range(nsteps):
+            multiply(out[i], scale[i], out[i])
         return out
     return draw
 
@@ -210,6 +221,7 @@ class EnsembleMoments:
     instants: np.ndarray
     seed: int
     diverged_at: np.ndarray     # (n_paths,) time of divergence, NaN if none
+    steps: int                  # Euler-Maruyama steps of each path
 
     @property
     def n_paths(self) -> int:
@@ -293,9 +305,9 @@ def _outputs(npaths: int, nstore: int, n: int):
 
 
 def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink):
-    """EM for a batch of paths with drift model.drift(x) + x(t_*) B_bar^T, x(t_*)
-    refreshed where grid.refresh is set; returns the paths' divergence times
-    (NaN where none).
+    """EM for a batch of paths with drift f(x) + x(t_*) B_bar^T, f the model's
+    open-loop drift (model.drift_step) and x(t_*) refreshed where grid.refresh
+    is set; returns the paths' divergence times (NaN where none).
 
     Row r is path path_indices[r].  The stored states go to a buffer of
     max(2, _WINDOW_NORMALS // rows) stored times, and each full block is
@@ -318,13 +330,19 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
         s1 = min(s0 + block, nstore)
         return nstore if nstore - s1 == 1 else s1
 
-    # the state and its temporaries are (paths, n) views of state-major arrays, so each
-    # state component is one contiguous column; their products round as on path-major
-    # rows (the kernel oracle tests check it bit for bit)
+    # the state and its temporaries are (paths, n) views X.T, ... of state-major arrays, so
+    # each state component is one contiguous row of X; their products round as on
+    # path-major rows (the kernel oracle tests check it bit for bit)
     n = len(x0)
-    x, upd, tmp, hold = (np.empty((n, npaths)).T for _ in range(4))
+    X, UPD, TMP, HOLD = (np.empty((n, npaths)) for _ in range(4))
+    x, upd, tmp, hold = X.T, UPD.T, TMP.T, HOLD.T
+    tmp_rows = list(TMP)
     x[:] = x0
-    np.matmul(x, b_bar.T, out=hold)   # x(t_*) B_bar^T
+    b_t = b_bar.T
+    np.matmul(x, b_t, hold)   # x(t_*) B_bar^T
+    drift = model.drift_step(x, upd)
+    flat = X.reshape(-1)   # a view: X is C-ordered
+    runs = [flat[r:r + _SCREEN_RUN] for r in range(0, flat.size, _SCREEN_RUN)]
     alive = np.ones(npaths, dtype=bool)
     any_dead = False
     diverged_at = np.full(npaths, np.nan)
@@ -339,13 +357,14 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
     if m > 0:
         draw = _noise(seed, path_indices, m)
         dw = np.empty((_WINDOW, m, npaths))
+    matmul, multiply, add = np.matmul, np.multiply, np.add
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nsteps + 1):
             if i < nsteps and refresh[i]:
-                np.matmul(x, b_bar.T, out=hold)
+                matmul(x, b_t, hold)
             if i == next_store:
-                stage[s - s0] = x.T
+                stage[s - s0] = X
                 s += 1
                 next_store = store_idx[s] if s < nstore else -1
                 if s == s1:
@@ -355,9 +374,9 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
                     alive_buf[:] = alive[:, None]
             if i == nsteps:
                 break
-            model.drift(x, out=upd)
-            upd += hold
-            upd *= steps[i]
+            drift()
+            add(UPD, HOLD, UPD)
+            multiply(UPD, steps[i], UPD)
             if m > 0:
                 k = i % _WINDOW
                 if k == 0:
@@ -365,12 +384,15 @@ def _integrate_chunk(model, b_bar, grid, x0, path_indices, seed, store_idx, sink
                     w = min(_WINDOW, nsteps - i)
                     draw(i, w, sqrt_h[i:i + w], dw[:w])
                 for j, gt in enumerate(gts):
-                    np.matmul(x, gt, out=tmp)
-                    tmp *= dw[k, j, :, None]
-                    upd += tmp
-            x += upd
-            # NaN and inf compare False, so the screen also catches non-finite rows
-            if any_dead or not np.maximum.reduce(np.abs(x, out=tmp), axis=None) <= _DIVERGENCE_CAP:
+                    matmul(x, gt, tmp)
+                    for row in tmp_rows:   # row by row: a broadcast multiply is buffered
+                        multiply(row, dw[k, j], row)
+                    add(UPD, TMP, UPD)
+            add(X, UPD, X)
+            # a sum of squares is never below its largest rounded square, so every
+            # |x| < cap when each run's is below fl(cap^2); NaN and inf fail the test, and
+            # a failure only runs the row-by-row check
+            if any_dead or not all(r.dot(r) < _SCREEN for r in runs):
                 bad = alive & ~(np.abs(x).max(axis=1) <= _DIVERGENCE_CAP)
                 if bad.any():
                     any_dead = True
@@ -501,7 +523,7 @@ def _ensemble(model: Model, cfg: SimConfig, workers: int, keep: bool):
         diverged_at[rows] = died
     moments = dict(times=grid.times[store_idx], sum_sq=total[0], alive_counts=counts,
                    terminal=states[:, -1], terminal_alive=alive[:, -1], instants=grid.instants,
-                   seed=cfg.seed, diverged_at=diverged_at)
+                   seed=cfg.seed, diverged_at=diverged_at, steps=len(grid.steps))
     return TrajectoryEnsemble(**moments, states=states, alive=alive) if keep else EnsembleMoments(**moments)
 
 

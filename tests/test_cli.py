@@ -153,6 +153,17 @@ class TestSimulateCommand:
         assert set(stages) == {"integrate", "estimate"} and min(stages.values()) > 0
         assert sum(stages.values()) == pytest.approx(rep["wall_time_s"])
 
+    def test_integration_record(self, tmp_path):
+        # 10 sampling gaps of 10 substeps each: 100 steps, stored at 0, 3, ..., 99 and 100
+        out = tmp_path / "sim.json"
+        code = run(["simulate", "--model", f"{FX}/ex1_sub1.json", "--schedule", "periodic:0.1",
+                    "--dt-sim", "0.01", "--horizon", "1", "--paths", "7", "--store-stride", "3",
+                    "--out", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["results"]["integration"] == {"steps": 100, "stored_times": 35}
+        assert rep["ns_per_path_step"] == pytest.approx(rep["stage_s"]["integrate"] * 1e9 / (7 * 100))
+
     @pytest.mark.parametrize("model", ["sub1", "gbm"])
     def test_traj_out_route_same_statistics(self, model, capsys, monkeypatch, tmp_path):
         # without --traj-out the statistics fold chunk by chunk, with it they come

@@ -440,6 +440,24 @@ class TestKernelOracle:
                         dt_sim=0.0005, n_paths=6, seed=3)
         self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg)))
 
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 7, 8, 9, 127, 128, 129])
+    def test_planar_path_counts(self, monkeypatch, fixtures, n_paths):
+        # a gemv rounds the tail rows of some batch sizes differently from the rest
+        cert = load_certificate(fixtures / "cert_planar.json")
+        model = load_model(fixtures / "planar.json").with_gain(cert.K_hat)
+        cfg = SimConfig(schedule=SamplingSchedule.parse("uniform:0.005,0.015"), horizon=0.3,
+                        dt_sim=0.0005, n_paths=n_paths, seed=8)
+        self.assert_ensembles(*self.both(monkeypatch, lambda: run_ensemble(model, cfg)))
+
+    def test_planar_every_path_diverges(self, monkeypatch, fixtures):
+        cert = load_certificate(fixtures / "cert_planar.json")
+        model = load_model(fixtures / "planar.json").with_gain(cert.K_hat)
+        cfg = SimConfig(schedule=SamplingSchedule.parse("periodic:0.5"), horizon=400.0, dt_sim=0.05,
+                        n_paths=3, x0=np.array([5.0, -3.0]))
+        fast, ref = self.both(monkeypatch, lambda: run_ensemble(model, cfg))
+        assert fast.n_diverged == fast.n_paths
+        self.assert_ensembles(fast, ref)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sub1_chunks_and_stride(self, monkeypatch, fixtures, workers):
         m = load_model(fixtures / "ex1_sub1.json")
@@ -477,6 +495,118 @@ class TestKernelOracle:
         # a chain that passes the cap part way
         assert same_bits(*self.both(monkeypatch, lambda: em_path(
             np.array([[1e3]]), [], 1.0, 80, np.array([1.0]))))
+
+
+class Scripted:
+    """A noise-free plant whose drift at step k is script[k], an array of (paths, n), whatever
+    the state.  With B_bar = 0 and unit steps, a state that starts at 0 holds the sum of the
+    script so far, exactly while each entry of it is scripted at most once."""
+
+    m = 0
+    diffusion = ()
+
+    def __init__(self, script):
+        self.script = script
+
+    def drift_step(self, x, out):
+        rows = iter(self.script)
+
+        def step():
+            out[:] = next(rows)
+        return step
+
+
+def scripted_run(script, x0):
+    """The divergence times and the last states of the kernel on a Scripted drift, unit steps."""
+    nsteps, npaths, n = script.shape
+    times = np.arange(nsteps + 1.0)
+    grid = sim._Grid(times=times, steps=np.ones(nsteps), refresh=np.zeros(nsteps, dtype=bool),
+                     instants=times[:1])
+    last = {}
+
+    def sink(s0, block, alive):
+        last["states"] = block[:, -1].copy()
+
+    died = sim._integrate_chunk(Scripted(script), np.zeros((n, n)), grid, np.asarray(x0, dtype=float),
+                                np.arange(npaths), 0, np.arange(nsteps + 1), sink)
+    return died, last["states"]
+
+
+class TestDivergenceScreen:
+    """The kernel screens a step with one sum of squares against fl(cap^2); a path dies in the
+    step in which an entry of it leaves [-cap, cap] or is not finite."""
+
+    CAP = sim._DIVERGENCE_CAP
+
+    @pytest.mark.parametrize("value, dies", [
+        (CAP, False), (-CAP, False), (np.nextafter(CAP, np.inf), True),
+        (np.nan, True), (np.inf, True), (-np.inf, True),
+    ], ids=["cap", "-cap", "past-cap", "nan", "inf", "-inf"])
+    def test_lone_entry(self, value, dies):
+        # entry (path 1, state 0) of 3 paths becomes value in step 2, which ends at t = 3
+        script = np.zeros((5, 3, 2))
+        script[2, 1, 0] = value
+        died, last = scripted_run(script, np.zeros(2))
+        expect = np.full(3, np.nan)
+        if dies:
+            expect[1] = 3.0
+        assert same_bits(died, expect)
+        if not dies:
+            assert last[1, 0] == value and not last[[0, 2]].any()
+
+    def test_entry_in_a_later_run(self):
+        # 4096 paths x 3 states are 12,288 entries, screened as two dot products; the last
+        # entry, in the second, leaves [-cap, cap] in step 1, which ends at t = 2
+        script = np.zeros((3, 4096, 3))
+        script[1, -1, -1] = np.nextafter(self.CAP, np.inf)
+        died, _ = scripted_run(script, np.zeros(3))
+        expect = np.full(4096, np.nan)
+        expect[-1] = 2.0
+        assert same_bits(died, expect)
+
+    def test_full_batch_near_cap_kills_nothing(self):
+        # 4096 paths x 2 states at 0.99 cap: their squares sum past fl(cap^2), so each step
+        # falls through to the row-by-row check, which keeps every path
+        x0 = np.full(2, 0.99 * self.CAP)
+        flat = np.full(2 * 4096, x0[0])
+        with np.errstate(over="ignore"):
+            assert not flat.dot(flat) < sim._SCREEN
+        died, last = scripted_run(np.zeros((3, 4096, 2)), x0)
+        assert np.isnan(died).all() and (last == x0[0]).all()
+
+
+class TestStepAllocations:
+    @pytest.mark.parametrize("plant", ["planar", "sub1"])
+    def test_steps_allocate_nothing(self, fixtures, plant):
+        # every temporary of a step is allocated with the chunk: between two block hand-offs
+        # the traced peak rises less than one (paths,) array above the memory in use
+        paths = 4096
+        if plant == "planar":
+            model = load_model(fixtures / "planar.json").with_gain(
+                load_certificate(fixtures / "cert_planar.json").K_hat)
+            cfg = SimConfig(schedule=SamplingSchedule.parse("uniform:0.005,0.015"), horizon=0.04,
+                            dt_sim=0.0005, n_paths=paths, seed=2)
+        else:
+            model = load_model(fixtures / "ex1_sub1.json")   # one noise channel
+            cfg = cfg_for(0.02, 0.2, n_paths=paths, seed=2)
+        grid, store_idx = sim._grid_for(cfg)
+        used, rises = [], []
+
+        def sink(s0, block, alive):
+            current, peak = tracemalloc.get_traced_memory()
+            if used:
+                rises.append(peak - used[-1])
+            used.append(current)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            sim._integrate_chunk(model, model.B_bar, grid, model.x0, np.arange(paths), cfg.seed,
+                                 store_idx, sink)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) >= 3
+        assert max(rises) < paths * 8, rises
 
 
 class TestAliveFlags:
@@ -737,6 +867,7 @@ class TestEstimators:
             instants=np.array([0.0]),
             seed=0,
             diverged_at=np.full(3, np.nan),
+            steps=40,
         )
         ex = estimate_as_exponent(ens)
         assert ex.n_zero == 2

@@ -340,3 +340,30 @@ def test_one_symmetric_eigensolver_entry_point():
     # every symmetric eigenvalue goes through numerics.sym_eigvals, which is eigvalsh bit for bit
     readers = {p.name: eigvalsh_readers(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {m: sorted(set(f)) for m, f in readers.items() if f} == {"numerics.py": ["sym_eigvals"]}
+
+
+def contiguous_copies(source: str) -> list:
+    """Lines of source that read or import a name ascontiguousarray."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if (isinstance(n, ast.Attribute) and n.attr == "ascontiguousarray")
+                  or (isinstance(n, ast.Name) and n.id == "ascontiguousarray")
+                  or (isinstance(n, ast.ImportFrom) and any(a.name == "ascontiguousarray" for a in n.names)))
+
+
+def test_scan_flags_contiguous_copies():
+    source = (
+        "import numpy as np\n"
+        "y = np.ascontiguousarray(x, dtype=float)\n"
+        "z = np.array(x, order='C')\n"
+        "from numpy import ascontiguousarray as c\n"
+        "f = np.ascontiguousarray\n"
+        "g = x.copy()\n"
+    )
+    assert contiguous_copies(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("name", ["sim.py", "models.py"])
+def test_no_contiguous_copies(name):
+    # the kernel's drift and screen write into buffers of the chunk, so a step allocates
+    # nothing; ascontiguousarray makes a new array whenever its input is not C-ordered
+    assert contiguous_copies((SRC / name).read_text(encoding="utf-8")) == []
