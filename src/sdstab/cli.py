@@ -48,7 +48,6 @@ from .errors import (
 )
 from .lmi import LmiCertificate, load_certificate, run_gain, save_certificate, verify_certificate
 from .models import (
-    NonlinearPlanarModel,
     SamplingSchedule,
     load_model,
     model_from_dict,
@@ -313,8 +312,8 @@ def cmd_design(args, argv) -> int:
     model = load_model(args.model, _read_input(report, "model", args.model, "model"))
     options = DesignOptions(alpha_fraction=args.alpha_fraction)
     t0 = time.perf_counter()
-    if isinstance(model, NonlinearPlanarModel):
-        result = synthesize_nonlinear_planar(options, model=model)
+    if model.nonlinearity is not None:
+        result = synthesize_nonlinear_planar(model, options)
     else:
         result = synthesize_feedback(model, options)
     import scipy  # loaded by the design search already; `import sdstab.cli` loads no scipy

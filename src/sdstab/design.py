@@ -36,7 +36,7 @@ import numpy as np
 from .bounds import SamplingBoundResult, TwoFunctionConstants, emulation_bound_two, two_v_tau_core
 from .errors import InfeasibleError, ValidationError
 from .lmi import LmiCertificate, assemble_lyapunov_ito, cross_loop, rate_loop, verify_certificate
-from .models import LinearSampledModel, NonlinearPlanarModel
+from .models import SampledModel
 from .numerics import pencil_max_eig, sym_eigvals, sym_inv_sqrt
 
 _TINY = 1e-12
@@ -340,7 +340,7 @@ def _rate_optimal_gain(model):
     generator or abscissa that is not finite, or a best rate that is not
     positive, certifies no rate and raises InfeasibleError.
     """
-    planar = isinstance(model, NonlinearPlanarModel)
+    planar = model.nonlinearity is not None
     shape = (model.B_hat.shape[1], model.n)
     k_dims = shape[0] * shape[1]
     log_b = np.log(_B_RANGE)
@@ -562,7 +562,7 @@ def _unit_rate_solve(model, k_hat, alpha_bar, b=None) -> Optional[np.ndarray]:
 
 
 def synthesize_feedback(
-    model: LinearSampledModel, options: Optional[DesignOptions] = None
+    model: SampledModel, options: Optional[DesignOptions] = None
 ) -> DesignResult:
     """Synthesize a stabilizing state-feedback gain maximizing the sampling bound.
 
@@ -572,7 +572,7 @@ def synthesize_feedback(
     rate-optimal gain yields a verifiable design.
     """
     options = options or DesignOptions()
-    if not isinstance(model, LinearSampledModel) or not model.design_mode:
+    if model.nonlinearity is not None or not model.design_mode:
         raise ValidationError("synthesize_feedback needs a linear model in design mode")
 
     t0 = time.perf_counter()
@@ -601,8 +601,7 @@ def synthesize_feedback(
 # ---------------------------------------------------------------------------
 
 def synthesize_nonlinear_planar(
-    options: Optional[DesignOptions] = None,
-    model: Optional[NonlinearPlanarModel] = None,
+    model: SampledModel, options: Optional[DesignOptions] = None
 ) -> DesignResult:
     """Gain synthesis for the planar sine-envelope plant.
 
@@ -615,9 +614,8 @@ def synthesize_nonlinear_planar(
     positive rate, or if the best point does not verify at tol=0.
     """
     options = options or DesignOptions()
-    model = model or NonlinearPlanarModel(name="planar")
-    if not model.design_mode:
-        raise ValidationError("model already carries a gain; synthesis needs design mode")
+    if model.nonlinearity is None or not model.design_mode:
+        raise ValidationError("synthesize_nonlinear_planar needs a planar_sin model in design mode")
 
     t0 = time.perf_counter()
     k_hat, b, two_alpha_max, rate_calls = _rate_optimal_gain(model)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import TwoFunctionConstants, emulation_bound_two
 from .errors import DomainError, FormatError, ValidationError
-from .models import Model, NonlinearPlanarModel, read_json
+from .models import SampledModel, read_json
 from .numerics import is_pos_def, lam_max
 
 _CERT_KEYS = {
@@ -271,7 +271,7 @@ def _outcome(blocks: Dict[str, np.ndarray], tol, form, constants: Optional[TwoFu
     )
 
 
-def run_gain(model: Model, cert: LmiCertificate) -> Optional[np.ndarray]:
+def run_gain(model: SampledModel, cert: LmiCertificate) -> Optional[np.ndarray]:
     """The feedback gain simulate runs for this model and certificate, or None.
 
     simulate runs the model's K_hat if it has one, else the certificate's
@@ -296,28 +296,28 @@ def run_gain(model: Model, cert: LmiCertificate) -> Optional[np.ndarray]:
     return run
 
 
-def rate_loop(model: Model, b_bar, b=None):
+def rate_loop(model: SampledModel, b_bar, b=None):
     """(F, G_list) of the Ito loop whose rate block certifies feedback b_bar (one or a stack):
     (A + b_bar, the diffusion), or for the planar plant at envelope weight b (one or a stack,
-    which G then carries) the shifted loop (A_bar + b_bar + (b/2) I, [E1/sqrt(b)])."""
-    if isinstance(model, NonlinearPlanarModel):
+    which G then carries) the shifted loop (A + b_bar + (b/2) I, [E1/sqrt(b)])."""
+    if model.nonlinearity is not None:
         b = np.asarray(b, dtype=float)[..., None, None]
-        return model.A_bar + b_bar + 0.5 * b * np.eye(model.n), [model.envelope / np.sqrt(b)]
+        return model.A + b_bar + 0.5 * b * np.eye(model.n), [model.envelope / np.sqrt(b)]
     return model.A + b_bar, model.diffusion
 
 
-def cross_loop(model: Model, b_bar, c=None):
+def cross_loop(model: SampledModel, b_bar, c=None):
     """(F, G_list, B) of the Ito loop whose cross block certifies feedback b_bar: (A + b_bar, the
     diffusion, b_bar), or for the planar plant at envelope weight c (one or a stack, which G and B
-    then carry) the shifted loop (A_bar + b_bar, [E1/sqrt(c)], b_bar - (c/2) I)."""
-    if isinstance(model, NonlinearPlanarModel):
+    then carry) the shifted loop (A + b_bar, [E1/sqrt(c)], b_bar - (c/2) I)."""
+    if model.nonlinearity is not None:
         c = np.asarray(c, dtype=float)[..., None, None]
-        return model.A_bar + b_bar, [model.envelope / np.sqrt(c)], b_bar - 0.5 * c * np.eye(model.n)
+        return model.A + b_bar, [model.envelope / np.sqrt(c)], b_bar - 0.5 * c * np.eye(model.n)
     return model.A + b_bar, model.diffusion, b_bar
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed block or norm raises DomainError
-def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
+def verify_certificate(model: SampledModel, cert: LmiCertificate, tol: float = 1e-2) -> VerificationOutcome:
     """Check a certificate, (Q, Y) through analysis_form(), for a model with feedback.
 
     Margins: the decay-rate inequality of rate_loop, the feedback-energy
@@ -326,7 +326,7 @@ def verify_certificate(model: Model, cert: LmiCertificate, tol: float = 1e-2) ->
     two-function field, a gain and positive envelope weights b and c; a
     linear model refuses a certificate that carries b or c.
     """
-    planar = isinstance(model, NonlinearPlanarModel)
+    planar = model.nonlinearity is not None
     for name in ("P", "P_tilde", "alpha_b", "gamma1", "gamma2", "b", "c") if planar else ():
         if getattr(cert, name) is None:
             raise ValidationError(f"planar certificate is missing {name}")

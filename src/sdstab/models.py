@@ -8,17 +8,20 @@ Model files are a single JSON document:
      "nonlinearity": {"type": "planar_sin"}?,
      "x0": [..]? }
 
-Unknown keys are rejected.  Exactly one of B_bar / B_hat must be present;
-a model with B_hat but no K_hat is in design mode (gain to be synthesized).
+Unknown keys are rejected, in the nonlinearity descriptor too.  Exactly one
+of B_bar / B_hat must be present; a model with B_hat but no K_hat is in
+design mode (gain to be synthesized).  Every plant is one SampledModel: a
+linear one, or the planar plant, whose descriptor adds the planar_sin term
+(its B_hat defaults to [[0], [1]], and its diffusion list must be empty).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,25 +38,29 @@ _PHI_WEIGHTS = (0.25, 1.0)
 def _array(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise ValidationError(f"{what}: not a numeric array ({exc})") from exc
 
 
-def _matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
+def _checked(value, shape: tuple, what: str) -> np.ndarray:
     m = _array(value, what)
-    if m.shape != (rows, cols):
-        raise ValidationError(f"{what}: expected shape ({rows}, {cols}), got {m.shape}")
+    if m.shape != shape:
+        raise ValidationError(f"{what}: expected shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what}: entries must be finite")
     return m
 
 
 @dataclass(frozen=True)
-class LinearSampledModel:
-    """Linear plant dx = [A x + B_bar x(t_*)] dt + sum_j G_j x dB_j.
+class SampledModel:
+    """Plant dx = [A x + phi(x) + B_bar x(t_*)] dt + sum_j G_j x dB_j.
 
     Either the closed feedback B_bar is given directly, or an input map B_hat
-    (with optional gain K_hat, so that B_bar = B_hat @ K_hat).
+    (with optional gain K_hat, so that B_bar = B_hat @ K_hat).  phi is zero,
+    or with nonlinearity "planar_sin" (n = 2, a scalar input, no diffusion)
+    the bounded sine term phi(x) = [x1 sin(K x * x2)/4, x1 sin(K x * x2)],
+    whose envelope phi^T Q phi <= x^T E1^T Q E1 x holds structurally since
+    |sin| <= 1.
     """
 
     name: str
@@ -64,28 +71,34 @@ class LinearSampledModel:
     K_hat: Optional[np.ndarray] = None
     B_bar_explicit: Optional[np.ndarray] = None
     x0: Optional[np.ndarray] = None
+    nonlinearity: Optional[str] = None
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValidationError("state dimension must be >= 1")
-        _matrix(self.A, self.n, self.n, "A")
+        _checked(self.A, (n, n), "A")
         for j, g in enumerate(self.diffusion):
-            _matrix(g, self.n, self.n, f"diffusion[{j}]")
-        has_bbar = self.B_bar_explicit is not None
-        has_bhat = self.B_hat is not None
-        if has_bbar == has_bhat:
+            _checked(g, (n, n), f"diffusion[{j}]")
+        if self.nonlinearity not in (None, "planar_sin"):
+            raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if self.nonlinearity and (n != 2 or self.diffusion or self.B_bar_explicit is not None
+                                  or np.shape(self.B_hat) != (2, 1)):
+            raise ValidationError("planar_sin needs n = 2, no diffusion and a (2, 1) input map B_hat, not B_bar")
+        if (self.B_bar_explicit is None) == (self.B_hat is None):
             raise ValidationError("exactly one of B_bar or B_hat must be populated")
-        if has_bbar:
-            _matrix(self.B_bar_explicit, self.n, self.n, "B_bar")
+        if self.B_bar_explicit is not None:
+            _checked(self.B_bar_explicit, (n, n), "B_bar")
             if self.K_hat is not None:
                 raise ValidationError("K_hat requires B_hat")
         else:
-            if self.B_hat.ndim != 2 or self.B_hat.shape[0] != self.n:
-                raise ValidationError(f"B_hat: expected {self.n} rows, got shape {self.B_hat.shape}")
+            if self.B_hat.ndim != 2 or self.B_hat.shape[0] != n:
+                raise ValidationError(f"B_hat: expected {n} rows, got shape {self.B_hat.shape}")
+            _checked(self.B_hat, self.B_hat.shape, "B_hat")
             if self.K_hat is not None:
-                _matrix(self.K_hat, self.B_hat.shape[1], self.n, "K_hat")
-        if self.x0 is not None and np.asarray(self.x0).shape != (self.n,):
-            raise ValidationError("x0: wrong length")
+                _checked(self.K_hat, (self.B_hat.shape[1], n), "K_hat")
+        if self.x0 is not None:
+            _checked(self.x0, (n,), "x0")
 
     @property
     def m(self) -> int:
@@ -104,66 +117,15 @@ class LinearSampledModel:
             return self.B_hat @ self.K_hat
         return None
 
-    def with_gain(self, K_hat: np.ndarray) -> "LinearSampledModel":
+    @property
+    def envelope(self) -> Optional[np.ndarray]:
+        """E1 of the nonlinearity's envelope, or None for a linear plant."""
+        return None if self.nonlinearity is None else PLANAR_ENVELOPE.copy()
+
+    def with_gain(self, K_hat: np.ndarray) -> "SampledModel":
         if self.B_hat is None:
             raise ValidationError("model has no input map to apply a gain to")
-        return replace(self, K_hat=_matrix(K_hat, self.B_hat.shape[1], self.n, "K_hat"))
-
-    def drift_step(self, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
-        """A function of no arguments that writes the open-loop drift A x of each row of x
-        into out, for these x and out arrays of shape (..., n)."""
-        return partial(np.matmul, x, self.A.T, out)
-
-
-@dataclass(frozen=True)
-class NonlinearPlanarModel:
-    """Planar plant with the bounded sine nonlinearity and scalar input.
-
-    drift(x) = A_bar x + phi(x),   phi(x) = [x1 sin(K x * x2)/4, x1 sin(K x * x2)],
-    with A_bar = [[1/4, 1], [0, 0]] and input map B_hat = [0, 1]^T.  The
-    envelope phi^T Q phi <= x^T E1^T Q E1 x holds structurally since |sin| <= 1.
-    """
-
-    name: str
-    K_hat: Optional[np.ndarray] = None
-    x0: Optional[np.ndarray] = None
-    A_bar: np.ndarray = field(default_factory=lambda: np.array([[0.25, 1.0], [0.0, 0.0]]))
-    B_hat: np.ndarray = field(default_factory=lambda: np.array([[0.0], [1.0]]))
-
-    n = 2
-
-    def __post_init__(self):
-        _matrix(self.A_bar, 2, 2, "A_bar")
-        _matrix(self.B_hat, 2, 1, "B_hat")
-        if self.K_hat is not None:
-            _matrix(self.K_hat, 1, 2, "K_hat")
-        if self.x0 is not None and np.asarray(self.x0).shape != (2,):
-            raise ValidationError("x0: wrong length")
-
-    @property
-    def m(self) -> int:
-        return 0
-
-    @property
-    def diffusion(self) -> tuple:
-        return ()
-
-    @property
-    def design_mode(self) -> bool:
-        return self.K_hat is None
-
-    @property
-    def envelope(self) -> np.ndarray:
-        return PLANAR_ENVELOPE.copy()
-
-    @property
-    def B_bar(self) -> Optional[np.ndarray]:
-        if self.K_hat is None:
-            return None
-        return self.B_hat @ self.K_hat
-
-    def with_gain(self, K_hat: np.ndarray) -> "NonlinearPlanarModel":
-        return replace(self, K_hat=_matrix(K_hat, 1, 2, "K_hat"))
+        return replace(self, K_hat=_checked(K_hat, (self.B_hat.shape[1], self.n), "K_hat"))
 
     def _phi_step(self, x: np.ndarray, phi: np.ndarray) -> Callable[[], None]:
         """A function of no arguments that writes phi(x) into phi, state-major: phi[j] holds
@@ -172,8 +134,8 @@ class NonlinearPlanarModel:
         s = x1 sin(K x * x2) is formed in one (rows,) buffer.  K x is a gemv on a C-ordered
         copy of x, so it rounds the same whatever the memory order of x.
         """
-        if self.K_hat is None:
-            raise ValidationError("phi requires a resolved gain")
+        if self.nonlinearity is None or self.K_hat is None:
+            raise ValidationError("phi requires the planar_sin nonlinearity and a resolved gain")
         k = self.K_hat[0]
         rows = np.empty(x.shape)
         s = np.empty(x.shape[:-1])
@@ -197,23 +159,20 @@ class NonlinearPlanarModel:
         self._phi_step(x, phi)()
         return np.moveaxis(phi, 0, -1)
 
-    def drift(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A_bar x + phi(x), written to out if given."""
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty(x.shape)
-        return self.drift_step(x, out)()
-
     def drift_step(self, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
-        """A function of no arguments that writes drift(x) into out, for these x and out
-        arrays of shape (..., 2), with every temporary allocated here.
+        """A function of no arguments that writes the open-loop drift A x + phi(x) of each row
+        of x into out, for these x and out arrays of shape (..., n), with every temporary
+        allocated here.
 
-        phi(x) is added through a state-major view of out: where out is a (rows, 2) view of a
-        state-major array, as in the simulator, each add runs over one contiguous row.
+        A linear plant's step is one matmul.  The planar plant adds phi(x) through a
+        state-major view of out: where out is a (rows, 2) view of a state-major array, as in
+        the simulator, each add runs over one contiguous row.
         """
+        a_t = self.A.T
+        if self.nonlinearity is None:
+            return partial(np.matmul, x, a_t, out)
         phi = np.empty((2,) + x.shape[:-1])
         phi_step = self._phi_step(x, phi)
-        a_t = self.A_bar.T
         base = np.moveaxis(out, -1, 0)
         matmul, add = np.matmul, np.add
 
@@ -223,9 +182,6 @@ class NonlinearPlanarModel:
             add(base, phi, base)
             return out
         return step
-
-
-Model = Union[LinearSampledModel, NonlinearPlanarModel]
 
 
 @dataclass(frozen=True)
@@ -350,28 +306,22 @@ def schedule_instants(
     return t[t <= horizon * (1 + 1e-12)].copy()
 
 
-def model_to_dict(model: Model) -> dict:
-    d = {"name": model.name, "n": model.n, "A": None, "diffusion": [g.tolist() for g in model.diffusion]}
-    if isinstance(model, NonlinearPlanarModel):
-        d["A"] = model.A_bar.tolist()
-        d["nonlinearity"] = {"type": "planar_sin"}
+def model_to_dict(model: SampledModel) -> dict:
+    d = {"name": model.name, "n": model.n, "A": model.A.tolist(), "diffusion": [g.tolist() for g in model.diffusion]}
+    if model.nonlinearity is not None:
+        d["nonlinearity"] = {"type": model.nonlinearity}
+    if model.B_bar_explicit is not None:
+        d["B_bar"] = model.B_bar_explicit.tolist()
+    else:
         d["B_hat"] = model.B_hat.tolist()
         if model.K_hat is not None:
             d["K_hat"] = model.K_hat.tolist()
-    else:
-        d["A"] = model.A.tolist()
-        if model.B_bar_explicit is not None:
-            d["B_bar"] = model.B_bar_explicit.tolist()
-        else:
-            d["B_hat"] = model.B_hat.tolist()
-            if model.K_hat is not None:
-                d["K_hat"] = model.K_hat.tolist()
     if model.x0 is not None:
         d["x0"] = np.asarray(model.x0).tolist()
     return d
 
 
-def model_from_dict(doc: dict) -> Model:
+def model_from_dict(doc: dict) -> SampledModel:
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
     unknown = set(doc) - _MODEL_KEYS
@@ -386,37 +336,23 @@ def model_from_dict(doc: dict) -> Model:
         raise FormatError("n must be a positive integer")
     if not isinstance(doc["diffusion"], list):
         raise FormatError("diffusion must be a list of matrices")
-    x0 = None if "x0" not in doc else _array(doc["x0"], "x0")
-    k_hat = None if "K_hat" not in doc else _array(doc["K_hat"], "K_hat")
+    nonlinearity = None
     if "nonlinearity" in doc:
-        nl = doc["nonlinearity"]
-        if not isinstance(nl, dict) or nl.get("type") != "planar_sin":
-            raise FormatError("unsupported nonlinearity descriptor")
-        if n != 2:
-            raise ValidationError("planar_sin nonlinearity requires n = 2")
-        if "B_bar" in doc:
-            raise ValidationError("nonlinear planar model takes B_hat, not B_bar")
-        if any(np.any(_array(g, "diffusion") != 0.0) for g in doc["diffusion"]):
-            raise ValidationError("nonlinear planar model is deterministic (zero diffusion)")
-        return NonlinearPlanarModel(
-            name=doc["name"],
-            A_bar=_matrix(doc["A"], 2, 2, "A"),
-            B_hat=_matrix(doc.get("B_hat", [[0.0], [1.0]]), 2, 1, "B_hat"),
-            K_hat=k_hat,
-            x0=x0,
-        )
-    if "B_bar" in doc and "B_hat" in doc:
-        raise ValidationError("provide either B_bar or B_hat, not both")
-    diffusion = tuple(_matrix(g, n, n, f"diffusion[{j}]") for j, g in enumerate(doc["diffusion"]))
-    return LinearSampledModel(
+        if doc["nonlinearity"] != {"type": "planar_sin"}:
+            raise FormatError('unsupported nonlinearity descriptor: the only one is {"type": "planar_sin"}')
+        nonlinearity = "planar_sin"
+        doc = {"B_hat": [[0.0], [1.0]], **doc}
+    optional = {key: None if key not in doc else _array(doc[key], key) for key in ("B_bar", "B_hat", "K_hat", "x0")}
+    return SampledModel(
         name=doc["name"],
         n=n,
-        A=_matrix(doc["A"], n, n, "A"),
-        diffusion=diffusion,
-        B_bar_explicit=None if "B_bar" not in doc else _array(doc["B_bar"], "B_bar"),
-        B_hat=None if "B_hat" not in doc else _array(doc["B_hat"], "B_hat"),
-        K_hat=k_hat,
-        x0=x0,
+        A=_array(doc["A"], "A"),
+        diffusion=tuple(_array(g, f"diffusion[{j}]") for j, g in enumerate(doc["diffusion"])),
+        B_hat=optional["B_hat"],
+        K_hat=optional["K_hat"],
+        B_bar_explicit=optional["B_bar"],
+        x0=optional["x0"],
+        nonlinearity=nonlinearity,
     )
 
 
@@ -451,7 +387,7 @@ def read_json(path, what: str, data: Optional[bytes] = None):
     return doc
 
 
-def load_model(path, data: Optional[bytes] = None) -> Model:
+def load_model(path, data: Optional[bytes] = None) -> SampledModel:
     """Load and validate a model file (see module docstring for the schema),
     from data, its bytes, when the caller has read them."""
     return model_from_dict(read_json(path, "model", data))

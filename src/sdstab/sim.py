@@ -63,7 +63,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateEnsemble, DomainError, ValidationError
-from .models import Model, SamplingSchedule, check_grid_length, schedule_instants
+from .models import SampledModel, SamplingSchedule, check_grid_length, schedule_instants
 
 _MASK64 = (1 << 64) - 1
 _SCHEDULE_STREAM = 1 << 63
@@ -278,7 +278,7 @@ def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, total / counts, np.nan)
 
 
-def _resolve_x0(model: Model, cfg: SimConfig) -> np.ndarray:
+def _resolve_x0(model: SampledModel, cfg: SimConfig) -> np.ndarray:
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif model.x0 is not None:
@@ -487,7 +487,7 @@ def _chunks(model, cfg, workers, grid, store_idx, x0, sink_for):
             yield pending.popleft().result()
 
 
-def _ensemble(model: Model, cfg: SimConfig, workers: int, keep: bool):
+def _ensemble(model: SampledModel, cfg: SimConfig, workers: int, keep: bool):
     """Integrate the paths of cfg and fold each block of stored times into the
     per-time sums as soon as a chunk hands it on, in path order.
 
@@ -527,7 +527,7 @@ def _ensemble(model: Model, cfg: SimConfig, workers: int, keep: bool):
     return TrajectoryEnsemble(**moments, states=states, alive=alive) if keep else EnsembleMoments(**moments)
 
 
-def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
+def run_ensemble(model: SampledModel, cfg: SimConfig, workers: int = 1) -> TrajectoryEnsemble:
     """Simulate n_paths sampled-data trajectories with independent noise streams.
 
     The result is bit-identical for any worker count: chunking only changes
@@ -538,7 +538,7 @@ def run_ensemble(model: Model, cfg: SimConfig, workers: int = 1) -> TrajectoryEn
     return _ensemble(model, cfg, workers, keep=True)
 
 
-def ensemble_moments(model: Model, cfg: SimConfig, workers: int = 1) -> EnsembleMoments:
+def ensemble_moments(model: SampledModel, cfg: SimConfig, workers: int = 1) -> EnsembleMoments:
     """The statistics of run_ensemble(model, cfg, workers), bit for bit, without its states.
 
     Each block of stored times is folded and then dropped: memory is

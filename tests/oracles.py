@@ -316,10 +316,10 @@ def noise_reference(seed, paths, step0, nsteps, m):
 
 def drift_reference(model, x):
     """The open-loop drift from its formula: A x, or for the planar plant
-    A_bar x + (x1 sin((K x) x2)) (1/4, 1)."""
-    if hasattr(model, "A_bar"):
+    A x + (x1 sin((K x) x2)) (1/4, 1)."""
+    if model.nonlinearity == "planar_sin":
         s = x[..., 0] * np.sin((x @ model.K_hat[0]) * x[..., 1])
-        return x @ model.A_bar.T + s[..., None] * np.array([0.25, 1.0])
+        return x @ model.A.T + s[..., None] * np.array([0.25, 1.0])
     return x @ model.A.T
 
 

@@ -24,7 +24,7 @@ from sdstab.bounds import (
 )
 from sdstab.cli import main as cli_main
 from sdstab.design import DesignOptions, synthesize_feedback
-from sdstab.models import LinearSampledModel, SamplingSchedule, load_model
+from sdstab.models import SampledModel, SamplingSchedule, load_model
 from sdstab.numerics import pencil_max_eig
 from sdstab.sim import (
     SimConfig,
@@ -171,7 +171,7 @@ def test_criterion_6_simulation_decay():
 
 def test_criterion_7_estimator_calibration():
     # geometric Brownian motion, a = 1, sigma = 2
-    gbm = LinearSampledModel(
+    gbm = SampledModel(
         name="gbm", n=1, A=np.array([[1.0]]), diffusion=(np.array([[2.0]]),),
         B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
     )
@@ -186,7 +186,7 @@ def test_criterion_7_estimator_calibration():
     assert expo == pytest.approx(-1.0, rel=0.10)  # a - sigma^2 / 2
 
     # EM weak-error halving ladder on a milder linear SDE (a=1, sigma=0.2)
-    lin = LinearSampledModel(
+    lin = SampledModel(
         name="lin", n=1, A=np.array([[1.0]]), diffusion=(np.array([[0.2]]),),
         B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
     )

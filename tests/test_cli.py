@@ -280,7 +280,8 @@ class TestExitCodes:
         "workers_zero", "workers_negative", "dt_sim_unindexable", "horizon_unindexable",
         "paths_unindexable", "schedule_explicit_nan", "schedule_explicit_inf",
         "model_boolean", "cert_boolean", "constants_boolean", "model_deeply_nested",
-        "planar_cert_linear_model",
+        "planar_cert_linear_model", "design_b_hat_inf", "verify_b_hat_nan", "simulate_b_hat_nan",
+        "planar_descriptor_unknown_key", "model_integer_past_float_range",
     ])
     def test_malformed_input_exit_3(self, case, capsys, tmp_path):
         # exit 1 means verified-negative, so malformed input must never land there
@@ -341,6 +342,8 @@ class TestExitCodes:
                 tmp_path / "c.json", {"alpha": "x", "alpha_b": 1.0, "alpha_f": 1.0})],
             # Python reads JSON true as 1, so a boolean would pass as a number (A[0][0] is 1.0)
             "model_boolean": lambda: verify(A=[[True, -1.0], [1.0, -5.0]]),
+            # JSON integers are unbounded, and numpy raises OverflowError converting one past 1.8e308
+            "model_integer_past_float_range": lambda: verify(A=[[10**400, -1.0], [1.0, -5.0]]),
             "cert_boolean": lambda: ["verify", "--model", f"{FX}/ex1_sub1.json",
                                      "--cert", patched("cert_ex1_sub1_analysis", gamma1=True)],
             "constants_boolean": lambda: ["bound", "--two-v", "--constants", _write(
@@ -350,6 +353,17 @@ class TestExitCodes:
             # the envelope weights b and c mean nothing to a linear loop, so verify refuses them
             "planar_cert_linear_model": lambda: ["verify", "--model", f"{FX}/ex1_sub1_control.json",
                                                  "--cert", f"{FX}/cert_planar.json"],
+            # a non-finite input map is malformed input, not an infeasible design or a diverged run
+            "design_b_hat_inf": lambda: ["design", "--model", patched("ex1_sub1_control", B_hat=[[np.inf], [1.0]])],
+            "verify_b_hat_nan": lambda: ["verify", "--model", patched("ex1_sub1_control", B_hat=[[np.nan], [1.0]]),
+                                         "--cert", f"{FX}/cert_ex1_sub1_design.json"],
+            "simulate_b_hat_nan": lambda: [
+                "simulate", "--model", patched("ex1_sub1_control", B_hat=[[np.nan], [1.0]]),
+                "--cert", f"{FX}/cert_ex1_sub1_design.json", "--schedule", "periodic:0.01", "--horizon", "0.1"],
+            # the descriptor holds only its type: a report embedding the model would drop any other key
+            "planar_descriptor_unknown_key": lambda: [
+                "verify", "--model", patched("planar", nonlinearity={"type": "planar_sin", "gain": 3.0}),
+                "--cert", f"{FX}/cert_planar.json"],
             "verify_tol_nan": lambda: verify() + ["--tol", "nan"],
             # an infinite tol would pass any margin
             "verify_tol_inf": lambda: verify() + ["--tol", "inf"],

@@ -21,7 +21,7 @@ from sdstab.design import (
 )
 from sdstab.errors import InfeasibleError, ValidationError
 from sdstab.lmi import load_certificate, run_gain, verify_certificate
-from sdstab.models import LinearSampledModel, load_model
+from sdstab.models import SampledModel, load_model
 
 from oracles import bisect, planar_rate_block, rate_lyapunov_basis, sphere_ratio_max
 
@@ -315,7 +315,7 @@ class TestExactRateDesign:
     def test_three_state_design(self):
         # a 3-state plant: every symmetric eigenvalue of its search is eigvalsh's own, not the 2x2
         # closed form; tau is the bit pattern the one-point-per-call search designed
-        model = LinearSampledModel(
+        model = SampledModel(
             name="three", n=3, A=np.array([[1.0, -1.0, 0.2], [1.0, -5.0, 0.0], [0.0, 0.5, -1.0]]),
             diffusion=(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.3]]),),
             B_hat=np.array([[1.0], [0.0], [0.0]]),
@@ -407,7 +407,7 @@ class TestStackedScorer:
     # makes the gain's scaling exact, and the nilpotent diffusion makes the
     # shifted operator exactly singular when A + B_hat K = -alpha_bar I
     SCALE = 2.0**20
-    MODEL = LinearSampledModel(name="reasons", n=2, A=np.array([[-1.0, 0.5], [0.0, -2.0]]),
+    MODEL = SampledModel(name="reasons", n=2, A=np.array([[-1.0, 0.5], [0.0, -2.0]]),
                                diffusion=(np.array([[0.0, 0.3], [0.0, 0.0]]),), B_hat=SCALE * np.eye(2))
     ROWS = [  # (reason, K, R, alpha_bar)
         (None, np.zeros((2, 2)), np.eye(2), 0.2),
@@ -488,7 +488,7 @@ def test_benchmark_tracer_finds_every_name(monkeypatch):
 
 class TestSynthesize:
     def test_stable_plant_trivial(self):
-        model = LinearSampledModel(
+        model = SampledModel(
             name="easy", n=2, A=-np.eye(2), diffusion=(),
             B_hat=np.eye(2), K_hat=None,
         )
@@ -504,7 +504,7 @@ class TestSynthesize:
 
     def test_gain_consistency_invariant(self, fixtures):
         # cheap run: reuse the lighter stable plant, full fixtures live in acceptance
-        model = LinearSampledModel(
+        model = SampledModel(
             name="easy2", n=2, A=np.array([[0.2, 1.0], [0.0, -1.0]]), diffusion=(),
             B_hat=np.array([[0.0], [1.0]]), K_hat=None,
         )
@@ -520,15 +520,13 @@ class TestSynthesize:
 
 def _random_planar_loops(rng, count):
     """(model, K, b, 2*alpha) for random stabilizing planar gains with a positive exact rate."""
-    from sdstab.models import NonlinearPlanarModel
-
-    model = NonlinearPlanarModel(name="planar")
+    model = load_model(FIXTURES / "planar.json")
     out = []
     while len(out) < count:
         k2 = rng.uniform(-10.0, -1.0)
         k = np.array([[0.25 * k2 - rng.uniform(0.5, 10.0), k2]])
         b = float(np.exp(rng.uniform(np.log(0.02), np.log(5.0))))
-        f = model.A_bar + model.B_hat @ k
+        f = model.A + model.B_hat @ k
         two_alpha = -np.linalg.eigvals(ito_generator(f, [model.envelope / np.sqrt(b)])).real.max() - b
         if two_alpha > 0.0:
             out.append((model, k, b, two_alpha))
@@ -542,7 +540,7 @@ class TestPlanarRate:
         from sdstab.lmi import rate_loop
 
         for model, k, b, two_alpha in _random_planar_loops(rng, 50):
-            a_tilde = model.A_bar + model.B_hat @ k
+            a_tilde = model.A + model.B_hat @ k
             e1 = model.envelope
             low = two_alpha * (1 - 1e-6)
             p = solve_rate_lyapunov(*rate_loop(model, model.B_hat @ k, b), low, np.eye(2))
@@ -556,15 +554,15 @@ class TestPlanarRate:
 class TestPlanarSynthesis:
     def test_default_options_beat_floor(self):
         from sdstab.design import synthesize_nonlinear_planar
-        from sdstab.models import NonlinearPlanarModel
 
-        res = synthesize_nonlinear_planar(DesignOptions())
+        planar = load_model(FIXTURES / "planar.json")
+        res = synthesize_nonlinear_planar(planar, DesignOptions())
         assert res.bound.tau_max >= 0.0285
         assert np.linalg.norm(res.gain) < 10.0
-        out = verify_certificate(NonlinearPlanarModel(name="planar"), res.certificate, tol=0.0)
+        out = verify_certificate(planar, res.certificate, tol=0.0)
         assert out.passed
         # envelope holds for the synthesized closed loop on random states
-        model = NonlinearPlanarModel(name="planar").with_gain(res.gain)
+        model = planar.with_gain(res.gain)
         rng = np.random.default_rng(17)
         xs = rng.uniform(-8, 8, size=(10_000, 2))
         phi = model.phi(xs)
@@ -617,7 +615,7 @@ class TestPlanarSynthesis:
         monkeypatch.setattr(design, "verify_certificate",
                             lambda model, cert, tol: dataclasses.replace(real(model, cert, tol), passed=False))
         with pytest.raises(InfeasibleError, match="no verifiable planar certificate"):
-            design.synthesize_nonlinear_planar()
+            design.synthesize_nonlinear_planar(load_model(FIXTURES / "planar.json"))
         assert main(["design", "--model", str(FIXTURES / "planar.json")]) == 2
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import sdstab.lmi as lmi
-from sdstab.design import DesignOptions, synthesize_feedback, synthesize_nonlinear_planar
+from sdstab.design import synthesize_feedback, synthesize_nonlinear_planar
 from sdstab.errors import DomainError, ValidationError
 from sdstab.lmi import (
     LmiCertificate,
@@ -17,10 +18,12 @@ from sdstab.lmi import (
     rate_loop,
     verify_certificate,
 )
-from sdstab.models import LinearSampledModel, NonlinearPlanarModel, load_model
+from sdstab.models import SampledModel, load_model
 from sdstab.numerics import is_pos_def, lam_max
 
 from oracles import bisect, design_rate_block, jacobi_eigh, planar_cross_block, planar_rate_block
+
+PLANAR = load_model(pathlib.Path(__file__).parent / "fixtures" / "planar.json")
 
 
 def random_hurwitz(rng, n):
@@ -166,11 +169,9 @@ class TestReportedCertificates:
     def test_zero_feedback_reduction(self, rng):
         # B = 0, Hurwitz F, P_tilde = P: the cross block Schur-reduces to
         # sum G'PG + F'P(g2 P)^{-1}PF <= g1 P, checked by hand here
-        from sdstab.models import LinearSampledModel
-
         f = random_hurwitz(rng, 2)
         p = scipy.linalg.solve_lyapunov(f.T, -np.eye(2))
-        model = LinearSampledModel(
+        model = SampledModel(
             name="zero-b", n=2, A=f, diffusion=(), B_bar_explicit=np.zeros((2, 2))
         )
         g2 = 2.5
@@ -194,7 +195,7 @@ class TestReportedCertificates:
             verify_certificate(model, cert)
 
     def test_design_y_zero_stable_plant(self):
-        model = LinearSampledModel(
+        model = SampledModel(
             name="stable", n=2, A=-np.eye(2), diffusion=(),
             B_hat=np.eye(2), K_hat=None,
         )
@@ -226,7 +227,7 @@ class TestReportedCertificates:
         p, e1 = cert.P, model.envelope
         lip = np.linalg.norm(p, 2) + np.linalg.norm(e1.T @ p @ e1, 2) / 0.3**2
         assert np.abs(np.diff(vals)).max() <= lip * (bs[1] - bs[0]) * 1.01
-        a_tilde = model.A_bar + model.B_hat @ cert.K_hat
+        a_tilde = model.A + model.B_hat @ cert.K_hat
         for b, out in zip(bs, outs):  # the margin is that of the paper's block
             want = lam_max(planar_rate_block(a_tilde, e1, p, cert.alpha_bar, b))
             assert abs(out.margins["rate"] - want) <= 1e-12 * out.scales["rate"]
@@ -246,9 +247,9 @@ class TestReportedCertificates:
         gain = np.array([k])
         cert = LmiCertificate(alpha_bar=alpha_bar, P=p, P_tilde=pt, alpha_b=alpha_b,
                               gamma1=g1, gamma2=g2, b=b, c=c, K_hat=gain)
-        model = NonlinearPlanarModel(name="planar")
+        model = PLANAR
         b_bar = model.B_hat @ gain
-        a_tilde, e1 = model.A_bar + b_bar, model.envelope
+        a_tilde, e1 = model.A + b_bar, model.envelope
         want = {
             "rate": planar_rate_block(a_tilde, e1, p, alpha_bar, b),
             "feedback_energy": b_bar.T @ p @ b_bar - alpha_b * pt,
@@ -283,7 +284,7 @@ class TestPlantLoops:
     def test_cross_loop_stack_matches_scalar_calls(self, rng):
         # the design scores a stack of envelope weights c in one call; each row must be
         # the loop the verifier assembles for that c alone, bit for bit
-        model = NonlinearPlanarModel(name="planar")
+        model = PLANAR
         b_bar = model.B_hat @ rng.normal(scale=5.0, size=(1, 2))
         cs = np.exp(rng.uniform(-3.0, 8.0, 9))
         f, (g,), b = cross_loop(model, b_bar, cs)
@@ -294,12 +295,12 @@ class TestPlantLoops:
             assert g1.tobytes() == g[i].tobytes() and b1.tobytes() == b[i].tobytes()
 
     def test_planar_rate_loop_is_the_paper_block(self, rng):
-        model = NonlinearPlanarModel(name="planar")
+        model = PLANAR
         b_bar = model.B_hat @ rng.normal(scale=5.0, size=(1, 2))
         p = np.array([[2.0, 0.3], [0.3, 0.5]])
         for b in (0.01, 0.46, 7.0):
             block = assemble_lyapunov_ito(*rate_loop(model, b_bar, b), p, 1.5)
-            want = planar_rate_block(model.A_bar + b_bar, model.envelope, p, 1.5, b)
+            want = planar_rate_block(model.A + b_bar, model.envelope, p, 1.5, b)
             assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -404,7 +405,6 @@ class TestMarginsAgainstJacobiOracle:
             cert = synthesize_feedback(model).certificate
             blocks.clear()  # drop the blocks of the design's own re-verification
             self.check_certificate(model, cert, blocks, tol=0.0)
-        planar = NonlinearPlanarModel(name="planar")
-        cert = synthesize_nonlinear_planar(DesignOptions(), model=planar).certificate
+        cert = synthesize_nonlinear_planar(PLANAR).certificate
         blocks.clear()
-        self.check_certificate(planar, cert, blocks, tol=0.0)
+        self.check_certificate(PLANAR, cert, blocks, tol=0.0)

@@ -10,7 +10,7 @@ import pytest
 from sdstab import sim
 from sdstab.errors import DegenerateEnsemble, DomainError, ValidationError
 from sdstab.lmi import load_certificate
-from sdstab.models import LinearSampledModel, SamplingSchedule, load_model
+from sdstab.models import SampledModel, SamplingSchedule, load_model
 from sdstab.sim import (
     EnsembleMoments,
     SimConfig,
@@ -34,7 +34,7 @@ from oracles import (
 
 
 def decay_model(n=2):
-    return LinearSampledModel(
+    return SampledModel(
         name="decay", n=n, A=-np.eye(n), diffusion=(),
         B_bar_explicit=np.zeros((n, n)), x0=np.ones(n),
     )
@@ -53,7 +53,7 @@ def em_chain(f, g_list, h, n_steps, x0, paths, seed, store_idx):
     """Stored states of the EM chain X_k = X_{k-1} + h F X_{k-1} + sum_j G_j X_{k-1} dB_{j,k}:
     the sampled-data kernel on a uniform grid with no sampling refresh and B_bar = 0."""
     f = np.asarray(f, dtype=float)
-    chain = LinearSampledModel("em", len(f), f, tuple(np.asarray(g, dtype=float) for g in g_list),
+    chain = SampledModel("em", len(f), f, tuple(np.asarray(g, dtype=float) for g in g_list),
                                B_bar_explicit=np.zeros_like(f))
     times = h * np.arange(n_steps + 1, dtype=float)
     grid = sim._Grid(times=times, steps=np.full(n_steps, float(h)),
@@ -148,7 +148,7 @@ class TestEnsemble:
     def test_mean_sq_matches_masked_formula_with_divergence(self):
         # mean_sq masks dead rows without zeroing their NaNs first; the means
         # and the decay fit must equal those of the zero-filled formula
-        m = LinearSampledModel(
+        m = SampledModel(
             name="gbm", n=1, A=np.array([[50.0]]), diffusion=(np.array([[10.0]]),),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
@@ -174,7 +174,7 @@ class TestEnsemble:
         # the kernel hands on blocks of max(2, _WINDOW_NORMALS // paths) stored times, and
         # each block's sum starts from the running total, so the means are those of one
         # sum over the full (paths x times) array in path order
-        m = LinearSampledModel(
+        m = SampledModel(
             name="gbm", n=1, A=np.array([[a]]), diffusion=(np.array([[10.0]]),),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
@@ -195,7 +195,7 @@ class TestEnsemble:
 
 def gbm_model():
     # sigma sqrt(h) = 1.6 at dt_sim = 0.01: at horizon 8 some paths pass the cap, not all
-    return LinearSampledModel(
+    return SampledModel(
         name="gbm", n=1, A=np.array([[100.0]]), diffusion=(np.array([[16.0]]),),
         B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
     )
@@ -474,7 +474,7 @@ class TestKernelOracle:
         # m = 3 normals a step; 46 steps is no multiple of the 16-step noise window,
         # and the last chunk of 5 paths starts a new block of paths
         rng = np.random.default_rng(11)
-        model = LinearSampledModel(
+        model = SampledModel(
             name="three", n=3, A=-np.eye(3) + 0.3 * rng.normal(size=(3, 3)),
             diffusion=tuple(0.4 * rng.normal(size=(3, 3)) for _ in range(3)),
             B_bar_explicit=-0.5 * np.eye(3), x0=np.array([1.0, -0.5, 0.25]),
@@ -824,7 +824,7 @@ class TestEmDiscrete:
 
 class TestEstimators:
     def test_deterministic_decay_rate(self):
-        m = LinearSampledModel(
+        m = SampledModel(
             name="scalar", n=1, A=np.array([[-1.0]]), diffusion=(),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
@@ -846,7 +846,7 @@ class TestEstimators:
             estimate_ms_decay(ens, window=(4.0, 5.0))
 
     def test_exponent_deterministic(self):
-        m = LinearSampledModel(
+        m = SampledModel(
             name="scalar", n=1, A=np.array([[-1.0]]), diffusion=(),
             B_bar_explicit=np.zeros((1, 1)), x0=np.array([1.0]),
         )
@@ -932,7 +932,7 @@ class TestStabilityTransferContrast:
 class TestDeterministicCpsEquality:
     def test_noise_free_round_trip(self):
         # zero diffusion: the update formulas coincide term by term
-        m = LinearSampledModel(
+        m = SampledModel(
             name="det", n=2, A=np.array([[0.0, 1.0], [-2.0, -1.0]]), diffusion=(),
             B_bar_explicit=np.array([[-1.0, 0.0], [0.0, -1.0]]), x0=np.array([1.0, -0.5]),
         )

@@ -251,11 +251,11 @@ def test_one_keyed_stream_helper():
     assert word_arithmetic((SRC / "sim.py").read_text(encoding="utf-8")) == []
 
 
-LOOP_FIELDS = {"envelope", "A_bar"}
+LOOP_FIELDS = {"envelope", "A_bar", "A"}
 
 
 def loop_field_reads(source: str) -> list:
-    """(top-level def or class name, line) of each read of an attribute named envelope or A_bar
+    """(top-level def or class name, line) of each read of an attribute named envelope, A_bar or A
     ('' at module level)."""
     out = []
     for node in ast.parse(source).body:
@@ -272,19 +272,66 @@ def test_scan_flags_loop_field_reads():
         "def other(model):\n    model.A_bar = 1\n    return model.A + getattr(model, 'A_bar')\n"
         "class Plant:\n    A_bar: int = 0\n    def shift(self):\n        return self.A_bar\n"
     )
-    assert loop_field_reads(source) == [("", 1), ("Plant", 10), ("rate_loop", 3), ("rate_loop", 3)]
+    assert loop_field_reads(source) == [("", 1), ("Plant", 10), ("other", 6), ("rate_loop", 3), ("rate_loop", 3)]
 
 
 def test_one_plant_adapter():
-    # the planar plant reaches the certificate blocks and the design searches only as the
-    # shifted linear Ito loop that lmi.rate_loop and lmi.cross_loop build, and one verifier
-    # checks every plant
+    # every plant reaches the certificate blocks and the design searches only as the linear Ito
+    # loop that lmi.rate_loop and lmi.cross_loop build (shifted, for the planar plant), and one
+    # verifier checks every plant
     readers = {p.name: sorted({f for f, _ in loop_field_reads(p.read_text(encoding="utf-8"))})
                for p in MODULES if p.name != "models.py"}
     assert {m: f for m, f in readers.items() if f} == {"lmi.py": ["cross_loop", "rate_loop"]}
     tree = ast.parse((SRC / "lmi.py").read_text(encoding="utf-8"))
     verifiers = [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("verify_")]
     assert verifiers == ["verify_certificate"]
+
+
+RETIRED_MODELS = {"LinearSampledModel", "NonlinearPlanarModel"}
+
+
+def model_class_dispatch(source: str) -> list:
+    """Lines of source that name a retired model class, test isinstance against a class whose
+    name ends in Model, or test hasattr on something named like a model."""
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and any(a.name in RETIRED_MODELS for a in n.names):
+            lines.add(n.lineno)
+        elif isinstance(n, (ast.Name, ast.Attribute)) and names(n) & RETIRED_MODELS:
+            lines.add(n.lineno)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and len(n.args) == 2:
+            if n.func.id == "isinstance" and any(c.endswith("Model") for c in names(n.args[1])):
+                lines.add(n.lineno)
+            elif n.func.id == "hasattr" and any("model" in c.lower() for c in names(n.args[0])):
+                lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_model_class_dispatch():
+    source = (
+        "from .models import NonlinearPlanarModel, load_model\n"
+        "import sdstab.models as models\n"
+        "def f(model, report, m):\n"
+        "    a = isinstance(model, SampledModel)\n"
+        "    b = isinstance(report['model'], dict)\n"
+        "    c = hasattr(model, 'A_bar')\n"
+        "    d = isinstance(m, (models.LinearSampledModel, int))\n"
+        "    e = hasattr(os, 'sched_getaffinity')\n"
+        "    g = hasattr(self.model, 'envelope')\n"
+        "    return model.nonlinearity is None\n"
+    )
+    assert model_class_dispatch(source) == [1, 4, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC.parents[1] / "tests" / "oracles.py"], ids=lambda p: p.name)
+def test_one_model_class(path):
+    # every plant is one models.SampledModel, a linear one or the planar one with its
+    # nonlinearity: code reads model.nonlinearity, never the class or a field's presence
+    assert model_class_dispatch(path.read_text(encoding="utf-8")) == []
 
 
 def minimize_uses(source: str) -> list:
